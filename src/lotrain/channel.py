@@ -12,6 +12,7 @@ All rates are in nats per channel use; CSV emission converts to bits.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -113,8 +114,16 @@ def mmse_estimate(
 
     Each RRH models only its served set; out-of-set users' pilots act as
     unmodeled interference whose full covariance is charged to the error
-    variance. The weight formula does not assume in-set pilots orthogonal, so
-    the same routine serves books without the local-orthogonality property.
+    variance.
+
+    Two paths compute the same estimator. When the book carries a
+    ``color_of`` and no RRH serves two users of one color, the served pilots
+    are orthogonal at every RRH, so each weight decouples to
+    gamma_k x_k^* / (gamma_k^2 E_k + n0) and only same-colored users outside
+    the set leak in: all RRHs are estimated at once in closed form, with no
+    solve. Any other book (free-form, or colored but not locally orthogonal)
+    takes a regularized solve per RRH, which assumes nothing about the
+    pilots.
 
     The training observation is synthesized internally. Pass ``noise``
     (shape (n_rrh, training_length), entries of variance n0) to pin the noise
@@ -136,11 +145,58 @@ def mmse_estimate(
     if noise.shape != (n_rrh, length):
         raise ConsistencyError(f"noise must have shape {(n_rrh, length)}")
 
+    received = (chan.small_scale * chan.large_scale) @ book.pilots + noise
+    sizes = np.fromiter(map(len, assoc.served_users), dtype=np.intp, count=n_rrh)
+    rows = np.repeat(np.arange(n_rrh), sizes)
+    cols = np.fromiter(chain.from_iterable(assoc.served_users), dtype=np.intp, count=rows.size)
+    colors = book.color_of
+    if colors is not None and _one_user_per_color(rows, colors[cols]):
+        h_hat, mse = _decoupled_estimate(chan, book, received, rows, cols, n0)
+    else:
+        h_hat, mse = _per_rrh_solve(chan, book, assoc, received, n0)
+    return EstimationResult(_frozen(h_hat), _frozen(mse), float(n0))
+
+
+def _one_user_per_color(rows: np.ndarray, pair_colors: np.ndarray) -> bool:
+    """True iff no RRH serves two users of one color: every served (RRH,
+    color) pair is counted once at most. Exact, integers only."""
+    if rows.size == 0:
+        return True
+    n_colors = int(pair_colors.max()) + 1
+    return int(np.bincount(rows * n_colors + pair_colors).max()) <= 1
+
+
+def _decoupled_estimate(chan, book, received, rows, cols, n0):
+    """Closed-form estimator for a colored, locally orthogonal book.
+
+    Users of one color send scaled copies of one pilot row and rows of
+    different colors are orthogonal, so with a = gamma^2 E and den = a + n0,
+    h_hat = gamma (y x^H) / den and mse = n0 / den + a (S[i, c] - a) / den^2,
+    where S[i, c] is the pilot energy RRH i receives on color c.
+    """
+    colors = book.color_of
+    energy = np.sum(np.abs(book.pilots) ** 2, axis=1)
+    # (n_user, n_colors): each user's pilot energy in its color's column
+    by_color = np.zeros((colors.size, int(colors.max()) + 1))
+    by_color[np.arange(colors.size), colors] = energy
+    color_energy = chan.large_scale**2 @ by_color
+    g = chan.large_scale[rows, cols]
+    a = g * g * energy[cols]
+    den = a + n0
+    h_hat = np.zeros(chan.large_scale.shape, dtype=complex)
+    h_hat[rows, cols] = g * (received @ book.pilots.conj().T)[rows, cols] / den
+    mse = np.ones(chan.large_scale.shape)
+    mse[rows, cols] = n0 / den + a * (color_energy[rows, colors[cols]] - a) / den**2
+    return h_hat, mse
+
+
+def _per_rrh_solve(chan, book, assoc, received, n0):
+    """Regularized LMMSE solve at each RRH; assumes nothing about the pilots."""
+    n_rrh, n_user = chan.small_scale.shape
     x = book.pilots
-    received = (chan.small_scale * chan.large_scale) @ x + noise
     h_hat = np.zeros((n_rrh, n_user), dtype=complex)
     mse = np.ones((n_rrh, n_user))
-    eye = np.eye(length)
+    eye = np.eye(book.training_length)
     for i in range(n_rrh):
         users = assoc.served_users[i]
         if not users:
@@ -159,7 +215,7 @@ def mmse_estimate(
         cross = np.abs(x[out] @ wh) ** 2
         leakage = chan.large_scale[i, out] ** 2 @ cross
         mse[i, u] = 1.0 - aligned + leakage
-    return EstimationResult(_frozen(h_hat), _frozen(mse), float(n0))
+    return h_hat, mse
 
 
 def interference_variance(est: EstimationResult, chan: ChannelRealization, beta_prime, p0: float) -> np.ndarray:

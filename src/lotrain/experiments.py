@@ -16,6 +16,7 @@ fading, and training noise draws: paired comparisons, not independent ones.
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -81,41 +82,80 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
-        if self.n_rrh < 1:
-            raise ParameterError("n_rrh must be >= 1")
-        if self.workers < 1:
-            raise ParameterError("workers must be >= 1")
+        for key, low in (("n_rrh", 1), ("trials", 1), ("seed", 0), ("workers", 1),
+                         ("t_coherence", 2)):
+            _check_int(key, getattr(self, key), low)
+        if self.n_user is not None:
+            _check_int("n_user", self.n_user, 1)
+        for k in self.k_grid or ():
+            _check_int("k_grid entry", k, 1)
+        for key in ("side", "eta", "p0", "min_distance"):
+            _check_real(key, getattr(self, key))
+        _check_real("beta", self.beta, inclusive=True)
+        for key in ("threshold", "rho"):
+            if getattr(self, key) is not None:
+                _check_real(key, getattr(self, key))
+        for r in self.r_grid or ():
+            _check_real("r_grid entry", r)
+        if not self.snr_db:
+            raise ParameterError("snr_db grid must be nonempty")
+        for snr in self.snr_db:
+            _check_real("snr_db entry", snr, floor=-math.inf)
         if self.resample_layout not in ("per-trial", "fixed"):
-            raise ParameterError(f"resample_layout must be 'per-trial' or 'fixed'")
+            raise ParameterError(
+                f"resample_layout must be 'per-trial' or 'fixed', got {self.resample_layout!r}")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ParameterError(f"unknown scheme {s!r}; choose from {SCHEMES}")
-        if not self.snr_db:
-            raise ParameterError("snr_db grid must be nonempty")
+        if "global-orthogonal" in self.schemes and self.t_coherence % 2:
+            raise ParameterError(
+                f"t_coherence must be even for global-orthogonal (half the frame trains), "
+                f"got {self.t_coherence}")
+
+
+def _check_int(key: str, value, low: int) -> None:
+    """Reject anything but an integer >= low; JSON true/false are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+def _check_real(key: str, value, floor: float = 0.0, inclusive: bool = False) -> None:
+    """Reject anything but a finite number above floor (or at it, if inclusive)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < floor
+            or (value == floor and not inclusive)):
+        bound = f" {'>=' if inclusive else '>'} {floor}" if math.isfinite(floor) else ""
+        raise ParameterError(f"{key} must be a finite number{bound}, got {value!r}")
 
 
 _TUPLE_FIELDS = {"k_grid", "r_grid", "snr_db", "schemes"}
 
 
 def load_config(path) -> dict:
-    """Parse a flat ``key = value`` file with JSON-typed values, # comments."""
+    """Parse a flat ``key = value`` file with JSON-typed values, # comments.
+
+    A ``#`` starts a comment only on a line of its own or after the complete
+    JSON value, so it may appear inside a JSON string.
+    """
     mapping = {}
+    decoder = json.JSONDecoder()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             key, sep, val = line.partition("=")
             if not sep:
                 raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+            val = val.strip()
             try:
-                mapping[key.strip()] = json.loads(val.strip())
+                value, end = decoder.raw_decode(val)
             except json.JSONDecodeError as exc:
                 raise ParameterError(f"{path}:{lineno}: bad value: {exc}") from exc
+            rest = val[end:].strip()
+            if rest and not rest.startswith("#"):
+                raise ParameterError(f"{path}:{lineno}: unexpected text after the value: {rest!r}")
+            mapping[key.strip()] = value
     return mapping
 
 
@@ -198,8 +238,6 @@ def _mean_se(values) -> tuple[float, float]:
 def _resolve_threshold(cfg: ExperimentConfig, n_user: int) -> float:
     """Fixed radius if configured, else the density-matched radius for rho."""
     if cfg.threshold is not None:
-        if not cfg.threshold > 0:
-            raise ParameterError("threshold must be positive")
         return float(cfg.threshold)
     if cfg.rho is not None:
         return radius_for_rho(n_user, n_user / cfg.side**2, cfg.rho)
@@ -242,7 +280,8 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int,
     Half the frame is training, so at most t_coherence/2 users can be active;
     a uniformly random subset that size is selected (all users when fewer).
     Active users get rows of an orthonormal base scaled to the power
-    constraint; inactive users transmit nothing in either phase.
+    constraint; inactive users transmit nothing in either phase. Active user
+    j takes color j; inactive users take color 0 with zero energy.
 
     Returns (active_indices, PilotBook).
     """
@@ -260,7 +299,9 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int,
     b[active] = beta
     pilots = np.zeros((n_user, length), dtype=complex)
     pilots[active] = np.sqrt(length * beta * p0) * dft_rows(length)
-    return _frozen(active), PilotBook(_frozen(pilots), _frozen(b), float(p0), None)
+    colors = np.zeros(n_user, dtype=np.intp)
+    colors[active] = np.arange(length)
+    return _frozen(active), PilotBook(_frozen(pilots), _frozen(b), float(p0), _frozen(colors))
 
 
 def _global_orthogonal_assoc(n_rrh: int, active: np.ndarray, n_user: int) -> AssociationMap:
@@ -506,8 +547,6 @@ def run_sweep_r(cfg: ExperimentConfig) -> list:
         raise ParameterError("sweep-r requires n_user")
     if not cfg.r_grid:
         raise ParameterError("sweep-r requires r_grid")
-    if any(not r > 0 for r in cfg.r_grid):
-        raise ParameterError("r_grid radii must be positive")
     digest = config_hash(cfg)
     payloads = []
     for r in cfg.r_grid:

@@ -32,7 +32,9 @@ class PilotBook:
         beta: per-user training power coefficients.
         p0: power budget per channel use.
         color_of: pilot color per user for books built from a coloring,
-            None for free-form books (e.g. the random baseline).
+            None for free-form books (e.g. the random baseline). Users of
+            one color send scaled copies of one row and rows of different
+            colors are orthogonal; ``mmse_estimate`` relies on this.
     """
 
     pilots: np.ndarray
@@ -78,16 +80,19 @@ def check_local_orthogonality(book: PilotBook, assoc: AssociationMap, tol: float
     """True iff, at every RRH, served users' pilots are pairwise orthogonal.
 
     Orthogonality is only required within each RRH's served set; users served
-    by no common RRH may correlate arbitrarily.
+    by no common RRH may correlate arbitrarily. A cross-correlation counts as
+    zero when it is at most ``tol`` times the largest pilot energy in the
+    book, so the verdict does not depend on the power scale.
     """
     if book.n_user != assoc.n_user:
         raise ConsistencyError("pilot book and association disagree on the user count")
+    limit = tol * float(np.max(np.sum(np.abs(book.pilots) ** 2, axis=1), initial=0.0))
     for users in assoc.served_users:
         if len(users) < 2:
             continue
         x = book.pilots[list(users)]
         gram = x @ x.conj().T
         np.fill_diagonal(gram, 0.0)
-        if np.max(np.abs(gram)) > tol:
+        if np.max(np.abs(gram)) > limit:
             return False
     return True

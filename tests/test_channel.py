@@ -6,6 +6,8 @@ frozen before the implementation existed; the log-det oracles reduce the
 matrix rate to scalar arithmetic.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from lotrain import (
     EstimationResult,
     NetworkLayout,
     ParameterError,
+    baseline_global_orthogonal,
     build_conflict_graph,
     build_pilot_book,
     data_power_coefficients,
@@ -26,11 +29,13 @@ from lotrain import (
     generate_layout,
     interference_variance,
     mmse_estimate,
+    refine,
     run_monte_carlo,
     snr_db_to_noise_power,
     sparsify,
     throughput_lower_bound,
 )
+from lotrain.experiments import _global_orthogonal_assoc
 
 GAMMA_AT_10_ETA_35 = 0.017782794100389228  # 10 ** -1.75
 
@@ -222,6 +227,60 @@ def test_estimation_validation_errors():
     short = generate_layout(2, 2, 20.0, seed=0)
     with pytest.raises(ConsistencyError):
         mmse_estimate(generate_channel(short, 3.5, seed=0), book, assoc, 0.1)
+
+
+@pytest.mark.parametrize("per_user_beta", [False, True])
+@pytest.mark.parametrize("scheme", ["proposed", "refined", "global-orthogonal"])
+def test_closed_form_matches_per_rrh_solve(scheme, per_user_beta):
+    # colored books take the closed form; the same book with color_of=None
+    # takes the per-RRH solve, which serves as the reference
+    n, k, t_coh = 300, 300, 100
+    lay = generate_layout(n, k, 100.0, seed=7)
+    assoc = sparsify(lay, 10.0)
+    col = dsatur(build_conflict_graph(assoc))
+    rng = np.random.default_rng(8)
+    beta = rng.uniform(0.5, 1.5, k) if per_user_beta else 1.0
+    if scheme == "global-orthogonal":
+        active, book = baseline_global_orthogonal(t_coh, k, rng)
+        b = np.zeros(k)
+        b[active] = np.broadcast_to(beta, (k,))[active]
+        book = dataclasses.replace(book, pilots=np.sqrt(b)[:, None] * book.pilots, beta=b)
+        assoc = _global_orthogonal_assoc(n, active, k)
+    else:
+        book = build_pilot_book(col, beta)
+        if scheme == "refined":
+            assoc = refine(assoc, lay, col)
+    oracle = dataclasses.replace(book, color_of=None)
+    ch = generate_channel(lay, 3.5, seed=9)
+    length = book.training_length
+    alpha = length / t_coh
+    bp = data_power_coefficients(book.beta, alpha, k)
+    z0 = channel_mod.complex_gaussian(rng, (n, length))
+    for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
+        n0 = snr_db_to_noise_power(snr)
+        fast = mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0)
+        slow = mmse_estimate(ch, oracle, assoc, n0, noise=np.sqrt(n0) * z0)
+        assert np.all(np.abs(fast.mse - slow.mse) <= 1e-8 * slow.mse)
+        assert np.max(np.abs(fast.h_hat - slow.h_hat)) <= 1e-9 * np.max(np.abs(slow.h_hat))
+        rate = throughput_lower_bound(slow, ch, alpha, bp, 1.0)
+        assert abs(throughput_lower_bound(fast, ch, alpha, bp, 1.0) - rate) <= 1e-12 * rate
+
+
+def test_colored_book_with_shared_color_at_an_rrh_takes_the_solve():
+    # two users of one color served by one RRH: the decoupled weights would be
+    # wrong, so the estimate must equal the per-RRH solve bit for bit
+    lay = generate_layout(3, 12, 60.0, seed=21)
+    assoc = sparsify(lay, 18.0)
+    col = dsatur(build_conflict_graph(assoc))
+    k, m = assoc.served_users[0][:2]
+    colors = col.colors.copy()
+    colors[m] = colors[k]
+    book = build_pilot_book(Coloring(colors, col.num_colors))
+    ch = generate_channel(lay, 3.5, seed=22)
+    noise = np.sqrt(0.05) * channel_mod.complex_gaussian(np.random.default_rng(3), (3, col.num_colors))
+    est = mmse_estimate(ch, book, assoc, 0.05, noise=noise)
+    ref = mmse_estimate(ch, dataclasses.replace(book, color_of=None), assoc, 0.05, noise=noise)
+    assert np.array_equal(est.mse, ref.mse) and np.array_equal(est.h_hat, ref.h_hat)
 
 
 # ------------------------------------------------- variance and throughput

@@ -94,6 +94,23 @@ def test_malformed_value_exits_one(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("line,key", [
+    ("t_coherence = 0", "t_coherence"),
+    ("n_rrh = 5.5", "n_rrh"),
+    ("trials = true", "trials"),
+    ("side = -1.0", "side"),
+    ("eta = 0.0", "eta"),
+    ("snr_db = [NaN]", "snr_db"),
+])
+def test_bad_value_exits_one_naming_the_key(tmp_path, line, key):
+    cfg = write(tmp_path, COMPARE_CFG + line + "\n")
+    out = tmp_path / "x.csv"
+    proc = run_cli("compare", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert key in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_infeasible_training_length_exits_two(tmp_path):
     cfg = write(tmp_path, """\
 n_rrh = 4

@@ -61,6 +61,15 @@ threshold = 12.5
     assert cfg.snr_db == (10.0, 20.0) and cfg.schemes == ("proposed", "random-pilot")
 
 
+def test_load_config_keeps_hash_inside_strings(tmp_path):
+    p = write_cfg(tmp_path, 'resample_layout = "per#trial"  # a comment\n'
+                            'schemes = ["proposed"]# no space before it\n')
+    assert load_config(p) == {"resample_layout": "per#trial", "schemes": ["proposed"]}
+    bad = write_cfg(tmp_path, "n_rrh = 5 trailing words\n", name="bad.cfg")
+    with pytest.raises(ParameterError, match=":1:"):
+        load_config(bad)
+
+
 def test_load_config_reports_offending_line(tmp_path):
     p = write_cfg(tmp_path, "n_rrh = 5\nbogus line without equals\n")
     with pytest.raises(ParameterError, match=":2:"):
@@ -95,6 +104,26 @@ def test_config_defaults():
     dict(resample_layout="sometimes"),
     dict(schemes=("proposed", "genie")),
     dict(snr_db=()),
+    dict(t_coherence=0),
+    dict(t_coherence=2.5),
+    dict(t_coherence=25, schemes=("global-orthogonal",)),
+    dict(n_rrh=5.5),
+    dict(n_user=0),
+    dict(k_grid=(10, 20.5)),
+    dict(trials=True),
+    dict(seed="0"),
+    dict(side=-1.0),
+    dict(side=float("inf")),
+    dict(eta=0.0),
+    dict(p0=0.0),
+    dict(beta=-0.5),
+    dict(min_distance=0.0),
+    dict(threshold=0.0),
+    dict(rho=-0.5),
+    dict(r_grid=(5.0, float("nan"))),
+    dict(snr_db=(10.0, float("nan"))),
+    dict(snr_db=(float("-inf"),)),
+    dict(snr_db=(True,)),
 ])
 def test_config_validation(kw):
     base = dict(experiment="compare", n_rrh=4, n_user=8)
@@ -179,6 +208,15 @@ def test_global_orthogonal_selects_half_frame_subset():
     assert np.allclose(act_rows @ act_rows.conj().T, 5 * 1.0 * 2.0 * np.eye(5), atol=1e-10)
     again, _ = baseline_global_orthogonal(10, 12, np.random.default_rng(9), 1.0, 2.0)
     assert np.array_equal(active, again)
+
+
+def test_global_orthogonal_book_colors_one_per_active_user():
+    for t_coh, n_user in ((20, 6), (10, 12)):
+        active, book = baseline_global_orthogonal(t_coh, n_user, np.random.default_rng(9))
+        assert np.array_equal(book.color_of[active], np.arange(active.size))
+        inactive = np.setdiff1d(np.arange(n_user), active)
+        assert np.all(book.color_of[inactive] == 0)
+        assert np.all(book.pilots[inactive] == 0)
 
 
 def test_global_orthogonal_requires_even_frame():

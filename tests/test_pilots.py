@@ -110,6 +110,15 @@ def test_tolerance_boundary():
     assert check_local_orthogonality(PilotBook(tiny, np.ones(2), 1.0, None), assoc)
 
 
+def test_tolerance_scales_with_pilot_energy():
+    # a valid DSATUR book stays valid at any power scale
+    lay = generate_layout(300, 300, 100.0, seed=0)
+    assoc = sparsify(lay, 10.0)
+    col = dsatur(build_conflict_graph(assoc))
+    for p0 in (1.0, 1e2, 1e4):
+        assert check_local_orthogonality(build_pilot_book(col, p0=p0), assoc)
+
+
 def test_size_mismatch():
     lay = generate_layout(1, 3, 10.0, seed=0)
     assoc = sparsify(lay, 20.0)
