@@ -10,14 +10,13 @@ the RRH estimate (and so cancel) more interferers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import ConsistencyError, ParameterError
-from .geometry import NetworkLayout
+from .geometry import NetworkLayout, abs_offsets, pairs_within
 
 if TYPE_CHECKING:
     from .coloring import Coloring
@@ -46,13 +45,22 @@ class AssociationMap:
         return len(self.serving_rrhs)
 
 
-def _invert(served: list[tuple[int, ...]], n_user: int) -> tuple[tuple[int, ...], ...]:
-    serving: list[list[int]] = [[] for _ in range(n_user)]
-    for i, users in enumerate(served):
-        for k in users:
-            serving[k].append(i)
-    # RRH indices were appended in ascending order already
-    return tuple(tuple(s) for s in serving)
+def _split(values: np.ndarray, counts: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Consecutive runs of ``values`` with the given lengths, as int tuples."""
+    v = values.tolist()
+    bounds = [0, *np.cumsum(counts).tolist()]
+    return tuple(tuple(v[s:e]) for s, e in zip(bounds, bounds[1:]))
+
+
+def _from_pairs(rrh: np.ndarray, user: np.ndarray, n_rrh: int, n_user: int,
+                threshold: float) -> AssociationMap:
+    """Association map from served (RRH, user) pairs sorted by (RRH, user)."""
+    by_user = np.argsort(user, kind="stable")  # keeps RRHs ascending per user
+    return AssociationMap(
+        _split(user, np.bincount(rrh, minlength=n_rrh)),
+        _split(rrh[by_user], np.bincount(user, minlength=n_user)),
+        float(threshold),
+    )
 
 
 def sparsify(layout: NetworkLayout, threshold: float) -> AssociationMap:
@@ -63,19 +71,8 @@ def sparsify(layout: NetworkLayout, threshold: float) -> AssociationMap:
     """
     if not threshold > 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
-    tree = cKDTree(layout.user_xy)
-    candidates = tree.query_ball_point(layout.rrh_xy, threshold, p=np.inf)
-    served: list[tuple[int, ...]] = []
-    for i, idxs in enumerate(candidates):
-        if idxs:
-            u = np.sort(np.asarray(idxs, dtype=np.intp))
-            # KD range queries are inclusive; re-check strictly
-            d = np.max(np.abs(layout.user_xy[u] - layout.rrh_xy[i]), axis=1)
-            u = u[d < threshold]
-            served.append(tuple(int(k) for k in u))
-        else:
-            served.append(())
-    return AssociationMap(tuple(served), _invert(served, layout.n_user), float(threshold))
+    rrh, user = pairs_within(layout.rrh_xy, layout.user_xy, threshold)
+    return _from_pairs(rrh, user, layout.n_rrh, layout.n_user, threshold)
 
 
 def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -> AssociationMap:
@@ -98,8 +95,8 @@ def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -
     if assoc.n_rrh != layout.n_rrh:
         raise ConsistencyError("association and layout disagree on the RRH count")
     classes = [np.flatnonzero(colors == q) for q in range(coloring.num_colors)]
-    dists = cdist(layout.rrh_xy, layout.user_xy, "chebyshev")
-    served: list[tuple[int, ...]] = []
+    dists = np.maximum(*abs_offsets(layout.rrh_xy, layout.user_xy))
+    served: list[list[int]] = []
     for i, users in enumerate(assoc.served_users):
         have = [int(colors[k]) for k in users]
         if len(set(have)) != len(have):
@@ -112,5 +109,7 @@ def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -
                 continue
             # cls is ascending, argmin returns its first minimum: lowest index wins ties
             extra.append(int(cls[np.argmin(dists[i, cls])]))
-        served.append(tuple(sorted(set(users) | set(extra))))
-    return AssociationMap(tuple(served), _invert(served, layout.n_user), assoc.threshold)
+        served.append(sorted(set(users) | set(extra)))
+    rrh = np.repeat(np.arange(assoc.n_rrh), [len(u) for u in served])
+    user = np.fromiter(chain.from_iterable(served), dtype=np.intp, count=rrh.size)
+    return _from_pairs(rrh, user, layout.n_rrh, layout.n_user, assoc.threshold)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .association import AssociationMap, refine, sparsify
 from .coloring import dsatur
@@ -25,7 +24,7 @@ from .errors import (
     ParameterError,
     TrainingLengthError,
 )
-from .geometry import RNG_ALGORITHM, NetworkLayout, generate_layout, _frozen, _rng
+from .geometry import RNG_ALGORITHM, NetworkLayout, abs_offsets, generate_layout, _frozen, _rng
 from .graphs import build_conflict_graph
 from .pilots import PilotBook, build_pilot_book
 
@@ -81,7 +80,8 @@ def generate_channel(layout: NetworkLayout, eta: float, seed, min_distance: floa
         raise ParameterError(f"pathloss exponent must be positive, got {eta}")
     if not min_distance > 0:
         raise ParameterError(f"min_distance must be positive, got {min_distance}")
-    d = cdist(layout.rrh_xy, layout.user_xy)
+    dx, dy = abs_offsets(layout.rrh_xy, layout.user_xy)
+    d = np.sqrt(dx * dx + dy * dy)
     if np.any(d == 0.0):
         raise DegenerateGeometryError("a user coincides exactly with an RRH")
     gains = np.maximum(d, min_distance) ** (-eta / 2.0)

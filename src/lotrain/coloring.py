@@ -39,27 +39,28 @@ def dsatur(g: ConflictGraph) -> Coloring:
     index. The chosen vertex gets the smallest color unused on its neighbors.
     """
     n = g.n_vertices
-    colors = np.full(n, -1, dtype=np.intp)
-    degree = np.array([nb.size for nb in g.neighbors], dtype=np.int64)
-    saturation = np.zeros(n, dtype=np.int64)
+    neighbors = [nb.tolist() for nb in g.neighbors]
+    colors = [-1] * n
+    # composite key ranks saturation first, then degree; degree < n+1 so the
+    # two never interfere. Colored vertices drop to -1, and argmax takes the
+    # first (lowest-index) maximum.
+    key = np.array([len(nb) for nb in neighbors], dtype=np.int64)
     seen: list[set] = [set() for _ in range(n)]
     for _ in range(n):
-        # composite key ranks saturation first, then degree; degree < n+1 so
-        # the two never interfere. argmax takes the first (lowest-index) max.
-        key = saturation * (n + 1) + degree
-        key[colors >= 0] = -1
         v = int(np.argmax(key))
         used = seen[v]
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-        for m in g.neighbors[v]:
-            if colors[m] < 0 and c not in seen[m]:
+        key[v] = -1
+        raised = [m for m in neighbors[v] if colors[m] < 0 and c not in seen[m]]
+        if raised:
+            for m in raised:
                 seen[m].add(c)
-                saturation[m] += 1
-    num = int(colors.max()) + 1 if n else 0
-    return Coloring(colors, num)
+            key[raised] += n + 1
+    num = max(colors) + 1 if n else 0
+    return Coloring(np.array(colors, dtype=np.intp), num)
 
 
 def validate_coloring(g: ConflictGraph, coloring: Coloring) -> bool:

@@ -14,6 +14,10 @@ from .errors import ParameterError
 # echoes so runs can be replayed.
 RNG_ALGORITHM = "PCG64"
 
+# pairs_within checks its candidate pairs in blocks of about this many, so its
+# temporaries stay a few MB however dense the layout is.
+_PAIR_BLOCK = 1 << 15
+
 
 def _rng(seed) -> np.random.Generator:
     """Generator from an int seed or a SeedSequence."""
@@ -70,6 +74,49 @@ def generate_layout(n_rrh: int, n_user: int, side: float, seed) -> NetworkLayout
 def dist_linf(a, b) -> float:
     """Chebyshev distance max(|ax - bx|, |ay - by|) between two points."""
     return float(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
+
+
+def abs_offsets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(len(a), len(b)) arrays |ax - bx| and |ay - by| over all point pairs."""
+    return np.abs(a[:, :1] - b[:, 0]), np.abs(a[:, 1:] - b[:, 1])
+
+
+def pairs_within(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair with max|a[i] - b[j]| < r (Chebyshev),
+    sorted by (i, j).
+
+    Sweep over b sorted by x: each a[i] takes the b points in an x-window a
+    little wider than r, so rounding in the window bounds cannot drop a pair,
+    and the strict check on both coordinates keeps exactly the pairs within r.
+    """
+    order = np.argsort(b[:, 0], kind="stable")
+    bx, by = b[order, 0], b[order, 1]
+    ax, ay = a[:, 0], a[:, 1]
+    scale = r + float(np.max(np.abs(a), initial=0.0)) + float(np.max(np.abs(b), initial=0.0))
+    half = r + 1e-9 * scale
+    lo = np.searchsorted(bx, ax - half, side="left")
+    counts = np.searchsorted(bx, ax + half, side="right") - lo
+    ends = np.cumsum(counts)
+    n = b.shape[0]
+    keys = [np.empty(0, dtype=np.intp)]
+    start = 0
+    while start < a.shape[0]:
+        # whole rows of a, about _PAIR_BLOCK candidates (at least one row) per block
+        done = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
+        c = counts[start:stop]
+        first = ends[start:stop] - c - done  # block position of each row's first candidate
+        i = np.repeat(np.arange(start, stop), c)
+        j = np.arange(int(ends[stop - 1]) - done) + np.repeat(lo[start:stop] - first, c)
+        # y first: the x-window has already ruled out nearly all that x would
+        near = np.abs(ay[i] - by[j]) < r
+        i, j = i[near], j[near]
+        near = np.abs(ax[i] - bx[j]) < r
+        key = i[near] * n + order[j[near]]
+        key.sort()  # rows come in order; this orders each row's b indices
+        keys.append(key)
+        start = stop
+    return np.divmod(np.concatenate(keys), max(n, 1))
 
 
 def user_density(layout: NetworkLayout) -> float:

@@ -8,33 +8,36 @@ users are strictly within 2r of each other.
 """
 
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .association import AssociationMap
 from .errors import ConsistencyError, GraphSizeError, ParameterError
-from .geometry import NetworkLayout
+from .geometry import NetworkLayout, _frozen, pairs_within
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sorted neighbor arrays of the graph with edges src[e]-dst[e].
+
+    Duplicate and reversed edges merge: one sort of the int64 keys
+    ``src*n + dst`` over both directions orders every vertex's neighbors.
+    (``np.unique`` gives the same keys, but numpy 2.4 runs it 50x slower
+    than a sort on 2e5 keys.)
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return _neighbor_slices(n, *np.divmod(keys, max(n, 1)))
 
 
-def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sorted neighbor arrays from an (E, 2) array of unique k < m edges."""
-    if edges.shape[0] == 0:
-        empty = _frozen(np.empty(0, dtype=np.intp))
-        return tuple(empty for _ in range(n))
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.argsort(src, kind="stable")
-    dst = dst[order]
-    counts = np.bincount(src, minlength=n)
-    parts = np.split(dst, np.cumsum(counts)[:-1])
-    return tuple(_frozen(np.sort(p).astype(np.intp)) for p in parts)
+def _neighbor_slices(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Neighbor arrays from directed arcs sorted by (src, dst), both directions
+    present, no repeats: each one a slice of one frozen array."""
+    flat = _frozen(dst.astype(np.intp))
+    bounds = [0, *np.cumsum(np.bincount(src, minlength=n)).tolist()]
+    return tuple(flat[s:e] for s, e in zip(bounds, bounds[1:]))
 
 
 class ConflictGraph:
@@ -54,9 +57,7 @@ class ConflictGraph:
                 raise ConsistencyError("edge endpoint out of range")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ConsistencyError("self loops are not allowed")
-            e = np.sort(e, axis=1)
-            e = np.unique(e, axis=0)
-        return cls(n_vertices, _adjacency(n_vertices, e), kind)
+        return cls(n_vertices, _adjacency(n_vertices, e[:, 0], e[:, 1]), kind)
 
     @cached_property
     def edge_array(self) -> np.ndarray:
@@ -87,19 +88,14 @@ class ConflictGraph:
 
 def build_conflict_graph(assoc: AssociationMap) -> ConflictGraph:
     """Edge between two users iff some RRH serves both."""
-    n = assoc.n_user
-    pairs = []
-    for users in assoc.served_users:
-        m = len(users)
-        if m >= 2:
-            a = np.asarray(users, dtype=np.int64)
-            iu, ju = np.triu_indices(m, 1)
-            pairs.append(np.column_stack((a[iu], a[ju])))
-    if pairs:
-        e = np.unique(np.concatenate(pairs), axis=0)
-    else:
-        e = np.empty((0, 2), dtype=np.int64)
-    return ConflictGraph(n, _adjacency(n, e), "shared-rrh")
+    sizes = np.fromiter(map(len, assoc.served_users), dtype=np.intp, count=assoc.n_rrh)
+    users = np.fromiter(chain.from_iterable(assoc.served_users), dtype=np.intp, count=int(sizes.sum()))
+    # the user at flat position p pairs with every later user of its RRH
+    ends = np.repeat(np.cumsum(sizes), sizes)
+    later = ends - np.arange(users.size) - 1
+    first = np.repeat(np.arange(users.size), later)
+    second = np.arange(first.size) + np.repeat(np.arange(users.size) + 1 - (np.cumsum(later) - later), later)
+    return ConflictGraph(assoc.n_user, _adjacency(assoc.n_user, users[first], users[second]), "shared-rrh")
 
 
 def build_proximity_graph(layout: NetworkLayout, threshold: float) -> ConflictGraph:
@@ -110,13 +106,10 @@ def build_proximity_graph(layout: NetworkLayout, threshold: float) -> ConflictGr
     """
     if not threshold > 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
-    tree = cKDTree(layout.user_xy)
-    e = tree.query_pairs(2.0 * threshold, p=np.inf, output_type="ndarray")
-    if e.size:
-        # the KD query is inclusive; keep strictly closer pairs only
-        gap = layout.user_xy[e[:, 0]] - layout.user_xy[e[:, 1]]
-        e = e[np.max(np.abs(gap), axis=1) < 2.0 * threshold]
-    return ConflictGraph(layout.n_user, _adjacency(layout.n_user, e), "proximity-2r")
+    # the pairs come in both directions, sorted: all but the loops are arcs
+    i, j = pairs_within(layout.user_xy, layout.user_xy, 2.0 * threshold)
+    arc = i != j
+    return ConflictGraph(layout.n_user, _neighbor_slices(layout.n_user, i[arc], j[arc]), "proximity-2r")
 
 
 def max_degree(g: ConflictGraph) -> int:

@@ -55,6 +55,16 @@ def test_large_scale_gains():
     assert ch35.large_scale[0, 2] == pytest.approx(GAMMA_AT_10_ETA_35, rel=1e-12)
 
 
+def test_large_scale_gains_match_cdist_bits():
+    # the distances of the former scipy implementation, bit for bit
+    distance = pytest.importorskip("scipy.spatial.distance")
+    for seed in range(5):
+        lay = generate_layout(40, 70, 100.0, seed=seed)
+        ch = generate_channel(lay, 3.5, seed=0)
+        d = distance.cdist(lay.rrh_xy, lay.user_xy)
+        assert np.array_equal(ch.large_scale, np.maximum(d, 1.0) ** -1.75)
+
+
 def test_distance_floor_and_degenerate():
     lay = layout_from([[0.0, 0.0]], [[0.25, 0.0]])
     assert generate_channel(lay, 3.5, seed=0).large_scale[0, 0] == 1.0

@@ -154,3 +154,11 @@ def test_every_subcommand_runs(tmp_path, name, cfg_text):
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == CSV_HEADER and len(lines) > 1
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.spatial added about 0.4 s and 30 MB to every run; the package needs numpy only
+    code = "import sys, lotrain.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from lotrain import (
     ConflictGraph,
     ConsistencyError,
     build_conflict_graph,
+    build_proximity_graph,
     dsatur,
     exact_chromatic_number,
     generate_layout,
@@ -18,6 +19,29 @@ from lotrain import (
     validate_coloring,
     write_coloring,
 )
+
+
+def dsatur_reference(g):
+    """The O(n^2) DSATUR: recompute the composite key of every vertex at every
+    step and take its first argmax. Same selection rule as ``dsatur``."""
+    n = g.n_vertices
+    colors = np.full(n, -1, dtype=np.intp)
+    degree = np.array([nb.size for nb in g.neighbors], dtype=np.int64)
+    saturation = np.zeros(n, dtype=np.int64)
+    seen = [set() for _ in range(n)]
+    for _ in range(n):
+        key = saturation * (n + 1) + degree
+        key[colors >= 0] = -1
+        v = int(np.argmax(key))
+        c = 0
+        while c in seen[v]:
+            c += 1
+        colors[v] = c
+        for m in g.neighbors[v]:
+            if colors[m] < 0 and c not in seen[m]:
+                seen[m].add(c)
+                saturation[m] += 1
+    return colors
 
 
 def cycle(n):
@@ -95,6 +119,21 @@ def test_dsatur_on_geometric_instances():
         g = build_conflict_graph(sparsify(lay, float(rng.uniform(3, 20))))
         col = dsatur(g)
         assert validate_coloring(g, col) and col.num_colors <= max_degree(g) + 1
+
+
+def test_dsatur_matches_reference():
+    rng = np.random.default_rng(41)
+    graphs = [random_graph(rng, n_max=60) for _ in range(150)]
+    graphs.append(ConflictGraph.from_edges(0, []))
+    for _ in range(12):
+        k = int(rng.integers(2, 400))
+        lay = generate_layout(int(rng.integers(1, 200)), k, 100.0, seed=int(rng.integers(1 << 31)))
+        r = float(rng.uniform(2, 15))
+        graphs += [build_conflict_graph(sparsify(lay, r)), build_proximity_graph(lay, r)]
+    for g in graphs:
+        col = dsatur(g)
+        assert np.array_equal(col.colors, dsatur_reference(g))
+        assert col.colors.dtype == np.intp
 
 
 def test_validate_coloring():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lotrain.geometry as geometry
 from lotrain import (
     AssociationMap,
     ConflictGraph,
@@ -172,3 +173,100 @@ def test_edge_list_serialization(tmp_path):
     assert edge_set(back) == edge_set(g) and back.n_vertices == 5
     empty = ConflictGraph.from_edges(2, [])
     assert to_edge_list(empty) == ""
+
+
+# ------------------------------------------- differential against brute force
+
+def linf_matrix(a, b):
+    return np.max(np.abs(np.asarray(a)[:, None, :] - np.asarray(b)[None, :, :]), axis=2)
+
+
+def brute_served(lay, r):
+    d = linf_matrix(lay.rrh_xy, lay.user_xy)
+    served = tuple(tuple(np.flatnonzero(row < r).tolist()) for row in d)
+    serving = tuple(tuple(np.flatnonzero(col < r).tolist()) for col in d.T)
+    return served, serving
+
+
+def brute_conflict_edges(served):
+    return {(a, b) for users in served for a in users for b in users if a < b}
+
+
+def brute_proximity_edges(lay, r):
+    d = linf_matrix(lay.user_xy, lay.user_xy)
+    k = lay.n_user
+    return {(a, b) for a in range(k) for b in range(a + 1, k) if d[a, b] < 2.0 * r}
+
+
+def boundary_layout():
+    # users exactly r = 10 from the RRH at (50, 50), one ulp inside and one
+    # outside, along x and along y; user pairs at exactly 2r and one ulp off
+    up, down = np.nextafter(60.0, np.inf), np.nextafter(60.0, 0.0)
+    lo_in, lo_out = np.nextafter(40.0, np.inf), np.nextafter(40.0, 0.0)
+    users = [(x, 50.0) for x in (60.0, up, down, 40.0, lo_in, lo_out)]
+    users += [(50.0, y) for y in (60.0, up, down, 40.0, lo_in, lo_out)]
+    users += [(30.0, 50.0), (np.nextafter(30.0, np.inf), 45.0), (80.0, 50.0)]
+    rrhs = [(50.0, 50.0), (0.0, 100.0)]  # the second serves nobody
+    return NetworkLayout(100.0, np.array(rrhs), np.array(users)), 10.0
+
+
+def grid_layout():
+    # integer grid: repeated x coordinates and exact ties at distance r
+    g = np.arange(0.0, 12.0, 2.0)
+    users = np.array([(x, y) for x in g for y in g] + [(4.0, 4.0), (4.0, 5.0)])
+    rrhs = np.array([(x, y) for x in (1.0, 4.0, 7.0) for y in (1.0, 4.0, 30.0)])
+    return NetworkLayout(40.0, rrhs, users), 2.0
+
+
+def random_layouts():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(1, 120))
+        side = float(rng.uniform(10, 100))
+        yield (generate_layout(n, k, side, seed=int(rng.integers(1 << 31))),
+               float(rng.uniform(0.5, side / 2)))
+    # dense enough that the sweep checks its candidates in many blocks
+    yield generate_layout(200, 700, 100.0, seed=5), 20.0
+
+
+EDGE_CASES = [boundary_layout(), grid_layout(),
+              (generate_layout(4, 1, 10.0, seed=3), 6.0),   # K = 1
+              (NetworkLayout(10.0, np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]])), 0.5)]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_sparsify_and_graphs_match_brute_force(block, monkeypatch):
+    if block is not None:  # the block size must not change any result
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    for lay, r in [*EDGE_CASES, *random_layouts()]:
+        assoc = sparsify(lay, r)
+        served, serving = brute_served(lay, r)
+        assert assoc.served_users == served and assoc.serving_rrhs == serving
+        g = build_conflict_graph(assoc)
+        p = build_proximity_graph(lay, r)
+        assert edge_set(g) == brute_conflict_edges(served)
+        assert edge_set(p) == brute_proximity_edges(lay, r)
+        for graph in (g, p):
+            assert graph.n_vertices == lay.n_user
+            for nb in graph.neighbors:
+                assert nb.dtype == np.intp and not nb.flags.writeable
+                assert np.all(np.diff(nb) > 0)
+
+
+def test_boundary_layout_edges_are_pinned():
+    lay, r = boundary_layout()
+    assoc = sparsify(lay, r)
+    # inside: one ulp short of 60 and one ulp above 40, along each axis
+    assert assoc.served_users == ((2, 4, 8, 10), ())
+    assert assoc.serving_rrhs[:6] == ((), (), (0,), (), (0,), ())
+    p = edge_set(build_proximity_graph(lay, r))
+    # 80 - 60 is exactly 2r: no edge; one ulp closer: edge; one ulp farther: none
+    assert (0, 14) not in p and (1, 14) in p and (2, 14) not in p
+    # 30 to 50 along x is exactly 2r; one ulp above 30 is inside
+    assert (9, 12) not in p and (9, 13) in p
+
+
+def test_from_edges_merges_reversed_and_repeated_edges():
+    g = ConflictGraph.from_edges(4, [(2, 0), (0, 2), (3, 1), (0, 2), (1, 3)])
+    assert edge_set(g) == {(0, 2), (1, 3)}
+    assert [nb.tolist() for nb in g.neighbors] == [[2], [3], [0], [1]]
