@@ -5,7 +5,7 @@
 # averages settle under a closed-form ceiling obtained by inverting the
 # Poisson rate function x -> 1 - x + x ln x with bisection.
 #
-# Run: python3 demos/03_training_length_scaling.py   (about 15 s)
+# Run: python3 demos/03_training_length_scaling.py   (about 1 s)
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from lotrain import (
     poisson_rate_function,
     poisson_rate_inverse,
     radius_for_rho,
-    run_scaling,
+    run_experiment,
 )
 
 rho = 0.5
@@ -29,7 +29,7 @@ print(f"degree ceiling   16 f^-1(1/(16 rho)) = {degree_scaling_bound(rho):.4f}")
 # ------------------------------------------------ desk-scale experiment
 cfg = ExperimentConfig("scaling", n_rrh=200, k_grid=(100, 200, 400, 800),
                        rho=rho, side=100.0, trials=20, seed=1)
-rows = run_scaling(cfg)
+rows = run_experiment(cfg)
 bound = chromatic_scaling_bound(rho)
 
 print(f"\n{'K':>5} {'r':>6} {'colors(G)':>10} {'norm(G)':>8} {'norm(Ginf)':>10} {'ceiling':>8}")

@@ -5,11 +5,12 @@
 # error variances come out of the estimator in closed form; out-of-set
 # channels keep the prior variance 1 and contribute interference instead.
 #
-# Run: python3 demos/04_estimation_and_throughput.py   (about 10 s)
+# Run: python3 demos/04_estimation_and_throughput.py   (about 1 s)
 
 import numpy as np
 
 from lotrain import (
+    ExperimentConfig,
     build_conflict_graph,
     build_pilot_book,
     data_power_coefficients,
@@ -18,7 +19,7 @@ from lotrain import (
     generate_layout,
     interference_variance,
     mmse_estimate,
-    run_monte_carlo,
+    run_experiment,
     snr_db_to_noise_power,
     sparsify,
     throughput_lower_bound,
@@ -53,17 +54,21 @@ print(f"sum rate lower bound, this realization: {rate:.2f} nats/use "
       f"({rate / np.log(2):.2f} bits/use)")
 
 # ------------------------------------------------ averaged over trials
+# the same chain, run by the experiment runner over 40 seeded trials; both
+# schemes share each trial's layout, fading and noise draws
+cfg = ExperimentConfig("compare", n_rrh=n_rrh, n_user=n_user, side=side, threshold=r,
+                       t_coherence=t_coh, snr_db=(0.0, 10.0, 20.0, 30.0),
+                       schemes=("proposed", "refined"), trials=40, seed=7)
+rates = {(row.scheme, row.snr_db): row for row in run_experiment(cfg)
+         if row.metric == "throughput_bits_per_use"}
+
 print(f"\n{'SNR dB':>7} {'rate bits/use':>14} {'stderr':>8}")
-for snr in (0.0, 10.0, 20.0, 30.0):
-    rep = run_monte_carlo(n_rrh, n_user, side, r, trials=40, seed=7, snr_db=snr,
-                          t_coherence=t_coh)
-    print(f"{snr:>7.0f} {rep.rate_nats / np.log(2):>14.2f} "
-          f"{rep.stderr / np.log(2):>8.3f}")
+for snr in cfg.snr_db:
+    row = rates[("proposed", snr)]
+    print(f"{snr:>7.0f} {row.value:>14.2f} {row.stderr:>8.3f}")
 
 # the refinement never hurts: same pilots, strictly more modeled links
-plain = run_monte_carlo(n_rrh, n_user, side, r, trials=40, seed=7, snr_db=20.0)
-refined = run_monte_carlo(n_rrh, n_user, side, r, trials=40, seed=7, snr_db=20.0,
-                          scheme="refined")
-gain = (refined.rate_nats - plain.rate_nats) / plain.rate_nats
+plain, refined = rates[("proposed", 20.0)], rates[("refined", 20.0)]
+gain = (refined.value - plain.value) / plain.value
 print(f"\nrefined vs plain association at 20 dB: +{100 * gain:.1f}% "
-      f"(paired draws, {refined.config_echo['trials']} trials)")
+      f"(paired draws, {cfg.trials} trials)")

@@ -8,7 +8,7 @@
 # Equivalent shell command for the full-size run:
 #   lotrain compare --config configs/compare.cfg --out compare.csv
 #
-# Run: python3 demos/05_experiment_harness.py   (about 30 s)
+# Run: python3 demos/05_experiment_harness.py   (about 2 s)
 
 import tempfile
 from pathlib import Path

@@ -11,24 +11,15 @@ from .association import AssociationMap, refine, sparsify
 from .channel import (
     ChannelRealization,
     EstimationResult,
-    ThroughputReport,
     complex_gaussian,
     data_power_coefficients,
     generate_channel,
     interference_variance,
     mmse_estimate,
-    run_monte_carlo,
     snr_db_to_noise_power,
     throughput_lower_bound,
 )
-from .coloring import (
-    Coloring,
-    dsatur,
-    read_coloring,
-    to_color_lines,
-    validate_coloring,
-    write_coloring,
-)
+from .coloring import Coloring, dsatur, validate_coloring
 from .errors import (
     ConsistencyError,
     DegenerateGeometryError,
@@ -48,11 +39,7 @@ from .experiments import (
     config_hash,
     emit_csv,
     load_config,
-    run_compare,
-    run_density,
-    run_scaling,
-    run_sweep_k,
-    run_sweep_r,
+    run_experiment,
 )
 from .geometry import RNG_ALGORITHM, NetworkLayout, dist_linf, generate_layout, user_density
 from .graphs import (
@@ -63,19 +50,14 @@ from .graphs import (
     find_coloring,
     is_subgraph,
     max_degree,
-    read_edge_list,
-    to_edge_list,
-    write_edge_list,
 )
 from .pilots import PilotBook, build_pilot_book, check_local_orthogonality, dft_rows
 from .scaling import (
-    ScalingBound,
     chromatic_scaling_bound,
     degree_scaling_bound,
     poisson_rate_function,
     poisson_rate_inverse,
     radius_for_rho,
-    scaling_bounds,
 )
 
 __version__ = "0.1.0"

@@ -16,17 +16,9 @@ from itertools import chain
 
 import numpy as np
 
-from .association import AssociationMap, refine, sparsify
-from .coloring import dsatur
-from .errors import (
-    ConsistencyError,
-    DegenerateGeometryError,
-    ParameterError,
-    TrainingLengthError,
-)
-from .geometry import RNG_ALGORITHM, NetworkLayout, abs_offsets, generate_layout, _frozen, _rng
-from .graphs import build_conflict_graph
-from .pilots import PilotBook, build_pilot_book
+from .errors import ConsistencyError, DegenerateGeometryError, ParameterError
+from .geometry import NetworkLayout, abs_offsets, _frozen, _rng
+from .pilots import PilotBook, _beta_array
 
 # SeedSequence spawn-key salts; shared with the experiment harness so every
 # consumer of a master seed draws from disjoint streams.
@@ -105,15 +97,15 @@ class EstimationResult:
 def mmse_estimate(
     chan: ChannelRealization,
     book: PilotBook,
-    assoc: AssociationMap,
+    assoc,
     n0: float,
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
 ) -> EstimationResult:
     """Per-RRH linear MMSE estimation of served users' channels.
 
-    Each RRH models only its served set; out-of-set users' pilots act as
-    unmodeled interference whose full covariance is charged to the error
+    Each RRH models only its served set (``assoc.served_users``, an
+    ``AssociationMap``); out-of-set users' pilots act as unmodeled interference whose full covariance is charged to the error
     variance.
 
     Two paths compute the same estimator. When the book carries a
@@ -221,13 +213,9 @@ def _per_rrh_solve(chan, book, assoc, received, n0):
 def interference_variance(est: EstimationResult, chan: ChannelRealization, beta_prime, p0: float) -> np.ndarray:
     """Per-RRH variance of estimation-error interference plus noise during the
     data phase: sum_k gamma_ik^2 * beta'_k * p0 * mse_ik + n0."""
-    bp = np.asarray(beta_prime, dtype=float)
-    if bp.ndim == 0:
-        bp = np.full(chan.n_user, float(bp))
-    if bp.shape != (chan.n_user,):
-        raise ConsistencyError(f"beta_prime must be scalar or length {chan.n_user}")
-    if np.any(bp < 0) or not p0 > 0:
-        raise ParameterError("powers must be nonnegative and p0 positive")
+    bp = _beta_array(beta_prime, chan.n_user, "beta_prime")
+    if not p0 > 0:
+        raise ParameterError(f"p0 must be positive, got {p0}")
     return (chan.large_scale**2 * est.mse) @ (bp * p0) + est.noise_power
 
 
@@ -247,9 +235,7 @@ def throughput_lower_bound(
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    bp = np.asarray(beta_prime, dtype=float)
-    if bp.ndim == 0:
-        bp = np.full(chan.n_user, float(bp))
+    bp = _beta_array(beta_prime, chan.n_user, "beta_prime")
     sigma2 = interference_variance(est, chan, bp, p0)
     eff = est.h_hat * chan.large_scale
     s = eff * np.sqrt(bp * p0)[None, :] / np.sqrt(sigma2)[:, None]
@@ -269,100 +255,7 @@ def data_power_coefficients(beta, alpha: float, n_user: int) -> np.ndarray:
     energy unspent during training is spent during data."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    b = np.asarray(beta, dtype=float)
-    if b.ndim == 0:
-        b = np.full(n_user, float(b))
-    bp = (1.0 - alpha * b) / (1.0 - alpha)
+    bp = (1.0 - alpha * _beta_array(beta, n_user)) / (1.0 - alpha)
     if np.any(bp < 0):
         raise ParameterError("beta_k exceeds 1/alpha: training energy overdrawn")
     return bp
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    """Monte-Carlo summary of the throughput lower bound."""
-
-    rate_nats: float
-    stderr: float
-    per_trial_rates: np.ndarray
-    interference_variances: np.ndarray
-    config_echo: dict
-
-
-def _mc_trial(payload: dict):
-    """One Monte-Carlo trial of the proposed scheme; top level for pickling."""
-    seed = payload["seed"]
-    trial = payload["trial"]
-    if payload["resample_layout"] == "per-trial":
-        layout_seed = np.random.SeedSequence(seed, spawn_key=(LAYOUT_SALT, trial))
-    else:
-        layout_seed = np.random.SeedSequence(seed, spawn_key=(LAYOUT_SALT,))
-    layout = generate_layout(payload["n_rrh"], payload["n_user"], payload["side"], layout_seed)
-    assoc = sparsify(layout, payload["threshold"])
-    col = dsatur(build_conflict_graph(assoc))
-    t_coherence = payload["t_coherence"]
-    if col.num_colors >= t_coherence:
-        raise TrainingLengthError(
-            f"training length {col.num_colors} reaches the coherence time {t_coherence}"
-        )
-    if payload["scheme"] == "refined":
-        assoc = refine(assoc, layout, col)
-    book = build_pilot_book(col, payload["beta"], payload["p0"])
-    chan = generate_channel(
-        layout, payload["eta"], np.random.SeedSequence(seed, spawn_key=(FADING_SALT, trial)),
-        payload["min_distance"],
-    )
-    n0 = snr_db_to_noise_power(payload["snr_db"], payload["p0"])
-    noise_rng = _rng(np.random.SeedSequence(seed, spawn_key=(NOISE_SALT, trial)))
-    z0 = complex_gaussian(noise_rng, (layout.n_rrh, t_coherence))
-    est = mmse_estimate(chan, book, assoc, n0, noise=np.sqrt(n0) * z0[:, : book.training_length])
-    alpha = book.training_length / t_coherence
-    bp = data_power_coefficients(payload["beta"], alpha, layout.n_user)
-    rate = throughput_lower_bound(est, chan, alpha, bp, payload["p0"])
-    sigma2 = interference_variance(est, chan, bp, payload["p0"]) if payload["keep_sigma"] else None
-    return rate, sigma2
-
-
-def run_monte_carlo(
-    n_rrh: int,
-    n_user: int,
-    side: float,
-    threshold: float,
-    *,
-    trials: int,
-    seed: int,
-    snr_db: float = 20.0,
-    scheme: str = "proposed",
-    t_coherence: int = 100,
-    eta: float = 3.5,
-    beta: float = 1.0,
-    p0: float = 1.0,
-    resample_layout: str = "per-trial",
-    min_distance: float = 1.0,
-    workers: int = 1,
-) -> ThroughputReport:
-    """Average the throughput lower bound over Monte-Carlo trials.
-
-    Deterministic given (seed, parameters) at any worker count: every trial
-    draws from seed streams derived from (seed, trial index) alone, and
-    aggregation runs in trial order.
-    """
-    from ._parallel import pool_map
-
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if scheme not in ("proposed", "refined"):
-        raise ParameterError(f"unknown scheme {scheme!r}; baselines live in the experiment harness")
-    if resample_layout not in ("per-trial", "fixed"):
-        raise ParameterError(f"resample_layout must be 'per-trial' or 'fixed', got {resample_layout!r}")
-    base = dict(
-        n_rrh=n_rrh, n_user=n_user, side=side, threshold=threshold, seed=seed,
-        snr_db=snr_db, scheme=scheme, t_coherence=t_coherence, eta=eta, beta=beta,
-        p0=p0, resample_layout=resample_layout, min_distance=min_distance,
-    )
-    payloads = [dict(base, trial=t, keep_sigma=(t == trials - 1)) for t in range(trials)]
-    results = pool_map(_mc_trial, payloads, workers)
-    rates = np.array([r for r, _ in results])
-    stderr = float(np.std(rates, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    echo = dict(base, trials=trials, workers=workers, rng=RNG_ALGORITHM)
-    return ThroughputReport(float(np.mean(rates)), stderr, _frozen(rates), _frozen(results[-1][1]), echo)

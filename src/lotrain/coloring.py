@@ -70,26 +70,3 @@ def validate_coloring(g: ConflictGraph, coloring: Coloring) -> bool:
         raise ConsistencyError("coloring does not cover the graph's vertices")
     e = g.edge_array
     return bool(np.all(c[e[:, 0]] != c[e[:, 1]])) if e.size else True
-
-
-def to_color_lines(coloring: Coloring) -> str:
-    """Plain-text serialization: one ``user_index color`` pair per line."""
-    return "".join(f"{k} {int(c)}\n" for k, c in enumerate(coloring.colors))
-
-
-def write_coloring(coloring: Coloring, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_color_lines(coloring))
-
-
-def read_coloring(path) -> Coloring:
-    with open(path, encoding="utf-8") as fh:
-        rows = [tuple(int(t) for t in line.split()) for line in fh if line.strip()]
-    idx = [k for k, _ in rows]
-    if sorted(idx) != list(range(len(rows))):
-        raise ConsistencyError("coloring file must list every user exactly once")
-    colors = np.empty(len(rows), dtype=np.intp)
-    for k, c in rows:
-        colors[k] = c
-    num = int(colors.max()) + 1 if len(rows) else 0
-    return Coloring(colors, num)

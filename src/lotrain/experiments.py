@@ -1,23 +1,26 @@
 """Experiment harness: reproducible studies behind each figure-style result.
 
-Five runners, one per CLI subcommand:
+One runner, ``run_experiment``, serves every CLI subcommand. Each experiment
+is a grid of (K, r) points, a trial kernel and a per-point aggregation:
 
-  run_scaling   normalized training length vs user count, against the bound
-  run_density   distribution of per-RRH served-set sizes
-  run_compare   throughput of the proposed scheme vs baselines over SNR
-  run_sweep_k   throughput vs user count at fixed radius
-  run_sweep_r   throughput vs sparsification radius, flagging infeasible radii
+  scaling   K over k_grid, r tracking rho; DSATUR colors vs the bounds
+  density   one point; distribution of per-RRH served-set sizes
+  compare   one point; throughput of the configured schemes over SNR
+  sweep-k   K over k_grid at fixed (or rho-matched) radius; throughput
+  sweep-r   r over r_grid; throughput, flagging infeasible radii
 
-Every runner maps independent per-trial payloads (seeded by (master seed,
-trial index) only) and aggregates in trial order, so output is byte-identical
-at any worker count. Schemes inside one trial share the layout, small-scale
-fading, and training noise draws: paired comparisons, not independent ones.
+The runner maps independent per-(point, trial) payloads (seeded by (master
+seed, trial index) only) and aggregates in grid and trial order, so output is
+byte-identical at any worker count. Schemes inside one trial share the
+layout, small-scale fading, and training noise draws: paired comparisons,
+not independent ones.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .channel import (
     complex_gaussian,
     data_power_coefficients,
     generate_channel,
-    interference_variance,
     mmse_estimate,
     snr_db_to_noise_power,
     throughput_lower_bound,
@@ -57,8 +59,8 @@ class ExperimentConfig:
 
     Defaults follow the reference simulation setup: a 100 m square, path-loss
     exponent 3.5, coherence time 100, unit powers, load factor rho = 0.5.
-    Fields irrelevant to a given experiment may stay None; each runner
-    validates what it needs.
+    Fields irrelevant to a given experiment may stay None; the runner
+    validates what each experiment needs.
     """
 
     experiment: str
@@ -406,166 +408,117 @@ def _trial_payload(cfg: ExperimentConfig, **extra) -> dict:
     return base
 
 
-# ----------------------------------------------------------------- runners
+# ----------------------------------------------------------------- runner
 
-def run_scaling(cfg: ExperimentConfig) -> list:
-    """Average DSATUR color counts on both graphs across the user-count grid,
-    normalized by delta*r**2, alongside the asymptotic bounds."""
-    if not cfg.k_grid:
-        raise ParameterError("scaling requires k_grid")
-    if cfg.rho is None:
-        raise ParameterError("scaling requires rho (the radius tracks each K)")
-    digest = config_hash(cfg)
+def _grid(cfg: ExperimentConfig) -> list:
+    """The (K, r) points of cfg.experiment in grid order."""
+    name = cfg.experiment
+    if name in ("scaling", "sweep-k") and not cfg.k_grid:
+        raise ParameterError(f"{name} requires k_grid")
+    if name == "scaling":
+        if cfg.rho is None:
+            raise ParameterError("scaling requires rho (the radius tracks each K)")
+        return [(k, radius_for_rho(k, k / cfg.side**2, cfg.rho)) for k in cfg.k_grid]
+    if name == "sweep-k":
+        return [(k, _resolve_threshold(cfg, k)) for k in cfg.k_grid]
+    if cfg.n_user is None:
+        raise ParameterError(f"{name} requires n_user")
+    if name == "sweep-r":
+        if not cfg.r_grid:
+            raise ParameterError("sweep-r requires r_grid")
+        return [(cfg.n_user, float(r)) for r in cfg.r_grid]
+    return [(cfg.n_user, _resolve_threshold(cfg, cfg.n_user))]
+
+
+def _row(cfg: ExperimentConfig, digest: str, k: int, r: float, scheme: str,
+         metric: str, value: float, stderr: float | None, snr: float | None = None) -> ResultRow:
+    return ResultRow(cfg.experiment, scheme, k, cfg.n_rrh, cfg.side, r, cfg.t_coherence,
+                     cfg.eta, snr, cfg.trials, metric, value, stderr, cfg.seed, digest)
+
+
+def _scaling_rows(cfg: ExperimentConfig, k: int, r: float, results: list, row) -> list:
+    """DSATUR color counts on both graphs, normalized by delta*r**2, alongside
+    the asymptotic bounds."""
+    norm = (k / cfg.side**2) * r**2  # equals rho * ln(k)
     rows = []
-    payloads = []
-    for k in cfg.k_grid:
-        r = radius_for_rho(k, k / cfg.side**2, cfg.rho)
-        for t in range(cfg.trials):
-            payloads.append(_trial_payload(cfg, n_user=k, threshold=r, trial=t))
-    results = pool_map(_coloring_trial, payloads, cfg.workers)
-    chrom_bound = chromatic_scaling_bound(cfg.rho)
-    deg_bound = degree_scaling_bound(cfg.rho)
-    for j, k in enumerate(cfg.k_grid):
-        r = radius_for_rho(k, k / cfg.side**2, cfg.rho)
-        norm = (k / cfg.side**2) * r**2  # equals rho * ln(k)
-        chunk = results[j * cfg.trials:(j + 1) * cfg.trials]
-
-        def row(scheme, metric, value, stderr, snr=None):
-            rows.append(ResultRow(cfg.experiment, scheme, k, cfg.n_rrh, cfg.side, r,
-                                  cfg.t_coherence, cfg.eta, snr, cfg.trials, metric,
-                                  value, stderr, cfg.seed, digest))
-
-        for scheme, key in (("shared-rrh", "colors_shared"), ("proximity-2r", "colors_prox")):
-            vals = [c[key] for c in chunk]
-            m, se = _mean_se(vals)
-            row(scheme, "mean_colors", m, se)
-            m, se = _mean_se([v / norm for v in vals])
-            row(scheme, "normalized_colors", m, se)
-        for scheme, key in (("shared-rrh", "maxdeg_shared"), ("proximity-2r", "maxdeg_prox")):
-            m, se = _mean_se([(c[key] + 1) / norm for c in chunk])
-            row(scheme, "normalized_max_degree_plus_one", m, se)
-        exceed = sum(1 for c in chunk if c["colors_shared"] > c["colors_prox"])
-        row("diagnostic", "dsatur_subgraph_exceeds_count", float(exceed), None)
-        row("theory", "chromatic_scaling_bound", chrom_bound, None)
-        row("theory", "degree_scaling_bound", deg_bound, None)
+    for scheme, key in (("shared-rrh", "colors_shared"), ("proximity-2r", "colors_prox")):
+        vals = [c[key] for c in results]
+        rows.append(row(scheme, "mean_colors", *_mean_se(vals)))
+        rows.append(row(scheme, "normalized_colors", *_mean_se([v / norm for v in vals])))
+    for scheme, key in (("shared-rrh", "maxdeg_shared"), ("proximity-2r", "maxdeg_prox")):
+        rows.append(row(scheme, "normalized_max_degree_plus_one",
+                        *_mean_se([(c[key] + 1) / norm for c in results])))
+    exceed = sum(1 for c in results if c["colors_shared"] > c["colors_prox"])
+    rows.append(row("diagnostic", "dsatur_subgraph_exceeds_count", float(exceed), None))
+    rows.append(row("theory", "chromatic_scaling_bound", chromatic_scaling_bound(cfg.rho), None))
+    rows.append(row("theory", "degree_scaling_bound", degree_scaling_bound(cfg.rho), None))
     return rows
 
 
-def run_density(cfg: ExperimentConfig) -> list:
+def _density_rows(cfg: ExperimentConfig, k: int, r: float, results: list, row) -> list:
     """Empirical distribution of served-set sizes |U_i| plus the mean color
     count of the plain scheme at the same radius."""
-    if cfg.n_user is None:
-        raise ParameterError("density requires n_user")
-    r = _resolve_threshold(cfg, cfg.n_user)
-    digest = config_hash(cfg)
-    payloads = [_trial_payload(cfg, n_user=cfg.n_user, threshold=r, trial=t)
-                for t in range(cfg.trials)]
-    results = pool_map(_density_trial, payloads, cfg.workers)
     width = max(res["histogram"].size for res in results)
     pdf = np.zeros((len(results), width))
     for i, res in enumerate(results):
         h = res["histogram"]
         pdf[i, : h.size] = h / h.sum()
-    rows = []
-
-    def row(metric, value, stderr):
-        rows.append(ResultRow(cfg.experiment, "proposed", cfg.n_user, cfg.n_rrh,
-                              cfg.side, r, cfg.t_coherence, cfg.eta, None, cfg.trials,
-                              metric, value, stderr, cfg.seed, digest))
-
-    for j in range(width):
-        m, se = _mean_se(pdf[:, j])
-        row(f"served_count_pdf_{j}", m, se)
-    m, se = _mean_se([res["mean_served"] for res in results])
-    row("mean_served_users", m, se)
-    m, se = _mean_se([res["colors"] for res in results])
-    row("mean_colors", m, se)
+    rows = [row("proposed", f"served_count_pdf_{j}", *_mean_se(pdf[:, j])) for j in range(width)]
+    rows.append(row("proposed", "mean_served_users", *_mean_se([res["mean_served"] for res in results])))
+    rows.append(row("proposed", "mean_colors", *_mean_se([res["colors"] for res in results])))
     return rows
 
 
-def _throughput_rows(cfg: ExperimentConfig, k: int, r: float, results: list,
-                     rows: list, digest: str) -> None:
-    """Aggregate one grid point's trial results into CSV rows (rates in bits)."""
+def _throughput_rows(cfg: ExperimentConfig, k: int, r: float, results: list, row) -> list:
+    """Rates (in bits) and training lengths of every scheme, or one
+    infeasible-training-length row if any trial's coloring reached T."""
     feasible = [res for res in results if "infeasible" not in res]
     if len(feasible) < len(results):
         boundary = max(res["infeasible"] for res in results if "infeasible" in res)
-        rows.append(ResultRow(cfg.experiment, "proposed", k, cfg.n_rrh, cfg.side, r,
-                              cfg.t_coherence, cfg.eta, None, cfg.trials,
-                              "infeasible_training_length", float(boundary), None,
-                              cfg.seed, digest))
-        return
+        return [row("proposed", "infeasible_training_length", float(boundary), None)]
+    rows = []
     for scheme in cfg.schemes:
         for snr in cfg.snr_db:
             m, se = _mean_se([res["rates"][(scheme, snr)] for res in feasible])
-            rows.append(ResultRow(cfg.experiment, scheme, k, cfg.n_rrh, cfg.side, r,
-                                  cfg.t_coherence, cfg.eta, snr, cfg.trials,
-                                  "throughput_bits_per_use", m * NATS_TO_BITS,
-                                  se * NATS_TO_BITS, cfg.seed, digest))
-        m, se = _mean_se([res["lengths"][scheme] for res in feasible])
-        rows.append(ResultRow(cfg.experiment, scheme, k, cfg.n_rrh, cfg.side, r,
-                              cfg.t_coherence, cfg.eta, None, cfg.trials,
-                              "training_length", m, se, cfg.seed, digest))
-
-
-def run_compare(cfg: ExperimentConfig) -> list:
-    """Throughput of every configured scheme across the SNR grid."""
-    if cfg.n_user is None:
-        raise ParameterError("compare requires n_user")
-    r = _resolve_threshold(cfg, cfg.n_user)
-    digest = config_hash(cfg)
-    payloads = [_trial_payload(cfg, n_user=cfg.n_user, threshold=r, trial=t)
-                for t in range(cfg.trials)]
-    results = pool_map(_throughput_trial, payloads, cfg.workers)
-    rows: list = []
-    _throughput_rows(cfg, cfg.n_user, r, results, rows, digest)
+            rows.append(row(scheme, "throughput_bits_per_use", m * NATS_TO_BITS,
+                            se * NATS_TO_BITS, snr))
+        rows.append(row(scheme, "training_length",
+                        *_mean_se([res["lengths"][scheme] for res in feasible])))
     return rows
 
 
-def run_sweep_k(cfg: ExperimentConfig) -> list:
-    """Throughput across the user-count grid at fixed (or rho-matched) radius."""
-    if not cfg.k_grid:
-        raise ParameterError("sweep-k requires k_grid")
-    digest = config_hash(cfg)
-    payloads = []
-    for k in cfg.k_grid:
-        r = _resolve_threshold(cfg, k)
-        payloads.extend(_trial_payload(cfg, n_user=k, threshold=r, trial=t)
-                        for t in range(cfg.trials))
-    results = pool_map(_throughput_trial, payloads, cfg.workers)
-    rows: list = []
-    for j, k in enumerate(cfg.k_grid):
-        r = _resolve_threshold(cfg, k)
-        chunk = results[j * cfg.trials:(j + 1) * cfg.trials]
-        _throughput_rows(cfg, k, r, chunk, rows, digest)
-    return rows
-
-
-def run_sweep_r(cfg: ExperimentConfig) -> list:
-    """Throughput across a radius grid; radii whose coloring reaches the
-    coherence time are recorded as infeasible instead of aborting the run."""
-    if cfg.n_user is None:
-        raise ParameterError("sweep-r requires n_user")
-    if not cfg.r_grid:
-        raise ParameterError("sweep-r requires r_grid")
-    digest = config_hash(cfg)
-    payloads = []
-    for r in cfg.r_grid:
-        payloads.extend(
-            _trial_payload(cfg, n_user=cfg.n_user, threshold=float(r), trial=t,
-                           tolerate_infeasible=True)
-            for t in range(cfg.trials))
-    results = pool_map(_throughput_trial, payloads, cfg.workers)
-    rows: list = []
-    for j, r in enumerate(cfg.r_grid):
-        chunk = results[j * cfg.trials:(j + 1) * cfg.trials]
-        _throughput_rows(cfg, cfg.n_user, float(r), chunk, rows, digest)
-    return rows
-
-
-RUNNERS = {
-    "scaling": run_scaling,
-    "density": run_density,
-    "compare": run_compare,
-    "sweep-k": run_sweep_k,
-    "sweep-r": run_sweep_r,
+# experiment -> (trial kernel, per-point aggregation)
+_STUDIES = {
+    "scaling": (_coloring_trial, _scaling_rows),
+    "density": (_density_trial, _density_rows),
+    "compare": (_throughput_trial, _throughput_rows),
+    "sweep-k": (_throughput_trial, _throughput_rows),
+    "sweep-r": (_throughput_trial, _throughput_rows),
 }
+
+
+def run_experiment(cfg: ExperimentConfig) -> list:
+    """Run cfg.experiment's trials at every grid point and aggregate them
+    into CSV rows, point by point in grid order.
+
+    Only sweep-r records a point whose coloring reaches the coherence time
+    as infeasible; every other experiment raises TrainingLengthError.
+    """
+    if cfg.experiment not in _STUDIES:
+        raise ParameterError(f"unknown experiment {cfg.experiment!r}; choose from {sorted(_STUDIES)}")
+    kernel, aggregate = _STUDIES[cfg.experiment]
+    points = _grid(cfg)
+    tolerate = cfg.experiment == "sweep-r"
+    payloads = [_trial_payload(cfg, n_user=k, threshold=r, trial=t, tolerate_infeasible=tolerate)
+                for k, r in points for t in range(cfg.trials)]
+    results = pool_map(kernel, payloads, cfg.workers)
+    digest = config_hash(cfg)
+    rows = []
+    for j, (k, r) in enumerate(points):
+        row = partial(_row, cfg, digest, k, r)
+        rows.extend(aggregate(cfg, k, r, results[j * cfg.trials:(j + 1) * cfg.trials], row))
+    return rows
+
+
+# one entry per CLI subcommand
+RUNNERS = {name: run_experiment for name in _STUDIES}

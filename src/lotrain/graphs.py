@@ -76,11 +76,6 @@ class ConflictGraph:
         e = self.edge_array
         return frozenset((e[:, 0] * self.n_vertices + e[:, 1]).tolist())
 
-    def has_edge(self, k: int, m: int) -> bool:
-        if k > m:
-            k, m = m, k
-        return k * self.n_vertices + m in self._edge_keys
-
     @property
     def n_edges(self) -> int:
         return self.edge_array.shape[0]
@@ -174,21 +169,3 @@ def exact_chromatic_number(g: ConflictGraph, vertex_limit: int = 16) -> int:
         if find_coloring(g, m, vertex_limit=vertex_limit) is not None:
             return m
     raise AssertionError("unreachable: n colors always suffice")
-
-
-def to_edge_list(g: ConflictGraph) -> str:
-    """Plain-text serialization: one ``k m`` pair per line, 0-based, sorted."""
-    return "".join(f"{k} {m}\n" for k, m in g.edge_array)
-
-
-def write_edge_list(g: ConflictGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_edge_list(g))
-
-
-def read_edge_list(path, n_vertices: int, kind: str = "custom") -> ConflictGraph:
-    """Inverse of write_edge_list; needs the vertex count (isolated vertices
-    leave no trace in an edge list)."""
-    with open(path, encoding="utf-8") as fh:
-        edges = [tuple(int(t) for t in line.split()) for line in fh if line.strip()]
-    return ConflictGraph.from_edges(n_vertices, edges, kind)

@@ -51,14 +51,15 @@ class PilotBook:
         return self.pilots.shape[1]
 
 
-def _beta_array(beta, n_user: int) -> np.ndarray:
+def _beta_array(beta, n_user: int, name: str = "beta") -> np.ndarray:
+    """Per-user power coefficients from a scalar or a length-n_user vector."""
     b = np.asarray(beta, dtype=float)
     if b.ndim == 0:
         b = np.full(n_user, float(b))
     if b.shape != (n_user,):
-        raise ConsistencyError(f"beta must be scalar or length {n_user}")
+        raise ConsistencyError(f"{name} must be scalar or length {n_user}")
     if np.any(b < 0):
-        raise ParameterError("beta coefficients must be nonnegative")
+        raise ParameterError(f"{name} coefficients must be nonnegative")
     return b
 
 

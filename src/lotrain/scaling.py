@@ -9,7 +9,6 @@ f(x) = 1 - x + x*ln(x) on [1, inf).
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -66,16 +65,3 @@ def radius_for_rho(k: int, delta: float, rho: float) -> float:
     if not delta > 0 or not rho > 0:
         raise ParameterError("delta and rho must be positive")
     return math.sqrt(rho * math.log(k) / delta)
-
-
-@dataclass(frozen=True)
-class ScalingBound:
-    rho: float
-    chromatic_bound: float
-    degree_bound: float
-
-
-def scaling_bounds(rho: float) -> ScalingBound:
-    """Both normalized bounds at load factor rho; the chromatic bound is the
-    smaller of the two for every rho."""
-    return ScalingBound(rho, chromatic_scaling_bound(rho), degree_scaling_bound(rho))

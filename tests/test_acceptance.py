@@ -33,9 +33,7 @@ from lotrain import (
     is_subgraph,
     max_degree,
     mmse_estimate,
-    run_scaling,
-    run_sweep_k,
-    run_sweep_r,
+    run_experiment,
     sparsify,
     throughput_lower_bound,
 )
@@ -101,7 +99,7 @@ def test_criterion_03_normalized_color_count_respects_asymptotic_bound():
     t0 = time.monotonic()
     cfg = ExperimentConfig("scaling", n_rrh=1000, k_grid=(200, 500, 1000, 2000),
                            rho=0.5, side=100.0, trials=100, seed=33)
-    rows = run_scaling(cfg)
+    rows = run_experiment(cfg)
     bound = chromatic_scaling_bound(0.5)
     for k in cfg.k_grid:
         norm = {row.scheme: row.value for row in rows
@@ -215,7 +213,7 @@ def test_criterion_08_throughput_shapes_over_load_and_radius():
     kcfg = ExperimentConfig("sweep-k", n_rrh=300, k_grid=(75, 150, 225, 300),
                             side=100.0, threshold=10.0, trials=150, seed=88,
                             snr_db=(0.0,))
-    krows = [row for row in run_sweep_k(kcfg) if row.metric == "throughput_bits_per_use"]
+    krows = [row for row in run_experiment(kcfg) if row.metric == "throughput_bits_per_use"]
     krows.sort(key=lambda row: row.k)
     assert [row.k for row in krows] == [75, 150, 225, 300]
     for prev, cur in zip(krows, krows[1:]):
@@ -225,7 +223,7 @@ def test_criterion_08_throughput_shapes_over_load_and_radius():
     rcfg = ExperimentConfig("sweep-r", n_rrh=300, n_user=300, side=100.0,
                             r_grid=(4.0, 7.0, 10.0, 13.0, 16.0, 19.0),
                             trials=150, seed=99, snr_db=(50.0,))
-    rrows = [row for row in run_sweep_r(rcfg) if row.metric == "throughput_bits_per_use"]
+    rrows = [row for row in run_experiment(rcfg) if row.metric == "throughput_bits_per_use"]
     assert len(rrows) == 6  # every radius feasible at the reference frame
     values = [row.value for row in sorted(rrows, key=lambda row: row.r)]
     peak = int(np.argmax(values))

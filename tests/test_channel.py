@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import lotrain.channel as channel_mod
+import lotrain.experiments as experiments_mod
 from lotrain import (
     ChannelRealization,
     Coloring,
     ConsistencyError,
     DegenerateGeometryError,
     EstimationResult,
+    ExperimentConfig,
     NetworkLayout,
     ParameterError,
     baseline_global_orthogonal,
@@ -30,12 +32,12 @@ from lotrain import (
     interference_variance,
     mmse_estimate,
     refine,
-    run_monte_carlo,
+    run_experiment,
     snr_db_to_noise_power,
     sparsify,
     throughput_lower_bound,
 )
-from lotrain.experiments import _global_orthogonal_assoc
+from lotrain.experiments import _global_orthogonal_assoc, _throughput_trial, _trial_payload
 
 GAMMA_AT_10_ETA_35 = 0.017782794100389228  # 10 ** -1.75
 
@@ -377,60 +379,63 @@ def test_data_power_coefficients():
         data_power_coefficients(1.0, 0.0, 2)
 
 
-# ------------------------------------------------------------- monte carlo
+# ---------------------------------------------- trial kernel and runner
 
-def test_run_monte_carlo_deterministic_and_sane():
-    kw = dict(trials=5, seed=11, snr_db=15.0, t_coherence=50)
-    a = run_monte_carlo(10, 12, 60.0, 12.0, **kw)
-    b = run_monte_carlo(10, 12, 60.0, 12.0, **kw)
-    assert np.array_equal(a.per_trial_rates, b.per_trial_rates)
-    assert a.rate_nats == b.rate_nats and a.stderr == b.stderr
-    assert a.rate_nats == pytest.approx(float(np.mean(a.per_trial_rates)))
-    assert np.all(a.per_trial_rates >= 0.0) and a.stderr >= 0.0
-    assert a.interference_variances.shape == (10,)
-    assert np.all(a.interference_variances >= snr_db_to_noise_power(15.0))
-    assert a.config_echo["rng"] == "PCG64" and a.config_echo["seed"] == 11
+def rate_rows(rows):
+    return [row for row in rows if row.metric == "throughput_bits_per_use"]
 
 
-def test_run_monte_carlo_worker_count_invariance():
-    kw = dict(trials=4, seed=3, snr_db=10.0, t_coherence=40)
-    seq = run_monte_carlo(6, 8, 50.0, 12.0, workers=1, **kw)
-    par = run_monte_carlo(6, 8, 50.0, 12.0, workers=2, **kw)
-    assert np.array_equal(seq.per_trial_rates, par.per_trial_rates)
+def kernel_rates(cfg, scheme, snr):
+    """Per-trial rates (nats) of one scheme at one SNR, from the trial kernel."""
+    return np.array([
+        _throughput_trial(_trial_payload(cfg, n_user=cfg.n_user, threshold=cfg.threshold,
+                                         trial=t))["rates"][(scheme, snr)]
+        for t in range(cfg.trials)
+    ])
 
 
-def test_run_monte_carlo_point_mass_hook(monkeypatch):
+def test_throughput_runner_deterministic_and_sane():
+    cfg = ExperimentConfig("compare", n_rrh=10, n_user=12, side=60.0, threshold=12.0,
+                           trials=5, seed=11, snr_db=(15.0,), t_coherence=50)
+    a = run_experiment(cfg)
+    assert a == run_experiment(cfg)
+    (row,) = rate_rows(a)
+    rates = kernel_rates(cfg, "proposed", 15.0)
+    assert row.value == pytest.approx(float(np.mean(rates)) / np.log(2.0))
+    assert np.all(rates >= 0.0) and row.stderr >= 0.0
+    assert (row.seed, row.trials) == (11, 5)
+
+
+def test_throughput_point_mass_hook(monkeypatch):
     # force every Gaussian draw to a point mass: with a fixed layout all
-    # trials coincide and the standard error collapses to exactly zero
-    monkeypatch.setattr(channel_mod, "complex_gaussian",
-                        lambda rng, shape: np.full(shape, (1.0 + 1.0j) / np.sqrt(2)))
-    rep = run_monte_carlo(5, 6, 40.0, 10.0, trials=4, seed=0, snr_db=10.0,
-                          t_coherence=30, resample_layout="fixed")
-    assert rep.stderr == 0.0 and rep.rate_nats > 0.0
-    assert np.all(rep.per_trial_rates == rep.per_trial_rates[0])
+    # trials coincide and the standard error collapses to exactly zero. The
+    # kernel draws noise through the experiments module's name and fading
+    # through the channel module's.
+    def point(rng, shape):
+        return np.full(shape, (1.0 + 1.0j) / np.sqrt(2))
+
+    monkeypatch.setattr(channel_mod, "complex_gaussian", point)
+    monkeypatch.setattr(experiments_mod, "complex_gaussian", point)
+    cfg = ExperimentConfig("compare", n_rrh=5, n_user=6, side=40.0, threshold=10.0,
+                           trials=4, seed=0, snr_db=(10.0,), t_coherence=30,
+                           resample_layout="fixed")
+    (row,) = rate_rows(run_experiment(cfg))
+    assert row.stderr == 0.0 and row.value > 0.0
+    rates = kernel_rates(cfg, "proposed", 10.0)
+    assert np.all(rates == rates[0])
 
 
-def test_run_monte_carlo_self_consistency():
-    kw = dict(snr_db=10.0, t_coherence=20, side=30.0)
-    small = run_monte_carlo(6, 6, kw["side"], 10.0, trials=300, seed=1,
-                            snr_db=kw["snr_db"], t_coherence=kw["t_coherence"])
-    big = run_monte_carlo(6, 6, kw["side"], 10.0, trials=3000, seed=2,
-                          snr_db=kw["snr_db"], t_coherence=kw["t_coherence"])
-    gap = abs(small.rate_nats - big.rate_nats)
+def test_throughput_self_consistency():
+    kw = dict(n_rrh=6, n_user=6, side=30.0, threshold=10.0, snr_db=(10.0,), t_coherence=20)
+    (small,) = rate_rows(run_experiment(ExperimentConfig("compare", trials=300, seed=1, **kw)))
+    (big,) = rate_rows(run_experiment(ExperimentConfig("compare", trials=3000, seed=2, **kw)))
+    gap = abs(small.value - big.value)
     assert gap <= 3.0 * np.hypot(small.stderr, big.stderr)
 
 
-def test_run_monte_carlo_validation():
-    with pytest.raises(ParameterError):
-        run_monte_carlo(2, 2, 10.0, 5.0, trials=0, seed=0)
-    with pytest.raises(ParameterError):
-        run_monte_carlo(2, 2, 10.0, 5.0, trials=1, seed=0, scheme="global-orthogonal")
-    with pytest.raises(ParameterError):
-        run_monte_carlo(2, 2, 10.0, 5.0, trials=1, seed=0, resample_layout="sometimes")
-
-
-def test_run_monte_carlo_refined_beats_plain_on_shared_draws():
-    kw = dict(trials=10, seed=5, snr_db=30.0)
-    plain = run_monte_carlo(20, 25, 80.0, 12.0, scheme="proposed", **kw)
-    refined = run_monte_carlo(20, 25, 80.0, 12.0, scheme="refined", **kw)
-    assert np.all(refined.per_trial_rates >= plain.per_trial_rates - 1e-9)
+def test_refined_beats_plain_on_shared_draws():
+    cfg = ExperimentConfig("compare", n_rrh=20, n_user=25, side=80.0, threshold=12.0,
+                           trials=10, seed=5, snr_db=(30.0,), schemes=("proposed", "refined"))
+    for t in range(cfg.trials):
+        rates = _throughput_trial(_trial_payload(cfg, n_user=25, threshold=12.0, trial=t))["rates"]
+        assert rates[("refined", 30.0)] >= rates[("proposed", 30.0)] - 1e-9

@@ -1,4 +1,4 @@
-"""DSATUR behavior, coloring validity, and serialization."""
+"""DSATUR behavior and coloring validity."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,8 @@ from lotrain import (
     exact_chromatic_number,
     generate_layout,
     max_degree,
-    read_coloring,
     sparsify,
-    to_color_lines,
     validate_coloring,
-    write_coloring,
 )
 
 
@@ -142,19 +139,3 @@ def test_validate_coloring():
     assert not validate_coloring(tri, Coloring(np.array([0, 0, 1]), 2))
     with pytest.raises(ConsistencyError):
         validate_coloring(tri, Coloring(np.array([0, 1]), 2))
-
-
-def test_serialization_roundtrip(tmp_path):
-    col = Coloring(np.array([2, 0, 1, 0]), 3)
-    assert to_color_lines(col) == "0 2\n1 0\n2 1\n3 0\n"
-    path = tmp_path / "colors.txt"
-    write_coloring(col, path)
-    back = read_coloring(path)
-    assert np.array_equal(back.colors, col.colors) and back.num_colors == 3
-
-
-def test_read_coloring_requires_full_cover(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0 0\n2 1\n")
-    with pytest.raises(ConsistencyError):
-        read_coloring(path)

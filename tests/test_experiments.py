@@ -26,11 +26,7 @@ from lotrain import (
     emit_csv,
     load_config,
     radius_for_rho,
-    run_compare,
-    run_density,
-    run_scaling,
-    run_sweep_k,
-    run_sweep_r,
+    run_experiment,
 )
 from lotrain.experiments import _global_orthogonal_assoc
 
@@ -238,7 +234,7 @@ def test_density_mean_matches_uniform_placement_oracle():
     side, r, k = 40.0, 10.0, 30
     cfg = ExperimentConfig("density", n_rrh=25, n_user=k, side=side, threshold=r,
                            trials=400, seed=13)
-    rows = run_density(cfg)
+    rows = run_experiment(cfg)
     by_metric = {row.metric: row for row in rows}
     oracle = k * ((2 * r - r**2 / side) / side) ** 2
     got = by_metric["mean_served_users"]
@@ -252,7 +248,7 @@ def test_density_mean_matches_uniform_placement_oracle():
 def test_scaling_rows_and_theory_bounds():
     cfg = ExperimentConfig("scaling", n_rrh=20, k_grid=(40, 80), rho=0.5,
                            side=30.0, trials=6, seed=2)
-    rows = run_scaling(cfg)
+    rows = run_experiment(cfg)
     assert len(rows) == 18  # 9 per grid point
     for k in (40, 80):
         sub = [row for row in rows if row.k == k]
@@ -271,9 +267,9 @@ def test_scaling_rows_and_theory_bounds():
         shared = [row for row in sub if row.scheme == "shared-rrh"]
         assert all(row.value > 0 for row in shared)
     with pytest.raises(ParameterError):
-        run_scaling(ExperimentConfig("scaling", n_rrh=4, k_grid=(10,)))
+        run_experiment(ExperimentConfig("scaling", n_rrh=4, k_grid=(10,)))
     with pytest.raises(ParameterError):
-        run_scaling(ExperimentConfig("scaling", n_rrh=4, rho=0.5))
+        run_experiment(ExperimentConfig("scaling", n_rrh=4, rho=0.5))
 
 
 COMPARE_KW = dict(n_rrh=6, n_user=8, side=30.0, threshold=10.0, t_coherence=24,
@@ -283,7 +279,7 @@ COMPARE_KW = dict(n_rrh=6, n_user=8, side=30.0, threshold=10.0, t_coherence=24,
 
 def test_compare_emits_rate_and_length_rows():
     cfg = ExperimentConfig("compare", **COMPARE_KW)
-    rows = run_compare(cfg)
+    rows = run_experiment(cfg)
     assert len(rows) == 4 * 2 + 4
     rates = [row for row in rows if row.metric == "throughput_bits_per_use"]
     lengths = {row.scheme: row.value for row in rows if row.metric == "training_length"}
@@ -296,11 +292,11 @@ def test_compare_emits_rate_and_length_rows():
 
 
 def test_compare_deterministic_across_calls_and_workers():
-    rows_a = run_compare(ExperimentConfig("compare", **COMPARE_KW))
-    rows_b = run_compare(ExperimentConfig("compare", **COMPARE_KW))
+    rows_a = run_experiment(ExperimentConfig("compare", **COMPARE_KW))
+    rows_b = run_experiment(ExperimentConfig("compare", **COMPARE_KW))
     assert rows_a == rows_b
     kw = dict(COMPARE_KW, workers=2)
-    rows_par = run_compare(ExperimentConfig("compare", **kw))
+    rows_par = run_experiment(ExperimentConfig("compare", **kw))
     assert rows_par == rows_a
 
 
@@ -308,14 +304,14 @@ def test_compare_propagates_training_length_overflow():
     cfg = ExperimentConfig("compare", n_rrh=4, n_user=10, side=20.0, threshold=19.0,
                            t_coherence=6, trials=2, seed=0)
     with pytest.raises(TrainingLengthError):
-        run_compare(cfg)
+        run_experiment(cfg)
 
 
 def test_compare_global_only_ignores_coloring_feasibility():
     cfg = ExperimentConfig("compare", n_rrh=4, n_user=10, side=20.0, threshold=19.0,
                            t_coherence=6, trials=2, seed=0,
                            schemes=("global-orthogonal",), snr_db=(10.0,))
-    rows = run_compare(cfg)
+    rows = run_experiment(cfg)
     lengths = [row.value for row in rows if row.metric == "training_length"]
     assert lengths == [3.0]  # half of t_coherence, fewer than the user count
 
@@ -324,29 +320,50 @@ def test_sweep_k_rows_per_grid_point():
     cfg = ExperimentConfig("sweep-k", n_rrh=6, k_grid=(6, 12), side=30.0,
                            threshold=8.0, t_coherence=20, trials=3, seed=4,
                            snr_db=(10.0,))
-    rows = run_sweep_k(cfg)
+    rows = run_experiment(cfg)
     assert [row.k for row in rows] == [6, 6, 12, 12]
     assert {row.metric for row in rows} == {"throughput_bits_per_use", "training_length"}
     with pytest.raises(ParameterError):
-        run_sweep_k(ExperimentConfig("sweep-k", n_rrh=4))
+        run_experiment(ExperimentConfig("sweep-k", n_rrh=4))
 
 
 def test_sweep_r_marks_infeasible_radii():
     cfg = ExperimentConfig("sweep-r", n_rrh=4, n_user=10, side=20.0,
                            r_grid=(2.0, 19.0), t_coherence=6, trials=3, seed=0,
                            snr_db=(10.0,))
-    rows = run_sweep_r(cfg)
+    rows = run_experiment(cfg)
     small = [row for row in rows if row.r == 2.0]
     big = [row for row in rows if row.r == 19.0]
     assert {row.metric for row in small} == {"throughput_bits_per_use", "training_length"}
     assert len(big) == 1 and big[0].metric == "infeasible_training_length"
     assert big[0].value >= 6 and big[0].stderr is None and big[0].snr_db is None
     with pytest.raises(ParameterError):
-        run_sweep_r(ExperimentConfig("sweep-r", n_rrh=4, n_user=5))
+        run_experiment(ExperimentConfig("sweep-r", n_rrh=4, n_user=5))
     with pytest.raises(ParameterError):
-        run_sweep_r(ExperimentConfig("sweep-r", n_rrh=4, n_user=5, r_grid=(0.0,)))
+        run_experiment(ExperimentConfig("sweep-r", n_rrh=4, n_user=5, r_grid=(0.0,)))
 
 
 def test_runner_registry():
     assert sorted(RUNNERS) == ["compare", "density", "scaling", "sweep-k", "sweep-r"]
-    assert RUNNERS["density"] is run_density
+    assert all(runner is run_experiment for runner in RUNNERS.values())
+    with pytest.raises(ParameterError, match="unknown experiment"):
+        run_experiment(ExperimentConfig("sweep-x", n_rrh=4, n_user=5))
+
+
+DESK_CONFIGS = {
+    "scaling": dict(n_rrh=12, k_grid=(30, 60), rho=0.5, side=30.0, trials=4, seed=6),
+    "density": dict(n_rrh=25, n_user=30, side=40.0, threshold=10.0, trials=4, seed=13),
+    "compare": COMPARE_KW,
+    "sweep-k": dict(n_rrh=6, k_grid=(6, 12), side=30.0, threshold=8.0, t_coherence=20,
+                    trials=3, seed=4, snr_db=(10.0,)),
+    # r = 19 is infeasible at T = 6, so the infeasible row is covered too
+    "sweep-r": dict(n_rrh=4, n_user=10, side=20.0, r_grid=(2.0, 19.0), t_coherence=6,
+                    trials=3, seed=0, snr_db=(10.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESK_CONFIGS))
+def test_worker_count_invariance(name):
+    rows = [run_experiment(ExperimentConfig(name, **dict(DESK_CONFIGS[name], workers=w)))
+            for w in (1, 2)]
+    assert rows[0] and rows[0] == rows[1]

@@ -19,10 +19,7 @@ from lotrain import (
     generate_layout,
     is_subgraph,
     max_degree,
-    read_edge_list,
     sparsify,
-    to_edge_list,
-    write_edge_list,
 )
 
 
@@ -52,7 +49,8 @@ def test_empty_served_set_contributes_nothing():
 def test_chained_rrhs_no_transitive_edge():
     g = build_conflict_graph(assoc_of([(0, 1), (1, 2)], 3))
     assert edge_set(g) == {(0, 1), (1, 2)}
-    assert not g.has_edge(0, 2) and g.has_edge(2, 1)
+    assert 2 not in g.neighbors[0] and 0 not in g.neighbors[2]
+    assert 1 in g.neighbors[2] and 2 in g.neighbors[1]
 
 
 def test_duplicate_pairs_merge():
@@ -71,7 +69,8 @@ def test_conflict_graph_matches_brute_force():
         for a in range(k):
             for b in range(a + 1, k):
                 expect = any(a in u and b in u for u in assoc.served_users)
-                assert g.has_edge(a, b) == expect
+                assert (b in g.neighbors[a]) == expect
+                assert (a in g.neighbors[b]) == expect
 
 
 def test_proximity_strict_boundary():
@@ -162,17 +161,6 @@ def test_exact_chromatic_at_most_max_degree_plus_one():
         g = ConflictGraph.from_edges(n, edges)
         chi = exact_chromatic_number(g)
         assert 1 <= chi <= max_degree(g) + 1
-
-
-def test_edge_list_serialization(tmp_path):
-    g = ConflictGraph.from_edges(5, [(3, 1), (0, 4), (0, 2)])
-    assert to_edge_list(g) == "0 2\n0 4\n1 3\n"
-    path = tmp_path / "edges.txt"
-    write_edge_list(g, path)
-    back = read_edge_list(path, 5)
-    assert edge_set(back) == edge_set(g) and back.n_vertices == 5
-    empty = ConflictGraph.from_edges(2, [])
-    assert to_edge_list(empty) == ""
 
 
 # ------------------------------------------- differential against brute force

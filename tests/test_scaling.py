@@ -16,7 +16,6 @@ from lotrain import (
     poisson_rate_function,
     poisson_rate_inverse,
     radius_for_rho,
-    scaling_bounds,
 )
 
 F_AT_2 = 0.38629436111989061883
@@ -91,10 +90,6 @@ def test_bounds_decrease_with_rho_and_chromatic_below_degree():
         if prev_c is not None:
             assert c <= prev_c + 1e-12 and d <= prev_d + 1e-12
         prev_c, prev_d = c, d
-    sb = scaling_bounds(0.5)
-    assert sb.rho == 0.5
-    assert sb.chromatic_bound == pytest.approx(CHROM_BOUND_HALF, abs=1e-9)
-    assert sb.degree_bound == pytest.approx(DEG_BOUND_HALF, abs=1e-9)
 
 
 def test_radius_for_rho():
