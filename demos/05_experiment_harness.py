@@ -27,10 +27,11 @@ print(f"\nresolved config: K={cfg.n_user}, N={cfg.n_rrh}, r={cfg.threshold}, "
 
 rows = RUNNERS["compare"](cfg)
 
-out = Path(tempfile.mkdtemp()) / "compare_demo.csv"
-emit_csv(rows, out)
-print(f"\nwrote {len(rows)} rows to {out}")
-print(out.read_text().splitlines()[0])
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "compare_demo.csv"
+    emit_csv(rows, out)
+    print(f"\nwrote {len(rows)} rows to {out}")
+    print(out.read_text().splitlines()[0])
 
 print(f"\n{'scheme':>18} {'SNR dB':>7} {'bits/use':>9} {'stderr':>7}")
 for row in rows:

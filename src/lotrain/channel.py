@@ -105,17 +105,24 @@ def mmse_estimate(
     """Per-RRH linear MMSE estimation of served users' channels.
 
     Each RRH models only its served set (``assoc.served_users``, an
-    ``AssociationMap``); out-of-set users' pilots act as unmodeled interference whose full covariance is charged to the error
-    variance.
+    ``AssociationMap``); out-of-set users' pilots act as unmodeled
+    interference whose full covariance is charged to the error variance.
 
     Two paths compute the same estimator. When the book carries a
     ``color_of`` and no RRH serves two users of one color, the served pilots
     are orthogonal at every RRH, so each weight decouples to
     gamma_k x_k^* / (gamma_k^2 E_k + n0) and only same-colored users outside
-    the set leak in: all RRHs are estimated at once in closed form, with no
-    solve. Any other book (free-form, or colored but not locally orthogonal)
-    takes a regularized solve per RRH, which assumes nothing about the
-    pilots.
+    the set leak in: all RRHs are estimated at once in closed form. Any other
+    book (free-form, or colored but not locally orthogonal) takes a batched
+    dual-form LMMSE that assumes nothing about the pilots: one stacked SVD of
+    every RRH's gain-scaled served pilots, after which each noise power is a
+    diagonal rescaling. The tests check both paths against a per-RRH
+    regularized solve.
+
+    The work that does not depend on the noise is planned once per
+    (channel, book, association) and reused across calls that pass the same
+    three objects with read-only arrays, as every lotrain constructor makes
+    them; a scheme evaluated over an SNR grid pays for it once.
 
     The training observation is synthesized internally. Pass ``noise``
     (shape (n_rrh, training_length), entries of variance n0) to pin the noise
@@ -136,17 +143,53 @@ def mmse_estimate(
         noise = np.sqrt(n0) * complex_gaussian(rng, (n_rrh, length))
     if noise.shape != (n_rrh, length):
         raise ConsistencyError(f"noise must have shape {(n_rrh, length)}")
+    h_hat, mse = _cached_plan(chan, book, assoc)(noise, n0)
+    return EstimationResult(_frozen(h_hat), _frozen(mse), float(n0))
 
-    received = (chan.small_scale * chan.large_scale) @ book.pilots + noise
+
+# The last plan and the objects it was made from. One slot suffices because a
+# trial estimates each scheme at every SNR in a row; the strong references
+# keep the ids of the keyed objects from being reused.
+_memo = None
+
+
+def _cached_plan(chan, book, assoc):
+    """The plan of (chan, book, assoc), reused while the same three objects
+    come back with arrays nothing can write to."""
+    global _memo
+    frozen = all(map(_read_only, (chan.small_scale, chan.large_scale, book.pilots, book.color_of)))
+    memo = _memo
+    if frozen and memo is not None and memo[0] is chan and memo[1] is book and memo[2] is assoc:
+        return memo[3]
+    _memo = None  # at most one plan alive, also while the next is built
+    plan = _plan(chan, book, assoc)
+    if frozen:
+        _memo = (chan, book, assoc, plan)
+    return plan
+
+
+def _read_only(a) -> bool:
+    """True for None and for an array that, like every array it views, is
+    read-only and ends in an array owning its data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _plan(chan, book, assoc):
+    """Noise-independent work of the estimator. Returns a function of
+    (noise, n0) giving (h_hat, mse)."""
+    n_rrh = chan.small_scale.shape[0]
     sizes = np.fromiter(map(len, assoc.served_users), dtype=np.intp, count=n_rrh)
     rows = np.repeat(np.arange(n_rrh), sizes)
     cols = np.fromiter(chain.from_iterable(assoc.served_users), dtype=np.intp, count=rows.size)
+    clean = (chan.small_scale * chan.large_scale) @ book.pilots  # noiseless received signal
     colors = book.color_of
     if colors is not None and _one_user_per_color(rows, colors[cols]):
-        h_hat, mse = _decoupled_estimate(chan, book, received, rows, cols, n0)
-    else:
-        h_hat, mse = _per_rrh_solve(chan, book, assoc, received, n0)
-    return EstimationResult(_frozen(h_hat), _frozen(mse), float(n0))
+        return _decoupled_plan(chan, book, rows, cols, clean)
+    return _batched_plan(chan, book, sizes, rows, cols, clean)
 
 
 def _one_user_per_color(rows: np.ndarray, pair_colors: np.ndarray) -> bool:
@@ -158,7 +201,7 @@ def _one_user_per_color(rows: np.ndarray, pair_colors: np.ndarray) -> bool:
     return int(np.bincount(rows * n_colors + pair_colors).max()) <= 1
 
 
-def _decoupled_estimate(chan, book, received, rows, cols, n0):
+def _decoupled_plan(chan, book, rows, cols, clean):
     """Closed-form estimator for a colored, locally orthogonal book.
 
     Users of one color send scaled copies of one pilot row and rows of
@@ -167,6 +210,7 @@ def _decoupled_estimate(chan, book, received, rows, cols, n0):
     where S[i, c] is the pilot energy RRH i receives on color c.
     """
     colors = book.color_of
+    xh = book.pilots.conj().T
     energy = np.sum(np.abs(book.pilots) ** 2, axis=1)
     # (n_user, n_colors): each user's pilot energy in its color's column
     by_color = np.zeros((colors.size, int(colors.max()) + 1))
@@ -174,40 +218,90 @@ def _decoupled_estimate(chan, book, received, rows, cols, n0):
     color_energy = chan.large_scale**2 @ by_color
     g = chan.large_scale[rows, cols]
     a = g * g * energy[cols]
-    den = a + n0
-    h_hat = np.zeros(chan.large_scale.shape, dtype=complex)
-    h_hat[rows, cols] = g * (received @ book.pilots.conj().T)[rows, cols] / den
-    mse = np.ones(chan.large_scale.shape)
-    mse[rows, cols] = n0 / den + a * (color_energy[rows, colors[cols]] - a) / den**2
-    return h_hat, mse
+    leak = a * (color_energy[rows, colors[cols]] - a)
+    shape = chan.large_scale.shape
+
+    def estimate(noise, n0):
+        den = a + n0
+        h_hat = np.zeros(shape, dtype=complex)
+        # one dense product per call, then the served entries: a
+        # (pairs, length) gather of received rows would be larger than the
+        # product, and correlating the noiseless signal apart would cost a
+        # second product whenever a book is used at one SNR only
+        h_hat[rows, cols] = g * ((clean + noise) @ xh)[rows, cols] / den
+        mse = np.ones(shape)
+        mse[rows, cols] = n0 / den + leak / den**2
+        return h_hat, mse
+
+    return estimate
 
 
-def _per_rrh_solve(chan, book, assoc, received, n0):
-    """Regularized LMMSE solve at each RRH; assumes nothing about the pilots."""
-    n_rrh, n_user = chan.small_scale.shape
+def _batched_plan(chan, book, sizes, rows, cols, clean):
+    """Dual-form LMMSE at every RRH at once; assumes nothing about the pilots.
+
+    RRH i stacks its served users' scaled pilots as A = diag(g) X_in, zero
+    rows padding every served set to the largest. With the SVD
+    A = U diag(s) W^H, its weights (A^H A + n0 I)^-1 A^H are B D U^H with
+    B = W diag(s) and D = diag(1 / (s^2 + n0)), so h_hat = conj(U D) (y B).
+    The error variance is 1 - aligned + leak. Its first part equals
+    |U|^2 (n0 d), plus, where the served pilots are dependent, the weight
+    of the columns of U that have no singular value; this form does not
+    cancel digits the way 1 - |U|^2 (s^2 d) does. Out-of-set users leak
+    diag(U D P D U^H) with P = B^H Q B and
+    Q = sum_{k not served} gamma_k^2 x_k^H x_k. Only d depends on n0.
+    Taking B from the SVD, not from an eigendecomposition of A A^H, keeps
+    exact zeros where A A^H is singular, so those directions add nothing
+    instead of rounding residue times 1 / n0.
+    """
     x = book.pilots
-    h_hat = np.zeros((n_rrh, n_user), dtype=complex)
-    mse = np.ones((n_rrh, n_user))
-    eye = np.eye(book.training_length)
-    for i in range(n_rrh):
-        users = assoc.served_users[i]
-        if not users:
-            continue
-        u = np.asarray(users, dtype=np.intp)
-        g = chan.large_scale[i, u]
-        x_in = x[u]
-        # regularized in-set pilot covariance, (length x length) Hermitian
-        cov = (x_in.conj().T * g**2) @ x_in + n0 * eye
-        # column k holds the conjugated weight vector for served user k
-        wh = np.linalg.solve(cov, x_in.conj().T * g)
-        h_hat[i, u] = received[i] @ wh
-        aligned = np.real(g * np.einsum("kl,lk->k", x_in, wh))
-        out = np.ones(n_user, dtype=bool)
-        out[u] = False
-        cross = np.abs(x[out] @ wh) ** 2
-        leakage = chan.large_scale[i, out] ** 2 @ cross
-        mse[i, u] = 1.0 - aligned + leakage
-    return h_hat, mse
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    a = np.zeros((sizes.size, int(sizes.max(initial=0)), x.shape[1]), dtype=complex)
+    a[rows, slot] = chan.large_scale[rows, cols, None] * x[cols]
+    u, s, wh = np.linalg.svd(a)
+    rank = s.shape[1]  # min(largest served set, training length)
+    s2 = s * s
+    b = _herm(wh[:, :rank]) * s[:, None, :]
+    rest = np.sum(np.abs(u[:, :, rank:]) ** 2, axis=2)
+    u = np.ascontiguousarray(u[:, :, :rank])
+    u_abs2 = np.abs(u) ** 2
+    del a, wh  # lower the peak memory of the products below
+    p = _herm(b) @ (_out_of_set_covariance(chan, x, rows, cols) @ b)
+    shape = chan.large_scale.shape
+
+    def estimate(noise, n0):
+        d = 1.0 / (s2 + n0)
+        ud = u * d[:, None, :]
+        ud_conj = ud.conj()
+        yb = ((clean + noise)[:, None, :] @ b).swapaxes(1, 2)
+        h_hat = np.zeros(shape, dtype=complex)
+        h_hat[rows, cols] = (ud_conj @ yb)[rows, slot, 0]
+        leak = np.real(np.sum((ud @ p) * ud_conj, axis=2))
+        mse = np.ones(shape)
+        mse[rows, cols] = (rest + (u_abs2 @ (n0 * d)[:, :, None])[:, :, 0] + leak)[rows, slot]
+        return h_hat, mse
+
+    return estimate
+
+
+def _out_of_set_covariance(chan, x, rows, cols):
+    """Per RRH, sum_k gamma_ik^2 x_k^H x_k over the users it does not serve:
+    one (n_rrh x n_user) @ (n_user x length^2) product. The served pairs are
+    masked out of the sum rather than subtracted after it, so no served
+    user's energy is added and then cancelled."""
+    n_user, length = x.shape
+    g2 = chan.large_scale**2
+    g2[rows, cols] = 0.0
+    outer = (x.conj()[:, :, None] * x[:, None, :]).reshape(n_user, length * length)
+    # a real matrix times complex columns: multiply the interleaved floats
+    q = (g2 @ outer.view(np.float64)).view(complex)
+    return q.reshape(g2.shape[0], length, length)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack, made contiguous: numpy
+    multiplied a stack of 300 matrices of about 20 x 20 2.4 to 3.4 times
+    faster that way than through the strided view."""
+    return np.ascontiguousarray(a.conj().swapaxes(-1, -2))
 
 
 def interference_variance(est: EstimationResult, chan: ChannelRealization, beta_prime, p0: float) -> np.ndarray:

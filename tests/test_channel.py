@@ -7,6 +7,12 @@ matrix rate to scalar arithmetic.
 """
 
 import dataclasses
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ import pytest
 import lotrain.channel as channel_mod
 import lotrain.experiments as experiments_mod
 from lotrain import (
+    SCHEMES,
     ChannelRealization,
     Coloring,
     ConsistencyError,
@@ -23,6 +30,7 @@ from lotrain import (
     NetworkLayout,
     ParameterError,
     baseline_global_orthogonal,
+    baseline_random_pilots,
     build_conflict_graph,
     build_pilot_book,
     data_power_coefficients,
@@ -136,8 +144,6 @@ def fully_served_instance(seed, k=6, book_kind="dft"):
         col = dsatur(build_conflict_graph(assoc))
         book = build_pilot_book(col)
     else:
-        from lotrain import baseline_random_pilots
-
         book = baseline_random_pilots(k + 2, k, rng=np.random.default_rng(seed + 1))
     ch = generate_channel(lay, 3.5, seed=seed + 100)
     return lay, assoc, book, ch
@@ -241,11 +247,56 @@ def test_estimation_validation_errors():
         mmse_estimate(generate_channel(short, 3.5, seed=0), book, assoc, 0.1)
 
 
+def per_rrh_solve(chan, book, assoc, n0, noise):
+    """The reference estimator: a regularized LMMSE solve at each RRH, which
+    assumes nothing about the pilots."""
+    n_rrh, n_user = chan.small_scale.shape
+    x = book.pilots
+    received = (chan.small_scale * chan.large_scale) @ x + noise
+    h_hat = np.zeros((n_rrh, n_user), dtype=complex)
+    mse = np.ones((n_rrh, n_user))
+    eye = np.eye(book.training_length)
+    for i in range(n_rrh):
+        users = assoc.served_users[i]
+        if not users:
+            continue
+        u = np.asarray(users, dtype=np.intp)
+        g = chan.large_scale[i, u]
+        x_in = x[u]
+        # regularized in-set pilot covariance, (length x length) Hermitian
+        cov = (x_in.conj().T * g**2) @ x_in + n0 * eye
+        # column k holds the conjugated weight vector for served user k
+        wh = np.linalg.solve(cov, x_in.conj().T * g)
+        h_hat[i, u] = received[i] @ wh
+        aligned = np.real(g * np.einsum("kl,lk->k", x_in, wh))
+        out = np.ones(n_user, dtype=bool)
+        out[u] = False
+        cross = np.abs(x[out] @ wh) ** 2
+        leakage = chan.large_scale[i, out] ** 2 @ cross
+        mse[i, u] = 1.0 - aligned + leakage
+    return EstimationResult(h_hat, mse, float(n0))
+
+
+def assert_matches_per_rrh_solve(ch, book, assoc, z0, t_coh=100):
+    """mmse_estimate against the per-RRH solve over 0-50 dB, on the same
+    noise: 1e-8 relative in mse, 1e-9 of the largest |h_hat|, 1e-12
+    relative in the rate."""
+    alpha = book.training_length / t_coh
+    bp = data_power_coefficients(book.beta, alpha, book.n_user)
+    for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
+        n0 = snr_db_to_noise_power(snr)
+        fast = mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0)
+        slow = per_rrh_solve(ch, book, assoc, n0, np.sqrt(n0) * z0)
+        assert np.all(np.abs(fast.mse - slow.mse) <= 1e-8 * slow.mse)
+        assert np.max(np.abs(fast.h_hat - slow.h_hat)) <= 1e-9 * np.max(np.abs(slow.h_hat))
+        rate = throughput_lower_bound(slow, ch, alpha, bp, 1.0)
+        assert abs(throughput_lower_bound(fast, ch, alpha, bp, 1.0) - rate) <= 1e-12 * rate
+
+
 @pytest.mark.parametrize("per_user_beta", [False, True])
 @pytest.mark.parametrize("scheme", ["proposed", "refined", "global-orthogonal"])
 def test_closed_form_matches_per_rrh_solve(scheme, per_user_beta):
-    # colored books take the closed form; the same book with color_of=None
-    # takes the per-RRH solve, which serves as the reference
+    # colored books take the closed form; the per-RRH solve is the reference
     n, k, t_coh = 300, 300, 100
     lay = generate_layout(n, k, 100.0, seed=7)
     assoc = sparsify(lay, 10.0)
@@ -262,25 +313,57 @@ def test_closed_form_matches_per_rrh_solve(scheme, per_user_beta):
         book = build_pilot_book(col, beta)
         if scheme == "refined":
             assoc = refine(assoc, lay, col)
-    oracle = dataclasses.replace(book, color_of=None)
     ch = generate_channel(lay, 3.5, seed=9)
-    length = book.training_length
-    alpha = length / t_coh
-    bp = data_power_coefficients(book.beta, alpha, k)
-    z0 = channel_mod.complex_gaussian(rng, (n, length))
-    for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
-        n0 = snr_db_to_noise_power(snr)
-        fast = mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0)
-        slow = mmse_estimate(ch, oracle, assoc, n0, noise=np.sqrt(n0) * z0)
-        assert np.all(np.abs(fast.mse - slow.mse) <= 1e-8 * slow.mse)
-        assert np.max(np.abs(fast.h_hat - slow.h_hat)) <= 1e-9 * np.max(np.abs(slow.h_hat))
-        rate = throughput_lower_bound(slow, ch, alpha, bp, 1.0)
-        assert abs(throughput_lower_bound(fast, ch, alpha, bp, 1.0) - rate) <= 1e-12 * rate
+    z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
+    assert_matches_per_rrh_solve(ch, book, assoc, z0, t_coh)
+
+
+def overloaded_instance():
+    # RRH 0 serves 8 users on 3 pilot dimensions, so its Gram matrix is rank
+    # deficient; RRH 1 serves 2, RRH 2 nobody, and user 10 no RRH at all
+    rng = np.random.default_rng(12)
+    users = np.vstack([rng.uniform(2.0, 8.0, size=(8, 2)), [[43.0, 4.0], [47.0, 6.0], [40.0, 40.0]]])
+    lay = layout_from([[5.0, 5.0], [45.0, 5.0], [25.0, 45.0]], users, side=50.0)
+    assoc = sparsify(lay, 6.0)
+    assert assoc.served_users == (tuple(range(8)), (8, 9), ())
+    assert assoc.serving_rrhs[10] == ()
+    return lay, assoc, 3
+
+
+@pytest.mark.parametrize("per_user_beta", [False, True])
+@pytest.mark.parametrize("case", ["n300", "overloaded", "single-user"])
+def test_batched_estimate_matches_per_rrh_solve(case, per_user_beta):
+    # free-form books take the batched dual form; the per-RRH solve is the
+    # reference
+    if case == "n300":
+        lay = generate_layout(300, 300, 100.0, seed=7)
+        assoc = sparsify(lay, 10.0)
+        length = dsatur(build_conflict_graph(assoc)).num_colors
+    elif case == "overloaded":
+        lay, assoc, length = overloaded_instance()
+    else:
+        lay = layout_from([[0.0, 0.0], [30.0, 30.0]], [[3.0, 4.0]])
+        assoc = sparsify(lay, 10.0)
+        length = 1
+    k = lay.n_user
+    rng = np.random.default_rng(8)
+    beta = rng.uniform(0.5, 1.5, k) if per_user_beta else 1.0
+    book = baseline_random_pilots(length, k, beta, 1.0, rng)
+    ch = generate_channel(lay, 3.5, seed=9)
+    z0 = channel_mod.complex_gaussian(rng, (lay.n_rrh, length))
+    assert_matches_per_rrh_solve(ch, book, assoc, z0)
+    est = mmse_estimate(ch, book, assoc, 0.1, noise=np.sqrt(0.1) * z0)
+    served = np.zeros((lay.n_rrh, k), dtype=bool)
+    for i, users in enumerate(assoc.served_users):
+        served[i, list(users)] = True
+    assert np.all(est.mse[~served] == 1.0) and np.all(est.h_hat[~served] == 0.0)
+    assert np.all(est.mse[served] > 0.0)
 
 
 def test_colored_book_with_shared_color_at_an_rrh_takes_the_solve():
     # two users of one color served by one RRH: the decoupled weights would be
-    # wrong, so the estimate must equal the per-RRH solve bit for bit
+    # wrong, so the book takes the batched solve, bit for bit as without its
+    # colors, and agrees with the per-RRH solve
     lay = generate_layout(3, 12, 60.0, seed=21)
     assoc = sparsify(lay, 18.0)
     col = dsatur(build_conflict_graph(assoc))
@@ -293,6 +376,112 @@ def test_colored_book_with_shared_color_at_an_rrh_takes_the_solve():
     est = mmse_estimate(ch, book, assoc, 0.05, noise=noise)
     ref = mmse_estimate(ch, dataclasses.replace(book, color_of=None), assoc, 0.05, noise=noise)
     assert np.array_equal(est.mse, ref.mse) and np.array_equal(est.h_hat, ref.h_hat)
+    slow = per_rrh_solve(ch, book, assoc, 0.05, noise)
+    assert np.all(np.abs(est.mse - slow.mse) <= 1e-8 * slow.mse)
+    assert np.max(np.abs(est.h_hat - slow.h_hat)) <= 1e-9 * np.max(np.abs(slow.h_hat))
+
+
+def memo_instance():
+    """A channel and, per scheme, the (book, association) a trial would
+    build: every array read-only. Proposed and refined share the book."""
+    lay = generate_layout(40, 60, 50.0, seed=3)
+    assoc = sparsify(lay, 10.0)
+    col = dsatur(build_conflict_graph(assoc))
+    ch = generate_channel(lay, 3.5, seed=4)
+    book = build_pilot_book(col)
+    cases = {"proposed": (book, assoc), "refined": (book, refine(assoc, lay, col)),
+             "random": (baseline_random_pilots(col.num_colors, 60, rng=np.random.default_rng(5)), assoc)}
+    z0 = channel_mod.complex_gaussian(np.random.default_rng(6), (40, col.num_colors))
+    return ch, cases, z0
+
+
+MEMO_SEQUENCE = (("proposed", 10.0), ("random", 10.0), ("proposed", 10.0), ("proposed", 30.0),
+                 ("refined", 30.0), ("random", 30.0), ("random", 10.0))
+
+
+def memo_sequence(fresh: bool) -> list:
+    """h_hat and mse of each call in MEMO_SEQUENCE; with ``fresh`` the memo
+    is emptied before every call, so each one plans from scratch."""
+    ch, cases, z0 = memo_instance()
+    out = []
+    for name, snr in MEMO_SEQUENCE:
+        if fresh:
+            channel_mod._memo = None
+        n0 = snr_db_to_noise_power(snr)
+        est = mmse_estimate(ch, *cases[name], n0, noise=np.sqrt(n0) * z0)
+        out += [est.h_hat, est.mse]
+    return out
+
+
+def test_memo_matches_a_fresh_process_bit_for_bit(tmp_path):
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "fresh.npz"
+    script = f"import numpy, test_channel; numpy.savez({str(out)!r}, *test_channel.memo_sequence(True))"
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300)
+    fresh = np.load(out)
+    ours = memo_sequence(False)
+    assert len(ours) == len(fresh.files) == 2 * len(MEMO_SEQUENCE)
+    for j, arr in enumerate(ours):
+        assert np.array_equal(arr, fresh[f"arr_{j}"])
+
+
+def test_memo_plans_once_per_run_and_holds_one_plan(monkeypatch):
+    ch, cases, z0 = memo_instance()
+    names = {(id(b), id(a)): name for name, (b, a) in cases.items()}
+    planned = []
+    plan = channel_mod._plan
+    monkeypatch.setattr(channel_mod, "_plan",
+                        lambda c, b, a: planned.append(names.get((id(b), id(a)))) or plan(c, b, a))
+    monkeypatch.setattr(channel_mod, "_memo", None)
+    for name, snr in MEMO_SEQUENCE:
+        mmse_estimate(ch, *cases[name], snr_db_to_noise_power(snr), noise=z0)
+    # a new plan only where the book or the association changes
+    assert planned == ["proposed", "random", "proposed", "refined", "random"]
+    assert all(m is o for m, o in zip(channel_mod._memo, (ch, *cases["random"])))
+    book = weakref.ref(cases.pop("proposed")[0])
+    del cases["refined"]
+    gc.collect()
+    assert book() is None  # no earlier plan keeps its book alive
+    # a trial plans once per scheme, however many SNRs it runs
+    planned.clear()
+    cfg = ExperimentConfig("compare", n_rrh=20, n_user=30, side=40.0, threshold=10.0,
+                           snr_db=(0.0, 20.0, 40.0), schemes=SCHEMES, t_coherence=60)
+    _throughput_trial(_trial_payload(cfg, n_user=30, threshold=10.0, trial=0))
+    assert len(planned) == len(SCHEMES)
+
+
+@pytest.mark.parametrize("book_kind", ["proposed", "random"])
+@pytest.mark.parametrize("changed", ["small_scale", "large_scale", "pilots", "viewed"])
+def test_memo_sees_arrays_changed_in_place(changed, book_kind):
+    # a writeable array, or a read-only view of one, may change between
+    # calls on the same objects: each call must see the new values. Every
+    # other array is read-only, so the changed one alone must stop the memo.
+    ch, cases, z0 = memo_instance()
+    book, assoc = cases[book_kind]
+    arrays = {"small_scale": ch.small_scale, "large_scale": ch.large_scale, "pilots": book.pilots}
+    key = "small_scale" if changed == "viewed" else changed
+    target = arrays[key] = arrays[key].copy()
+    if changed == "viewed":
+        arrays[key] = target.view()
+        arrays[key].flags.writeable = False
+
+    def build(copy):
+        a = {key: v.copy() if copy else v for key, v in arrays.items()}
+        return (ChannelRealization(a["small_scale"], a["large_scale"], 3.5, None),
+                dataclasses.replace(book, pilots=a["pilots"]))
+
+    live_ch, live_book = build(copy=False)
+    noise = 0.1 * z0
+    before = mmse_estimate(live_ch, live_book, assoc, 0.01, noise=noise)
+    target *= 0.5
+    after = mmse_estimate(live_ch, live_book, assoc, 0.01, noise=noise)
+    channel_mod._memo = None
+    want = mmse_estimate(*build(copy=True), assoc, 0.01, noise=noise)
+    assert np.array_equal(after.h_hat, want.h_hat) and np.array_equal(after.mse, want.mse)
+    assert not (np.array_equal(before.h_hat, after.h_hat) and np.array_equal(before.mse, after.mse))
 
 
 # ------------------------------------------------- variance and throughput

@@ -133,6 +133,29 @@ def test_dsatur_matches_reference():
         assert col.colors.dtype == np.intp
 
 
+def test_dsatur_cross_checked_against_networkx():
+    # both implementations must give proper colorings within max-degree + 1;
+    # they break ties differently, so color counts may differ and are only
+    # reported (pytest -s or -rP shows them)
+    nx = pytest.importorskip("networkx")
+    for seed in range(4):
+        lay = generate_layout(150, 300, 100.0, seed=seed)
+        for g in (build_conflict_graph(sparsify(lay, 10.0)), build_proximity_graph(lay, 10.0)):
+            ours = dsatur(g)
+            ref = nx.Graph()
+            ref.add_nodes_from(range(g.n_vertices))
+            ref.add_edges_from(g.edge_array.tolist())
+            theirs = nx.greedy_color(ref, strategy="DSATUR")
+            bound = max_degree(g) + 1
+            assert validate_coloring(g, ours) and ours.num_colors <= bound
+            assert sorted(theirs) == list(range(g.n_vertices))
+            assert all(theirs[u] != theirs[v] for u, v in ref.edges)
+            assert max(theirs.values()) + 1 <= bound
+            if ours.num_colors != max(theirs.values()) + 1:
+                print(f"seed {seed} {g.kind}: dsatur {ours.num_colors} colors, "
+                      f"networkx {max(theirs.values()) + 1}, bound {bound}")
+
+
 def test_validate_coloring():
     tri = ConflictGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert validate_coloring(tri, Coloring(np.array([0, 1, 2]), 3))
