@@ -13,7 +13,7 @@
 import tempfile
 from pathlib import Path
 
-from lotrain import RUNNERS, config_from_mapping, emit_csv, load_config
+from lotrain import config_from_mapping, emit_csv, load_config, run_experiment
 
 cfg_file = Path(__file__).resolve().parent.parent / "configs" / "compare.cfg"
 mapping = load_config(cfg_file)
@@ -25,7 +25,7 @@ cfg = config_from_mapping("compare", mapping)
 print(f"\nresolved config: K={cfg.n_user}, N={cfg.n_rrh}, r={cfg.threshold}, "
       f"T={cfg.t_coherence}, {cfg.trials} trials, schemes {cfg.schemes}")
 
-rows = RUNNERS["compare"](cfg)
+rows = run_experiment(cfg)
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "compare_demo.csv"
@@ -42,5 +42,5 @@ print(f"\nmean training lengths: {lengths}")
 print("(random-pilot matches the proposed length by construction; the classical")
 print(" scheme burns half the frame and serves at most T/2 users)")
 
-rerun = RUNNERS["compare"](cfg)
+rerun = run_experiment(cfg)
 print(f"\nsame config, same rows: {rerun == rows}")

@@ -11,7 +11,6 @@ from .association import AssociationMap, refine, sparsify
 from .channel import (
     ChannelRealization,
     EstimationResult,
-    complex_gaussian,
     data_power_coefficients,
     generate_channel,
     interference_variance,
@@ -19,7 +18,7 @@ from .channel import (
     snr_db_to_noise_power,
     throughput_lower_bound,
 )
-from .coloring import Coloring, dsatur, validate_coloring
+from .coloring import Coloring, dsatur
 from .errors import (
     ConsistencyError,
     DegenerateGeometryError,
@@ -28,11 +27,7 @@ from .errors import (
     TrainingLengthError,
 )
 from .experiments import (
-    CSV_HEADER,
-    RUNNERS,
-    SCHEMES,
     ExperimentConfig,
-    ResultRow,
     baseline_global_orthogonal,
     baseline_random_pilots,
     config_from_mapping,
@@ -41,7 +36,7 @@ from .experiments import (
     load_config,
     run_experiment,
 )
-from .geometry import RNG_ALGORITHM, NetworkLayout, dist_linf, generate_layout, user_density
+from .geometry import NetworkLayout, dist_linf, generate_layout, user_density
 from .graphs import (
     ConflictGraph,
     build_conflict_graph,

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .errors import TrainingLengthError
-from .experiments import RUNNERS, config_from_mapping, emit_csv, load_config
+from .experiments import config_from_mapping, emit_csv, load_config, run_experiment
 
 
 def main(argv=None) -> int:
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
             if value is not None:
                 mapping[key] = value
         cfg = config_from_mapping(args.experiment, mapping)
-        rows = RUNNERS[args.experiment](cfg)
+        rows = run_experiment(cfg)
         emit_csv(rows, args.out)
     except TrainingLengthError as exc:
         print(f"error: {exc}", file=sys.stderr)

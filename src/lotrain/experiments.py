@@ -9,7 +9,7 @@ is a grid of (K, r) points, a trial kernel and a per-point aggregation:
   sweep-k   K over k_grid at fixed (or rho-matched) radius; throughput
   sweep-r   r over r_grid; throughput, flagging infeasible radii
 
-The runner maps independent per-(point, trial) payloads (seeded by (master
+The runner maps independent (config, K, r, trial) items (seeded by (master
 seed, trial index) only) and aggregates in grid and trial order, so output is
 byte-identical at any worker count. Schemes inside one trial share the
 layout, small-scale fading, and training noise draws: paired comparisons,
@@ -19,7 +19,7 @@ not independent ones.
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -108,7 +108,7 @@ class ExperimentConfig:
                 f"resample_layout must be 'per-trial' or 'fixed', got {self.resample_layout!r}")
         for s in self.schemes:
             if s not in SCHEMES:
-                raise ParameterError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+                raise ParameterError(f"schemes: unknown scheme {s!r}; choose from {SCHEMES}")
         if "global-orthogonal" in self.schemes and self.t_coherence % 2:
             raise ParameterError(
                 f"t_coherence must be even for global-orthogonal (half the frame trains), "
@@ -137,7 +137,7 @@ def load_config(path) -> dict:
     """Parse a flat ``key = value`` file with JSON-typed values, # comments.
 
     A ``#`` starts a comment only on a line of its own or after the complete
-    JSON value, so it may appear inside a JSON string.
+    JSON value, so it may appear inside a JSON string. A key may appear once.
     """
     mapping = {}
     decoder = json.JSONDecoder()
@@ -157,7 +157,10 @@ def load_config(path) -> dict:
             rest = val[end:].strip()
             if rest and not rest.startswith("#"):
                 raise ParameterError(f"{path}:{lineno}: unexpected text after the value: {rest!r}")
-            mapping[key.strip()] = value
+            key = key.strip()
+            if key in mapping:
+                raise ParameterError(f"{path}:{lineno}: repeated key {key!r}")
+            mapping[key] = value
     return mapping
 
 
@@ -223,12 +226,7 @@ def emit_csv(rows: list, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in rows:
-            cells = (
-                row.experiment, row.scheme, row.k, row.n, row.r0, row.r, row.t,
-                row.eta, row.snr_db, row.trials, row.metric, row.value,
-                row.stderr, row.seed, row.config_hash,
-            )
-            fh.write(",".join(_csv_cell(c) for c in cells) + "\n")
+            fh.write(",".join(map(_csv_cell, astuple(row))) + "\n")
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -244,12 +242,6 @@ def _resolve_threshold(cfg: ExperimentConfig, n_user: int) -> float:
     if cfg.rho is not None:
         return radius_for_rho(n_user, n_user / cfg.side**2, cfg.rho)
     raise ParameterError(f"{cfg.experiment}: config needs 'threshold' or 'rho'")
-
-
-def _layout_seed(seed: int, resample: str, trial: int) -> np.random.SeedSequence:
-    if resample == "per-trial":
-        return np.random.SeedSequence(seed, spawn_key=(LAYOUT_SALT, trial))
-    return np.random.SeedSequence(seed, spawn_key=(LAYOUT_SALT,))
 
 
 # ---------------------------------------------------------------- baselines
@@ -316,12 +308,22 @@ def _global_orthogonal_assoc(n_rrh: int, active: np.ndarray, n_user: int) -> Ass
 
 
 # ------------------------------------------------------------ trial kernels
+#
+# Each kernel takes one (cfg, K, r, trial) item and draws everything it needs
+# from (cfg.seed, trial), so items are independent and order-free.
 
-def _coloring_trial(p: dict) -> dict:
-    layout = generate_layout(p["n_rrh"], p["n_user"], p["side"],
-                             _layout_seed(p["seed"], p["resample_layout"], p["trial"]))
-    shared = build_conflict_graph(sparsify(layout, p["threshold"]))
-    prox = build_proximity_graph(layout, p["threshold"])
+def _draw(cfg: ExperimentConfig, k: int, r: float, trial: int) -> tuple:
+    """The trial's layout of K users (one layout for every trial when
+    cfg.resample_layout is 'fixed') and its association at radius r."""
+    key = (LAYOUT_SALT, trial) if cfg.resample_layout == "per-trial" else (LAYOUT_SALT,)
+    layout = generate_layout(cfg.n_rrh, k, cfg.side, np.random.SeedSequence(cfg.seed, spawn_key=key))
+    return layout, sparsify(layout, r)
+
+
+def _coloring_trial(item) -> dict:
+    layout, assoc = _draw(*item)
+    shared = build_conflict_graph(assoc)
+    prox = build_proximity_graph(layout, assoc.threshold)
     return {
         "colors_shared": dsatur(shared).num_colors,
         "colors_prox": dsatur(prox).num_colors,
@@ -330,10 +332,8 @@ def _coloring_trial(p: dict) -> dict:
     }
 
 
-def _density_trial(p: dict) -> dict:
-    layout = generate_layout(p["n_rrh"], p["n_user"], p["side"],
-                             _layout_seed(p["seed"], p["resample_layout"], p["trial"]))
-    assoc = sparsify(layout, p["threshold"])
+def _density_trial(item) -> dict:
+    _, assoc = _draw(*item)
     counts = np.array([len(u) for u in assoc.served_users])
     return {
         "histogram": np.bincount(counts),
@@ -342,70 +342,61 @@ def _density_trial(p: dict) -> dict:
     }
 
 
-def _throughput_trial(p: dict) -> dict:
-    """All configured schemes at all SNRs on shared random draws."""
-    seed, trial = p["seed"], p["trial"]
-    n_user, t_coh, p0 = p["n_user"], p["t_coherence"], p["p0"]
-    layout = generate_layout(p["n_rrh"], n_user, p["side"],
-                             _layout_seed(seed, p["resample_layout"], trial))
-    assoc = sparsify(layout, p["threshold"])
+def _throughput_trial(item) -> dict:
+    """All configured schemes at all SNRs on shared random draws. Only
+    sweep-r returns an infeasible coloring instead of raising."""
+    cfg, n_user, _, trial = item
+    seed, t_coh, p0 = cfg.seed, cfg.t_coherence, cfg.p0
+    layout, assoc = _draw(*item)
     col = dsatur(build_conflict_graph(assoc))
     chi = col.num_colors
-    needs_coloring = any(s != "global-orthogonal" for s in p["schemes"])
+    needs_coloring = any(s != "global-orthogonal" for s in cfg.schemes)
     if needs_coloring and chi >= t_coh:
-        if p["tolerate_infeasible"]:
+        if cfg.experiment == "sweep-r":
             return {"infeasible": chi}
         raise TrainingLengthError(
             f"training length {chi} reaches the coherence time {t_coh}"
         )
-    chan = generate_channel(layout, p["eta"],
+    chan = generate_channel(layout, cfg.eta,
                             np.random.SeedSequence(seed, spawn_key=(FADING_SALT, trial)),
-                            p["min_distance"])
+                            cfg.min_distance)
     # one standard-normal noise block per trial; schemes slice their training
     # length and scale by sqrt(n0), so comparisons are paired
     z0 = complex_gaussian(_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_SALT, trial))),
-                          (p["n_rrh"], t_coh))
+                          (cfg.n_rrh, t_coh))
+    # proposed and refined differ only in association: they share one book
+    colored = (build_pilot_book(col, cfg.beta, p0)
+               if {"proposed", "refined"} & set(cfg.schemes) else None)
     rates: dict = {}
     lengths: dict = {}
-    for scheme in p["schemes"]:
+    for scheme in cfg.schemes:
         if scheme == "proposed":
-            a_s, book = assoc, build_pilot_book(col, p["beta"], p0)
+            a_s, book = assoc, colored
         elif scheme == "refined":
-            a_s, book = refine(assoc, layout, col), build_pilot_book(col, p["beta"], p0)
+            a_s, book = refine(assoc, layout, col), colored
         elif scheme == "random-pilot":
             rng_s = _rng(np.random.SeedSequence(
                 seed, spawn_key=(SCHEME_SALT, trial, _SCHEME_STREAM[scheme])))
             a_s = assoc
-            book = baseline_random_pilots(chi, n_user, p["beta"], p0, rng_s)
+            book = baseline_random_pilots(chi, n_user, cfg.beta, p0, rng_s)
         else:  # global-orthogonal
             rng_s = _rng(np.random.SeedSequence(
                 seed, spawn_key=(SCHEME_SALT, trial, _SCHEME_STREAM[scheme])))
-            active, book = baseline_global_orthogonal(t_coh, n_user, rng_s, p["beta"], p0)
-            a_s = _global_orthogonal_assoc(p["n_rrh"], active, n_user)
+            active, book = baseline_global_orthogonal(t_coh, n_user, rng_s, cfg.beta, p0)
+            a_s = _global_orthogonal_assoc(cfg.n_rrh, active, n_user)
         length = book.training_length
         alpha = length / t_coh
         if scheme == "global-orthogonal":
             bp = np.zeros(n_user)
-            bp[active] = data_power_coefficients(p["beta"], alpha, active.size)
+            bp[active] = data_power_coefficients(cfg.beta, alpha, active.size)
         else:
-            bp = data_power_coefficients(p["beta"], alpha, n_user)
+            bp = data_power_coefficients(cfg.beta, alpha, n_user)
         lengths[scheme] = length
-        for snr in p["snr_db"]:
+        for snr in cfg.snr_db:
             n0 = snr_db_to_noise_power(snr, p0)
             est = mmse_estimate(chan, book, a_s, n0, noise=np.sqrt(n0) * z0[:, :length])
             rates[(scheme, snr)] = throughput_lower_bound(est, chan, alpha, bp, p0)
     return {"rates": rates, "lengths": lengths, "chi": chi}
-
-
-def _trial_payload(cfg: ExperimentConfig, **extra) -> dict:
-    base = dict(
-        seed=cfg.seed, n_rrh=cfg.n_rrh, side=cfg.side, t_coherence=cfg.t_coherence,
-        eta=cfg.eta, beta=cfg.beta, p0=cfg.p0, resample_layout=cfg.resample_layout,
-        min_distance=cfg.min_distance, schemes=cfg.schemes, snr_db=cfg.snr_db,
-        tolerate_infeasible=False,
-    )
-    base.update(extra)
-    return base
 
 
 # ----------------------------------------------------------------- runner
@@ -508,10 +499,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         raise ParameterError(f"unknown experiment {cfg.experiment!r}; choose from {sorted(_STUDIES)}")
     kernel, aggregate = _STUDIES[cfg.experiment]
     points = _grid(cfg)
-    tolerate = cfg.experiment == "sweep-r"
-    payloads = [_trial_payload(cfg, n_user=k, threshold=r, trial=t, tolerate_infeasible=tolerate)
-                for k, r in points for t in range(cfg.trials)]
-    results = pool_map(kernel, payloads, cfg.workers)
+    items = [(cfg, k, r, t) for k, r in points for t in range(cfg.trials)]
+    results = pool_map(kernel, items, cfg.workers)
     digest = config_hash(cfg)
     rows = []
     for j, (k, r) in enumerate(points):
@@ -520,5 +509,5 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     return rows
 
 
-# one entry per CLI subcommand
+# bench/run.py replays every experiment through this mapping
 RUNNERS = {name: run_experiment for name in _STUDIES}

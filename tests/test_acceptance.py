@@ -37,7 +37,7 @@ from lotrain import (
     sparsify,
     throughput_lower_bound,
 )
-from lotrain.experiments import _throughput_trial, _trial_payload
+from lotrain.experiments import _throughput_trial
 
 
 def test_criterion_01_minimum_training_length_is_exact():
@@ -193,8 +193,7 @@ def test_criterion_07_scheme_ordering_under_common_random_numbers():
                            schemes=("proposed", "refined", "random-pilot"),
                            trials=trials, seed=77)
     results = [
-        _throughput_trial(_trial_payload(cfg, n_user=cfg.n_user,
-                                         threshold=cfg.threshold, trial=t))
+        _throughput_trial((cfg, cfg.n_user, cfg.threshold, t))
         for t in range(trials)
     ]
     for snr in cfg.snr_db:

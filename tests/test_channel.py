@@ -20,7 +20,6 @@ import pytest
 import lotrain.channel as channel_mod
 import lotrain.experiments as experiments_mod
 from lotrain import (
-    SCHEMES,
     ChannelRealization,
     Coloring,
     ConsistencyError,
@@ -45,7 +44,7 @@ from lotrain import (
     sparsify,
     throughput_lower_bound,
 )
-from lotrain.experiments import _global_orthogonal_assoc, _throughput_trial, _trial_payload
+from lotrain.experiments import SCHEMES, _global_orthogonal_assoc, _throughput_trial
 
 GAMMA_AT_10_ETA_35 = 0.017782794100389228  # 10 ** -1.75
 
@@ -449,7 +448,7 @@ def test_memo_plans_once_per_run_and_holds_one_plan(monkeypatch):
     planned.clear()
     cfg = ExperimentConfig("compare", n_rrh=20, n_user=30, side=40.0, threshold=10.0,
                            snr_db=(0.0, 20.0, 40.0), schemes=SCHEMES, t_coherence=60)
-    _throughput_trial(_trial_payload(cfg, n_user=30, threshold=10.0, trial=0))
+    _throughput_trial((cfg, 30, 10.0, 0))
     assert len(planned) == len(SCHEMES)
 
 
@@ -577,8 +576,7 @@ def rate_rows(rows):
 def kernel_rates(cfg, scheme, snr):
     """Per-trial rates (nats) of one scheme at one SNR, from the trial kernel."""
     return np.array([
-        _throughput_trial(_trial_payload(cfg, n_user=cfg.n_user, threshold=cfg.threshold,
-                                         trial=t))["rates"][(scheme, snr)]
+        _throughput_trial((cfg, cfg.n_user, cfg.threshold, t))["rates"][(scheme, snr)]
         for t in range(cfg.trials)
     ])
 
@@ -622,9 +620,22 @@ def test_throughput_self_consistency():
     assert gap <= 3.0 * np.hypot(small.stderr, big.stderr)
 
 
+def test_trial_builds_one_pilot_book_for_proposed_and_refined(monkeypatch):
+    built = []
+    real = experiments_mod.build_pilot_book
+    monkeypatch.setattr(experiments_mod, "build_pilot_book", lambda *a: built.append(a) or real(*a))
+    cfg = ExperimentConfig("compare", n_rrh=20, n_user=25, side=80.0, threshold=12.0, trials=3,
+                           seed=5, snr_db=(10.0, 30.0), schemes=SCHEMES, t_coherence=60)
+    run_experiment(cfg)
+    assert len(built) == cfg.trials
+    built.clear()
+    run_experiment(dataclasses.replace(cfg, schemes=("random-pilot", "global-orthogonal")))
+    assert built == []
+
+
 def test_refined_beats_plain_on_shared_draws():
     cfg = ExperimentConfig("compare", n_rrh=20, n_user=25, side=80.0, threshold=12.0,
                            trials=10, seed=5, snr_db=(30.0,), schemes=("proposed", "refined"))
     for t in range(cfg.trials):
-        rates = _throughput_trial(_trial_payload(cfg, n_user=25, threshold=12.0, trial=t))["rates"]
+        rates = _throughput_trial((cfg, 25, 12.0, t))["rates"]
         assert rates[("refined", 30.0)] >= rates[("proposed", 30.0)] - 1e-9

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from lotrain import CSV_HEADER
+from lotrain.experiments import CSV_HEADER
 
 COMPARE_CFG = """\
 n_rrh = 6
@@ -101,13 +101,21 @@ def test_malformed_value_exits_one(tmp_path):
     ("side = -1.0", "side"),
     ("eta = 0.0", "eta"),
     ("snr_db = [NaN]", "snr_db"),
+    ('schemes = ["proposed", 3]', "schemes"),
+    ("seed = 2", "seed"),  # appended to COMPARE_CFG's own seed line: a repeated key
 ])
 def test_bad_value_exits_one_naming_the_key(tmp_path, line, key):
-    cfg = write(tmp_path, COMPARE_CFG + line + "\n")
+    repeat = key == "seed"
+    # a bad value replaces the key's line in COMPARE_CFG, so it reaches
+    # ExperimentConfig's checks rather than the repeated-key check
+    kept = [l for l in COMPARE_CFG.splitlines()
+            if repeat or l.partition("=")[0].strip() != key]
+    cfg = write(tmp_path, "\n".join(kept + [line]) + "\n")
     out = tmp_path / "x.csv"
     proc = run_cli("compare", "--config", cfg, "--out", str(out))
     assert proc.returncode == 1, proc.stderr
     assert key in proc.stderr and "Traceback" not in proc.stderr
+    assert ("repeated" in proc.stderr) == repeat
     assert not out.exists()
 
 

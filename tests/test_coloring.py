@@ -14,8 +14,8 @@ from lotrain import (
     generate_layout,
     max_degree,
     sparsify,
-    validate_coloring,
 )
+from lotrain.coloring import validate_coloring
 
 
 def dsatur_reference(g):

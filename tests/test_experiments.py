@@ -10,12 +10,9 @@ import numpy as np
 import pytest
 
 from lotrain import (
-    CSV_HEADER,
     ConsistencyError,
     ExperimentConfig,
     ParameterError,
-    RUNNERS,
-    ResultRow,
     TrainingLengthError,
     baseline_global_orthogonal,
     baseline_random_pilots,
@@ -28,7 +25,7 @@ from lotrain import (
     radius_for_rho,
     run_experiment,
 )
-from lotrain.experiments import _global_orthogonal_assoc
+from lotrain.experiments import CSV_HEADER, RUNNERS, ResultRow, _global_orthogonal_assoc
 
 
 # ------------------------------------------------------------------ config
@@ -73,6 +70,10 @@ def test_load_config_reports_offending_line(tmp_path):
     p2 = write_cfg(tmp_path, "n_rrh = not-json\n", name="bad.cfg")
     with pytest.raises(ParameterError, match=":1:"):
         load_config(p2)
+    # a repeated key is refused at its second line, not silently overwritten
+    p3 = write_cfg(tmp_path, "n_rrh = 5\nseed = 1\n\n# again\nn_rrh = 6\n", name="twice.cfg")
+    with pytest.raises(ParameterError, match=r"twice\.cfg:5: repeated key 'n_rrh'$"):
+        load_config(p3)
 
 
 def test_config_from_mapping_rejects_unknown_and_bad_grids():
