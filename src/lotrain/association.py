@@ -81,8 +81,7 @@ def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -
     After refinement each RRH serves exactly one user per pilot color (when every
     color class is nonempty), so it can estimate one channel per orthogonal
     pilot. Existing associations are never removed. Distance ties break toward
-    the lower user index. RRHs act independently, so iteration order cannot
-    affect the result.
+    the lower user index.
 
     Raises:
         ConsistencyError: if the coloring does not cover the layout's users,
@@ -94,22 +93,25 @@ def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -
         raise ConsistencyError("coloring/association must cover exactly the layout's users")
     if assoc.n_rrh != layout.n_rrh:
         raise ConsistencyError("association and layout disagree on the RRH count")
-    classes = [np.flatnonzero(colors == q) for q in range(coloring.num_colors)]
+    n_rrh, n_colors = assoc.n_rrh, coloring.num_colors
+    rrh = np.repeat(np.arange(n_rrh), [len(u) for u in assoc.served_users])
+    user = np.fromiter(chain.from_iterable(assoc.served_users), dtype=np.intp, count=rrh.size)
+    # (n_rrh, n_colors): how many users of each color every RRH serves
+    have = np.bincount(rrh * n_colors + colors[user],
+                       minlength=n_rrh * n_colors).reshape(n_rrh, n_colors)
+    twice = np.flatnonzero(have.max(axis=1, initial=0) > 1)
+    if twice.size:
+        raise ConsistencyError(f"RRH {twice[0]} serves two users of the same color")
+    # every RRH's nearest user of each color; a class is ascending and argmin
+    # returns its first minimum, so the lowest index wins ties
     dists = np.maximum(*abs_offsets(layout.rrh_xy, layout.user_xy))
-    served: list[list[int]] = []
-    for i, users in enumerate(assoc.served_users):
-        have = [int(colors[k]) for k in users]
-        if len(set(have)) != len(have):
-            raise ConsistencyError(f"RRH {i} serves two users of the same color")
-        missing = [q for q in range(coloring.num_colors) if q not in set(have)]
-        extra = []
-        for q in missing:
-            cls = classes[q]
-            if cls.size == 0:
-                continue
-            # cls is ascending, argmin returns its first minimum: lowest index wins ties
-            extra.append(int(cls[np.argmin(dists[i, cls])]))
-        served.append(sorted(set(users) | set(extra)))
-    rrh = np.repeat(np.arange(assoc.n_rrh), [len(u) for u in served])
-    user = np.fromiter(chain.from_iterable(served), dtype=np.intp, count=rrh.size)
-    return _from_pairs(rrh, user, layout.n_rrh, layout.n_user, assoc.threshold)
+    nearest = np.full((n_rrh, n_colors), -1, dtype=np.intp)
+    for q in range(n_colors):
+        cls = np.flatnonzero(colors == q)
+        if cls.size:
+            nearest[:, q] = cls[np.argmin(dists[:, cls], axis=1)]
+    add_rrh, add_color = np.nonzero((have == 0) & (nearest >= 0))
+    rrh = np.concatenate([rrh, add_rrh])
+    user = np.concatenate([user, nearest[add_rrh, add_color]])
+    order = np.argsort(rrh * layout.n_user + user)  # keys are distinct
+    return _from_pairs(rrh[order], user[order], layout.n_rrh, layout.n_user, assoc.threshold)

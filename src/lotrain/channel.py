@@ -326,22 +326,178 @@ def throughput_lower_bound(
     estimated effective channel (estimate times large-scale gain), R_x the
     diagonal of data powers beta'_k * p0, and R_v the diagonal of
     interference-plus-noise variances. Nonnegative by construction.
+
+    Only the estimated (RRH, user) pairs, the nonzeros of h_hat, enter. With
+    S the scaled effective channel the log-det is that of I + S^H S, which
+    couples two users only when some RRH estimates both; ordered by the BFS
+    levels of that co-service graph it is block tridiagonal, and one small
+    Cholesky per level gives the log-det. The level plan depends on the
+    sparsity pattern alone and is reused while the same pattern comes back,
+    as it does across a scheme's SNR grid.
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     bp = _beta_array(beta_prime, chan.n_user, "beta_prime")
     sigma2 = interference_variance(est, chan, bp, p0)
-    eff = est.h_hat * chan.large_scale
-    s = eff * np.sqrt(bp * p0)[None, :] / np.sqrt(sigma2)[:, None]
-    s = s[:, np.any(s != 0, axis=0)]
-    n_rrh, n_cols = s.shape
-    if n_cols == 0:
-        return 0.0
-    # logdet via the smaller Gram side; both sides share nonunit eigenvalues
-    gram = s.conj().T @ s if n_cols <= n_rrh else s @ s.conj().T
-    m = np.eye(gram.shape[0]) + gram
-    chol = np.linalg.cholesky(m)
-    return (1.0 - alpha) * 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+    flat = np.flatnonzero(est.h_hat != 0)
+    rows, cols = np.divmod(flat, est.h_hat.shape[1])
+    s = (np.take(est.h_hat, flat) * np.take(chan.large_scale, flat)
+         * np.sqrt(bp * p0)[cols] / np.sqrt(sigma2)[rows])
+    return (1.0 - alpha) * _cached_level_plan(est.h_hat.shape, flat)(s)
+
+
+# The last level plan and the pattern it was made for: the shape and the flat
+# indices of the nonzeros. Keyed by content, not by object, so an estimate
+# changed in place or built by hand never meets a stale plan.
+_level_memo = None
+
+
+def _cached_level_plan(shape: tuple, flat: np.ndarray):
+    global _level_memo
+    memo = _level_memo
+    if memo is not None and memo[0] == shape and np.array_equal(memo[1], flat):
+        return memo[2]
+    _level_memo = None  # at most one plan alive, also while the next is built
+    plan = _level_plan(shape, flat)
+    _level_memo = (shape, flat, plan)
+    return plan
+
+
+def _level_plan(shape: tuple, flat: np.ndarray):
+    """log det(I + S^H S) as a function of the values S takes on one
+    sparsity pattern: ascending flat indices into an (n_rrh, n_user) array.
+
+    Users are ordered by their BFS level in the co-service graph, where users
+    estimated by one RRH are adjacent. An RRH's users form a clique, so they
+    lie on one level or on two adjacent ones, and the RRH is grouped at the
+    lower. Level l's window holds its group's rows of S restricted to the
+    users of levels l and l + 1. Their Gram [[A, C], [C^H, F]] adds A to
+    diagonal block l, C to the off-diagonal block (l, l + 1) and F to block
+    l + 1, so I + S^H S is block tridiagonal. With Z_l the Schur complement
+    reached at level l (Z_0 = I + A_0), the Cholesky factor of the window
+    [[Z_l, C], [C^H, I + F]] has Z_l's factor on top and, bottom right, a
+    factor R of I + F - C^H Z_l^-1 C, so Z_{l+1} = A_{l+1} + R R^H. The
+    log-det is the sum of the log-dets of the Z_l (George & Liu 1981). A
+    last level with no RRH of its own is covered by the window before it.
+    """
+    n_rrh, n_user = shape
+    rows, cols = np.divmod(flat, n_user)
+    level = _bfs_levels(rows, cols, n_rrh, n_user)
+    users = np.flatnonzero(level >= 0)
+    size = np.bincount(level[users])
+    # each user's place inside its level, users ascending
+    start = np.cumsum(size) - size
+    pos = np.empty(n_user, dtype=np.intp)
+    pos[users[np.argsort(level[users] * n_user + users)]] = (
+        np.arange(users.size) - np.repeat(start, size))
+    # each RRH at the lowest level of its users, and its row in that group
+    first = np.flatnonzero(np.diff(rows, prepend=-1))  # pairs come sorted by RRH
+    counts = np.diff(first, append=rows.size)
+    pair_level = level[cols]
+    group = np.minimum.reduceat(pair_level, first)
+    n_group = np.bincount(group, minlength=size.size)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(group * n_rrh + rows[first])] = (
+        np.arange(first.size) - np.repeat(np.cumsum(n_group) - n_group, n_group))
+    # one flat buffer of windows, each (its group's RRHs) x (levels l, l + 1)
+    width = size + np.append(size[1:], 0)
+    cells = n_group * width
+    offset = np.cumsum(cells) - cells
+    pair_group = np.repeat(group, counts)
+    col = pos[cols] + (pair_level - pair_group) * size[pair_group]
+    index = offset[pair_group] + np.repeat(rank, counts) * width[pair_group] + col
+    n_cells = int(cells.sum())
+    blocks = list(zip(offset.tolist(), (offset + cells).tolist(), n_group.tolist(),
+                      width.tolist(), size.tolist(), start.tolist()))
+    if len(blocks) > 1 and blocks[-1][2] == 0:
+        blocks.pop()
+    first_size = int(size[0]) if size.size else 0
+
+    def logdet(s: np.ndarray) -> float:
+        buf = np.zeros(n_cells, dtype=complex)
+        buf[index] = s
+        diag = np.empty(users.size)
+        r = np.eye(first_size)  # Z_0 = I + A_0
+        for lo, hi, n, width, m, start in blocks:
+            b = buf[lo:hi].reshape(n, width)
+            window = b.conj().T @ b
+            window[:m, :m] += r @ r.conj().T
+            window.flat[m * (width + 1)::width + 1] += 1.0
+            chol = np.linalg.cholesky(window)
+            # past m the diagonal is Z_{l+1}'s only in the last window;
+            # otherwise the next window overwrites it
+            diag[start:start + width] = chol.diagonal().real
+            r = chol[m:, m:]
+        return 2.0 * float(np.sum(np.log(diag)))
+
+    return logdet
+
+
+def _bfs_levels(rows: np.ndarray, cols: np.ndarray, n_rrh: int, n_user: int) -> np.ndarray:
+    """Level of every user in a BFS of the co-service graph of the (RRH,
+    user) pairs, -1 for users in no pair.
+
+    Each connected component is rooted at a pseudo-peripheral user, found by
+    George and Liu's search: root the BFS anywhere, then move the root to
+    the user of the last level with the fewest co-served users (pairs at its
+    RRHs; ties to the lower index) for as long as that makes the BFS deeper.
+    Deep, narrow levels keep the blocks small. Every BFS is one multi-source
+    BFS over all components at once.
+    """
+    first = np.flatnonzero(np.diff(rows, prepend=-1))  # pairs come sorted by RRH
+    counts = np.diff(first, append=rows.size)
+    users = np.flatnonzero(np.bincount(cols, minlength=n_user))
+    # components: each user takes the least index it reaches
+    label = np.arange(n_user)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, cols, np.repeat(np.minimum.reduceat(label[cols], first), counts))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    comp = label[users]
+    heads = users[comp == users]  # one per component, which it names
+    degree = np.zeros(n_user, dtype=np.intp)
+    np.add.at(degree, cols, np.repeat(counts, counts))
+
+    def bfs(roots):
+        level = np.full(n_user, -1, dtype=np.intp)
+        level[roots] = 0
+        front = level == 0
+        done = np.zeros(n_rrh, dtype=bool)
+        depth = 0
+        while True:
+            hit = np.zeros(n_rrh, dtype=bool)
+            hit[rows[front[cols]]] = True
+            hit &= ~done
+            done |= hit
+            front = np.zeros(n_user, dtype=bool)
+            front[cols[hit[rows]]] = True
+            front &= level < 0
+            if not front.any():
+                return level
+            depth += 1
+            level[front] = depth
+
+    def depths(level):  # indexed by component
+        out = np.zeros(n_user, dtype=np.intp)
+        np.maximum.at(out, comp, level[users])
+        return out
+
+    level = bfs(heads)
+    depth = depths(level)
+    while True:
+        last = users[level[users] == depth[comp]]
+        key = np.full(n_user, np.iinfo(np.intp).max)
+        np.minimum.at(key, label[last], degree[last] * n_user + last)
+        moved = bfs(key[heads] % n_user)
+        moved_depth = depths(moved)
+        deeper = moved_depth > depth
+        if not deeper[heads].any():
+            return level
+        level = np.where(deeper[label], moved, level)
+        depth = np.maximum(depth, moved_depth)
 
 
 def data_power_coefficients(beta, alpha: float, n_user: int) -> np.ndarray:

@@ -109,6 +109,10 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ParameterError(f"schemes: unknown scheme {s!r}; choose from {SCHEMES}")
+        for key in ("k_grid", "r_grid", "snr_db", "schemes"):
+            values = getattr(self, key) or ()
+            if len(set(values)) < len(values):
+                raise ParameterError(f"{key} must not list an entry twice, got {list(values)!r}")
         if "global-orthogonal" in self.schemes and self.t_coherence % 2:
             raise ParameterError(
                 f"t_coherence must be even for global-orthogonal (half the frame trains), "

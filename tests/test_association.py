@@ -1,9 +1,13 @@
 """Sparsification and color-guided refinement of the association map."""
 
+from itertools import chain
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from lotrain import (
+    AssociationMap,
     Coloring,
     ConsistencyError,
     NetworkLayout,
@@ -13,6 +17,8 @@ from lotrain import (
     refine,
     sparsify,
 )
+from lotrain.association import _from_pairs
+from lotrain.geometry import abs_offsets
 
 
 def layout_from(rrh, users, side=100.0):
@@ -137,3 +143,91 @@ def test_refine_rejects_coverage_mismatch():
     assoc = sparsify(lay, 2.0)
     with pytest.raises(ConsistencyError):
         refine(assoc, lay, Coloring(np.array([0]), 1))
+
+
+def refine_loop(assoc, layout, coloring):
+    """The reference refinement: one RRH and one missing color at a time."""
+    colors = np.asarray(coloring.colors)
+    if colors.shape[0] != layout.n_user or assoc.n_user != layout.n_user:
+        raise ConsistencyError("coloring/association must cover exactly the layout's users")
+    if assoc.n_rrh != layout.n_rrh:
+        raise ConsistencyError("association and layout disagree on the RRH count")
+    classes = [np.flatnonzero(colors == q) for q in range(coloring.num_colors)]
+    dists = np.maximum(*abs_offsets(layout.rrh_xy, layout.user_xy))
+    served = []
+    for i, users in enumerate(assoc.served_users):
+        have = [int(colors[k]) for k in users]
+        if len(set(have)) != len(have):
+            raise ConsistencyError(f"RRH {i} serves two users of the same color")
+        extra = []
+        for q in range(coloring.num_colors):
+            if q in have or classes[q].size == 0:
+                continue
+            # cls is ascending, argmin returns its first minimum: lowest index wins ties
+            extra.append(int(classes[q][np.argmin(dists[i, classes[q]])]))
+        served.append(sorted(set(users) | set(extra)))
+    rrh = np.repeat(np.arange(assoc.n_rrh), [len(u) for u in served])
+    user = np.fromiter(chain.from_iterable(served), dtype=np.intp, count=rrh.size)
+    return _from_pairs(rrh, user, layout.n_rrh, layout.n_user, assoc.threshold)
+
+
+def assert_refine_matches_loop(assoc, lay, col):
+    try:
+        want = refine_loop(assoc, lay, col)
+    except ConsistencyError as exc:
+        with pytest.raises(ConsistencyError) as got:
+            refine(assoc, lay, col)
+        assert str(got.value) == str(exc)
+        return
+    assert refine(assoc, lay, col) == want
+
+
+def test_refine_matches_the_per_rrh_loop():
+    from lotrain import build_conflict_graph, dsatur
+
+    rng = np.random.default_rng(51)
+    for trial in range(200):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        if trial % 2:  # integer coordinates: many equidistant users
+            lay = layout_from(rng.integers(0, 8, (n, 2)), rng.integers(0, 8, (k, 2)), side=8.0)
+        else:
+            lay = generate_layout(n, k, 40.0, seed=int(rng.integers(1 << 31)))
+        assoc = sparsify(lay, float(rng.uniform(1.0, 15.0)))
+        col = dsatur(build_conflict_graph(assoc))
+        assert_refine_matches_loop(assoc, lay, col)
+        # a random coloring may put two users of one color at an RRH
+        q = int(rng.integers(1, 5))
+        assert_refine_matches_loop(assoc, lay, SimpleNamespace(colors=rng.integers(0, q, k),
+                                                               num_colors=q))
+
+
+def test_refine_matches_the_loop_on_edge_cases():
+    # ties: users 1 and 2 (color 1) both at Chebyshev distance 3 from RRH 0
+    lay = layout_from([[0.0, 0.0], [9.0, 9.0]], [[1.0, 0.0], [3.0, 3.0], [0.0, 3.0], [9.0, 8.0]])
+    assoc = sparsify(lay, 2.0)
+    assert assoc.served_users == ((0,), (3,))
+    col = Coloring(np.array([0, 1, 1, 0]), 2)
+    assert_refine_matches_loop(assoc, lay, col)
+    assert refine(assoc, lay, col).served_users == ((0, 1), (1, 3))
+    # an empty color class (2), which a Coloring cannot hold
+    empty = SimpleNamespace(colors=np.array([0, 1, 1, 0]), num_colors=3)
+    assert_refine_matches_loop(assoc, lay, empty)
+    assert refine(assoc, lay, empty).served_users == ((0, 1), (1, 3))
+    # an RRH serving nobody takes the nearest user of every color
+    far = layout_from([[0.0, 0.0], [50.0, 50.0]], [[1.0, 0.0], [3.0, 3.0], [0.0, 3.0]])
+    bare = sparsify(far, 2.0)
+    assert bare.served_users == ((0,), ())
+    col3 = Coloring(np.array([0, 1, 1]), 2)
+    assert_refine_matches_loop(bare, far, col3)
+    assert refine(bare, far, col3).served_users == ((0, 1), (0, 1))
+    # K = 1, served or not
+    one = layout_from([[0.0, 0.0], [30.0, 30.0]], [[1.0, 1.0]])
+    for r in (2.0, 100.0):
+        assert_refine_matches_loop(sparsify(one, r), one, Coloring(np.array([0]), 1))
+    assert refine(sparsify(one, 2.0), one, Coloring(np.array([0]), 1)).served_users == ((0,), (0,))
+    # the error names the lowest RRH serving two users of one color
+    two = AssociationMap(((0,), (1, 2), (0, 1)), ((0, 2), (1, 2), (1,)), 1.0)
+    lay3 = layout_from([[0.0, 0.0]] * 3, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(ConsistencyError, match="RRH 1 serves two users"):
+        refine(two, lay3, Coloring(np.array([0, 1, 1]), 2))
+    assert_refine_matches_loop(two, lay3, Coloring(np.array([0, 1, 1]), 2))

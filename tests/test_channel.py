@@ -557,6 +557,180 @@ def test_throughput_alpha_domain_and_nonnegativity():
         assert throughput_lower_bound(est, chan, 0.3, 1.0, 1.0) >= 0.0
 
 
+def dense_rate(est, chan, alpha, beta_prime, p0):
+    """The reference rate: the dense Gram of the scaled effective channel,
+    on its smaller side, and one Cholesky."""
+    bp = np.broadcast_to(np.asarray(beta_prime, float), (chan.n_user,))
+    sigma2 = interference_variance(est, chan, bp, p0)
+    s = est.h_hat * chan.large_scale * np.sqrt(bp * p0)[None, :] / np.sqrt(sigma2)[:, None]
+    s = s[:, np.any(s != 0, axis=0)]
+    if s.shape[1] == 0:
+        return 0.0
+    gram = s.conj().T @ s if s.shape[1] <= s.shape[0] else s @ s.conj().T
+    chol = np.linalg.cholesky(np.eye(gram.shape[0]) + gram)
+    return (1.0 - alpha) * 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+
+
+def assert_rate_matches_dense(est, chan, bp, alpha=0.3, p0=1.0):
+    want = dense_rate(est, chan, alpha, bp, p0)
+    got = throughput_lower_bound(est, chan, alpha, bp, p0)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+    return got
+
+
+def pattern_instance(rng, mask, n0=1e-5):
+    """A hand-built estimate that is nonzero exactly on mask, with gains and
+    data powers to match. The default n0 is 50 dB, where the Gram is far
+    from the identity."""
+    n, k = mask.shape
+    h_hat = np.where(mask, channel_mod.complex_gaussian(rng, (n, k)), 0.0)
+    mse = np.where(mask, rng.uniform(0.01, 1.0, (n, k)), 1.0)
+    est = manual_est(h_hat, mse, n0)
+    return est, manual_chan(rng.uniform(0.05, 2.0, (n, k))), rng.uniform(0.5, 1.5, k)
+
+
+def components_mask(rng, n, k, n_parts):
+    """A random pattern of n_parts disconnected parts, among them one RRH
+    serving a user alone, with rows and columns shuffled."""
+    rrh_part = np.sort(np.append(rng.integers(0, n_parts, n - 1), 0))
+    user_part = np.sort(np.append(rng.integers(0, n_parts, k - 1), 0))
+    mask = (rrh_part[:, None] == user_part[None, :]) & (rng.random((n, k)) < 0.4)
+    mask[0] = False
+    mask[:, 0] = False
+    mask[0, 0] = True  # RRH 0 serves user 0 and nobody else serves either
+    return mask[rng.permutation(n)][:, rng.permutation(k)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 1), (1, 9), (20, 35), (35, 20), (60, 60)])
+@pytest.mark.parametrize("density", [0.02, 0.08, 0.3, 1.0])  # 1.0: a dense book, one window
+def test_rate_matches_dense_cholesky_on_random_patterns(shape, density):
+    rng = np.random.default_rng(hash((shape, density)) % 2**32)
+    for n0 in (1e-5, 1.0):
+        for _ in range(5):
+            mask = rng.random(shape) < density
+            assert_rate_matches_dense(*pattern_instance(rng, mask, n0))
+
+
+def test_rate_matches_dense_cholesky_on_disconnected_patterns():
+    rng = np.random.default_rng(31)
+    for n, k, parts in ((40, 50, 12), (60, 40, 30), (30, 90, 8), (80, 80, 80)):
+        for _ in range(4):
+            assert_rate_matches_dense(*pattern_instance(rng, components_mask(rng, n, k, parts)))
+
+
+def test_rate_matches_dense_cholesky_with_empty_rows_and_columns():
+    rng = np.random.default_rng(32)
+    for _ in range(10):
+        mask = rng.random((40, 50)) < 0.1
+        mask[rng.choice(40, 12, replace=False)] = False
+        mask[:, rng.choice(50, 15, replace=False)] = False
+        assert_rate_matches_dense(*pattern_instance(rng, mask))
+    est, chan, bp = pattern_instance(rng, np.zeros((5, 6), dtype=bool))
+    assert throughput_lower_bound(est, chan, 0.3, bp, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("band", [2, 3, 5])
+def test_rate_matches_dense_cholesky_on_a_chain(band):
+    # RRH i serves users i .. i + band - 1: the co-service graph is a path of
+    # cliques, so the Schur complement is carried through many levels
+    n, k = 60, 60 + band - 1
+    mask = np.zeros((n, k), dtype=bool)
+    for i in range(n):
+        mask[i, i:i + band] = True
+    rng = np.random.default_rng(band)
+    for perm in (np.arange(k), rng.permutation(k)):
+        est, chan, bp = pattern_instance(rng, mask[:, perm])
+        assert_rate_matches_dense(est, chan, bp)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "refined", "random-pilot", "global-orthogonal"])
+def test_rate_matches_dense_cholesky_on_each_scheme(scheme):
+    n, k, t_coh = 300, 300, 100
+    lay = generate_layout(n, k, 100.0, seed=41)
+    assoc = sparsify(lay, 10.0)
+    col = dsatur(build_conflict_graph(assoc))
+    rng = np.random.default_rng(42)
+    if scheme == "global-orthogonal":
+        active, book = baseline_global_orthogonal(t_coh, k, rng)
+        assoc = _global_orthogonal_assoc(n, active, k)
+    elif scheme == "random-pilot":
+        book = baseline_random_pilots(col.num_colors, k, rng=rng)
+    else:
+        book = build_pilot_book(col)
+        if scheme == "refined":
+            assoc = refine(assoc, lay, col)
+    ch = generate_channel(lay, 3.5, seed=43)
+    alpha = book.training_length / t_coh
+    bp = data_power_coefficients(book.beta, alpha, k)
+    z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
+    for snr in (0.0, 50.0):
+        n0 = snr_db_to_noise_power(snr)
+        est = mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0)
+        assert_rate_matches_dense(est, ch, bp, alpha)
+
+
+def test_bfs_levels_root_each_component_at_a_peripheral_user():
+    # a path 3 - 1 - 0 - 2 - 4 (one RRH per edge) beside a lone pair 5 - 6
+    # and an unserved user 7; the search moves the path's root from user 0
+    # to the end with the lower index
+    edges = [(3, 1), (1, 0), (0, 2), (2, 4), (5, 6)]
+    rows = np.repeat(np.arange(len(edges)), 2)
+    cols = np.array([u for e in edges for u in sorted(e)])
+    level = channel_mod._bfs_levels(rows, cols, len(edges), 8)
+    assert level.tolist() == [2, 1, 3, 0, 4, 0, 1, -1]
+
+
+def test_level_plan_is_keyed_by_the_pattern(monkeypatch):
+    planned = []
+    plan = channel_mod._level_plan
+    monkeypatch.setattr(channel_mod, "_level_plan",
+                        lambda shape, flat: planned.append(flat.size) or plan(shape, flat))
+    monkeypatch.setattr(channel_mod, "_level_memo", None)
+    rng = np.random.default_rng(34)
+    first = pattern_instance(rng, rng.random((30, 40)) < 0.1)
+    other = pattern_instance(rng, rng.random((30, 40)) < 0.1)  # same shape
+    for est, chan, bp in (first, first, other, first):
+        assert_rate_matches_dense(est, chan, bp)
+    assert len(planned) == 3
+    # new values on the same pattern keep the plan
+    est, chan, bp = first
+    assert_rate_matches_dense(manual_est(2.0 * est.h_hat, est.mse, 0.1), chan, bp)
+    assert len(planned) == 3
+    # one plan alive: the memo holds the last pattern only
+    held = weakref.ref(channel_mod._level_memo[2])
+    assert_rate_matches_dense(*other)
+    gc.collect()
+    assert held() is None and len(planned) == 4
+
+
+def test_level_plan_sees_h_hat_changed_in_place():
+    rng = np.random.default_rng(35)
+    est, chan, bp = pattern_instance(rng, rng.random((30, 40)) < 0.1)
+    assert_rate_matches_dense(est, chan, bp)
+    h = est.h_hat
+    h[tuple(np.argwhere(h)[:3].T)] = 0.0  # a new pattern in the same array
+    h[rng.integers(0, 30, 6), rng.integers(0, 40, 6)] = 1.0 - 0.5j
+    assert_rate_matches_dense(est, chan, bp)
+    h *= 3.0
+    assert_rate_matches_dense(est, chan, bp)
+
+
+def test_trial_plans_the_rate_once_per_pattern(monkeypatch):
+    planned = []
+    plan = channel_mod._level_plan
+    monkeypatch.setattr(channel_mod, "_level_plan",
+                        lambda shape, flat: planned.append(flat.size) or plan(shape, flat))
+    monkeypatch.setattr(channel_mod, "_level_memo", None)
+    cfg = ExperimentConfig("compare", n_rrh=20, n_user=30, side=40.0, threshold=10.0,
+                           snr_db=(0.0, 20.0, 40.0), schemes=SCHEMES, t_coherence=60)
+    _throughput_trial((cfg, 30, 10.0, 0))
+    assert len(planned) == len(SCHEMES)
+    # random pilots estimate the pairs proposed does: the plan carries over
+    planned.clear()
+    _throughput_trial((dataclasses.replace(cfg, schemes=("proposed", "random-pilot")), 30, 10.0, 0))
+    assert len(planned) == 1
+
+
 def test_data_power_coefficients():
     assert np.allclose(data_power_coefficients(1.0, 0.25, 3), 1.0)
     assert np.allclose(data_power_coefficients(0.0, 0.2, 2), 1.25)

@@ -102,6 +102,7 @@ def test_malformed_value_exits_one(tmp_path):
     ("eta = 0.0", "eta"),
     ("snr_db = [NaN]", "snr_db"),
     ('schemes = ["proposed", 3]', "schemes"),
+    ('schemes = ["proposed", "proposed"]', "schemes"),
     ("seed = 2", "seed"),  # appended to COMPARE_CFG's own seed line: a repeated key
 ])
 def test_bad_value_exits_one_naming_the_key(tmp_path, line, key):

@@ -90,9 +90,34 @@ def test_bad_value_of_any_field_raises_naming_the_key(key, data):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n_rrh=st.integers(1, 500), trials=st.integers(1, 10**6), seed=st.integers(0, 2**63),
        side=st.floats(1e-3, 1e6), beta=st.floats(0.0, 10.0),
-       snr_db=st.lists(st.floats(-50.0, 80.0), min_size=1, max_size=4),
-       schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=4))
+       snr_db=st.lists(st.floats(-50.0, 80.0), min_size=1, max_size=4, unique=True),
+       schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=4, unique=True))
 def test_values_inside_every_domain_are_accepted(n_rrh, trials, seed, side, beta, snr_db, schemes):
     cfg = config_from_mapping("compare", dict(n_rrh=n_rrh, trials=trials, seed=seed, side=side,
                                               beta=beta, snr_db=snr_db, schemes=schemes))
     assert (cfg.n_rrh, cfg.snr_db, cfg.schemes) == (n_rrh, tuple(snr_db), tuple(schemes))
+
+
+GOOD_GRID = {
+    "k_grid": st.integers(1, 500),
+    "r_grid": st.floats(0.5, 50.0),
+    "snr_db": st.floats(-10.0, 60.0),
+    "schemes": st.sampled_from(SCHEMES),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOOD_GRID))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_repeated_grid_entry_raises_naming_the_key(key, data):
+    # a repeated scheme or grid point would run twice and write duplicate rows
+    values = data.draw(st.lists(GOOD_GRID[key], min_size=1, max_size=4, unique=True), label="grid")
+    twice = data.draw(st.sampled_from(values), label="repeated")
+    at = data.draw(st.integers(0, len(values)), label="at")
+    with pytest.raises(ParameterError) as exc:
+        config_from_mapping("compare", {"n_rrh": 4, key: [*values[:at], twice, *values[at:]]})
+    assert key in str(exc.value)
+    # equal numbers are one grid point, whatever their JSON type
+    if key == "snr_db" and float(twice).is_integer():
+        with pytest.raises(ParameterError, match=key):
+            config_from_mapping("compare", {"n_rrh": 4, key: [twice, int(twice)]})

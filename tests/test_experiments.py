@@ -8,6 +8,8 @@ E|U_i| = K * ((2r - r^2/side)/side)^2 for r <= side/2.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotrain import (
     ConsistencyError,
@@ -16,16 +18,26 @@ from lotrain import (
     TrainingLengthError,
     baseline_global_orthogonal,
     baseline_random_pilots,
+    build_conflict_graph,
     chromatic_scaling_bound,
     config_from_mapping,
     config_hash,
     degree_scaling_bound,
+    dsatur,
     emit_csv,
     load_config,
     radius_for_rho,
     run_experiment,
 )
-from lotrain.experiments import CSV_HEADER, RUNNERS, ResultRow, _global_orthogonal_assoc
+from lotrain.experiments import (
+    CSV_HEADER,
+    RUNNERS,
+    SCHEMES,
+    ResultRow,
+    _draw,
+    _global_orthogonal_assoc,
+    _grid,
+)
 
 
 # ------------------------------------------------------------------ config
@@ -342,6 +354,62 @@ def test_sweep_r_marks_infeasible_radii():
         run_experiment(ExperimentConfig("sweep-r", n_rrh=4, n_user=5))
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig("sweep-r", n_rrh=4, n_user=5, r_grid=(0.0,)))
+
+
+@st.composite
+def small_configs(draw, experiment):
+    """A throughput config small enough that its colorings land on both
+    sides of a coherence time of 2 to 10."""
+    schemes = tuple(draw(st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=2, unique=True)))
+    t_coh = draw(st.integers(2, 10))
+    if "global-orthogonal" in schemes:
+        t_coh += t_coh % 2
+    kw = dict(n_rrh=draw(st.integers(1, 6)), side=draw(st.floats(10.0, 30.0)), t_coherence=t_coh,
+              trials=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)),
+              schemes=schemes, snr_db=(10.0,))
+    radius = st.floats(2.0, 25.0)
+    if experiment == "sweep-k":
+        kw.update(k_grid=tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True))),
+                  threshold=draw(radius))
+    elif experiment == "sweep-r":
+        kw.update(n_user=draw(st.integers(1, 12)),
+                  r_grid=tuple(draw(st.lists(radius, min_size=1, max_size=3, unique=True))))
+    else:
+        kw.update(n_user=draw(st.integers(1, 12)), threshold=draw(radius))
+    return ExperimentConfig(experiment, **kw)
+
+
+def colorings_reaching_t(cfg) -> list:
+    """Per grid point, the DSATUR color counts of the trials whose coloring
+    reaches the coherence time; empty where no colored scheme runs."""
+    if all(s == "global-orthogonal" for s in cfg.schemes):
+        return [[] for _ in _grid(cfg)]
+    counts = [[dsatur(build_conflict_graph(_draw(cfg, k, r, t)[1])).num_colors
+               for t in range(cfg.trials)] for k, r in _grid(cfg)]
+    return [[c for c in point if c >= cfg.t_coherence] for point in counts]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cfg=st.sampled_from(["compare", "sweep-k"]).flatmap(small_configs))
+def test_only_a_coloring_reaching_the_coherence_time_raises(cfg):
+    if any(colorings_reaching_t(cfg)):
+        with pytest.raises(TrainingLengthError):
+            run_experiment(cfg)
+    else:
+        assert run_experiment(cfg)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cfg=small_configs("sweep-r"))
+def test_sweep_r_marks_exactly_the_radii_whose_coloring_reaches_the_coherence_time(cfg):
+    rows = run_experiment(cfg)
+    for (_, r), reaching in zip(_grid(cfg), colorings_reaching_t(cfg)):
+        at = [row for row in rows if row.r == r]
+        if reaching:
+            (row,) = at
+            assert row.metric == "infeasible_training_length" and row.value == max(reaching)
+        else:
+            assert at and all(row.metric != "infeasible_training_length" for row in at)
 
 
 def test_runner_registry():
