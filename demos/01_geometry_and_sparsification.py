@@ -31,7 +31,7 @@ assoc = sparsify(layout, r)
 sizes = np.array([len(u) for u in assoc.served_users])
 print(f"\nradius r = {r}: served-set sizes min/mean/max = "
       f"{sizes.min()}/{sizes.mean():.2f}/{sizes.max()}")
-orphans = sum(1 for s in assoc.serving_rrhs if not s)
+orphans = n_user - np.unique(assoc.user).size
 print(f"users with no serving RRH: {orphans} of {n_user}")
 
 # the kept links really are the close ones

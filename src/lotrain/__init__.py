@@ -7,6 +7,17 @@ bound. The training length equals the number of colors, which concentrates at
 Theta(ln K) when the ball radius tracks the user density.
 """
 
+import os
+import sys
+
+# One BLAS thread per process unless the user set one (too late once numpy is
+# loaded): CSV bytes do not depend on the core count, --workers is the only
+# parallelism, and spawned workers inherit the setting.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    del _var
+
 from .association import AssociationMap, refine, sparsify
 from .channel import (
     ChannelRealization,

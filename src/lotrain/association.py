@@ -10,57 +10,47 @@ the RRH estimate (and so cancel) more interferers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError
-from .geometry import NetworkLayout, abs_offsets, pairs_within
+from .geometry import NetworkLayout, _index_pairs, abs_offsets, pairs_within
 
 if TYPE_CHECKING:
     from .coloring import Coloring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociationMap:
-    """Bipartite RRH-user association.
+    """Bipartite RRH-user association, stored as its served pairs.
 
     Attributes:
-        served_users: per RRH, a tuple of served user indices, ascending.
-        serving_rrhs: per user, a tuple of serving RRH indices, ascending.
+        rrh, user: read-only intp arrays; RRH ``rrh[p]`` serves user
+            ``user[p]``. Sorted by (RRH, user) with no repeats. The
+            constructor checks and copies them, so a map never changes.
+        n_rrh, n_user: the number of RRHs and users.
         threshold: the sparsification radius the map was built with.
     """
 
-    served_users: tuple[tuple[int, ...], ...]
-    serving_rrhs: tuple[tuple[int, ...], ...]
+    rrh: np.ndarray
+    user: np.ndarray
+    n_rrh: int
+    n_user: int
     threshold: float
 
-    @property
-    def n_rrh(self) -> int:
-        return len(self.served_users)
+    def __post_init__(self):
+        rrh, user = _index_pairs(self.rrh, self.user, self.n_rrh, self.n_user)
+        object.__setattr__(self, "rrh", rrh)
+        object.__setattr__(self, "user", user)
 
-    @property
-    def n_user(self) -> int:
-        return len(self.serving_rrhs)
-
-
-def _split(values: np.ndarray, counts: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Consecutive runs of ``values`` with the given lengths, as int tuples."""
-    v = values.tolist()
-    bounds = [0, *np.cumsum(counts).tolist()]
-    return tuple(tuple(v[s:e]) for s, e in zip(bounds, bounds[1:]))
-
-
-def _from_pairs(rrh: np.ndarray, user: np.ndarray, n_rrh: int, n_user: int,
-                threshold: float) -> AssociationMap:
-    """Association map from served (RRH, user) pairs sorted by (RRH, user)."""
-    by_user = np.argsort(user, kind="stable")  # keeps RRHs ascending per user
-    return AssociationMap(
-        _split(user, np.bincount(rrh, minlength=n_rrh)),
-        _split(rrh[by_user], np.bincount(user, minlength=n_user)),
-        float(threshold),
-    )
+    @cached_property
+    def served_users(self) -> tuple[tuple[int, ...], ...]:
+        """Per RRH, a tuple of its served user indices, ascending."""
+        users = self.user.tolist()
+        bounds = np.searchsorted(self.rrh, np.arange(self.n_rrh + 1)).tolist()
+        return tuple(tuple(users[s:e]) for s, e in zip(bounds, bounds[1:]))
 
 
 def sparsify(layout: NetworkLayout, threshold: float) -> AssociationMap:
@@ -72,7 +62,7 @@ def sparsify(layout: NetworkLayout, threshold: float) -> AssociationMap:
     if not threshold > 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
     rrh, user = pairs_within(layout.rrh_xy, layout.user_xy, threshold)
-    return _from_pairs(rrh, user, layout.n_rrh, layout.n_user, threshold)
+    return AssociationMap(rrh, user, layout.n_rrh, layout.n_user, float(threshold))
 
 
 def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -> AssociationMap:
@@ -94,8 +84,7 @@ def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -
     if assoc.n_rrh != layout.n_rrh:
         raise ConsistencyError("association and layout disagree on the RRH count")
     n_rrh, n_colors = assoc.n_rrh, coloring.num_colors
-    rrh = np.repeat(np.arange(n_rrh), [len(u) for u in assoc.served_users])
-    user = np.fromiter(chain.from_iterable(assoc.served_users), dtype=np.intp, count=rrh.size)
+    rrh, user = assoc.rrh, assoc.user
     # (n_rrh, n_colors): how many users of each color every RRH serves
     have = np.bincount(rrh * n_colors + colors[user],
                        minlength=n_rrh * n_colors).reshape(n_rrh, n_colors)
@@ -114,4 +103,4 @@ def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -
     rrh = np.concatenate([rrh, add_rrh])
     user = np.concatenate([user, nearest[add_rrh, add_color]])
     order = np.argsort(rrh * layout.n_user + user)  # keys are distinct
-    return _from_pairs(rrh[order], user[order], layout.n_rrh, layout.n_user, assoc.threshold)
+    return AssociationMap(rrh[order], user[order], n_rrh, layout.n_user, assoc.threshold)

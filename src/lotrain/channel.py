@@ -12,7 +12,6 @@ All rates are in nats per channel use; CSV emission converts to bits.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -104,7 +103,7 @@ def mmse_estimate(
 ) -> EstimationResult:
     """Per-RRH linear MMSE estimation of served users' channels.
 
-    Each RRH models only its served set (``assoc.served_users``, an
+    Each RRH models only its served set (its pairs in ``assoc``, an
     ``AssociationMap``); out-of-set users' pilots act as unmodeled
     interference whose full covariance is charged to the error variance.
 
@@ -181,10 +180,8 @@ def _read_only(a) -> bool:
 def _plan(chan, book, assoc):
     """Noise-independent work of the estimator. Returns a function of
     (noise, n0) giving (h_hat, mse)."""
-    n_rrh = chan.small_scale.shape[0]
-    sizes = np.fromiter(map(len, assoc.served_users), dtype=np.intp, count=n_rrh)
-    rows = np.repeat(np.arange(n_rrh), sizes)
-    cols = np.fromiter(chain.from_iterable(assoc.served_users), dtype=np.intp, count=rows.size)
+    rows, cols = assoc.rrh, assoc.user
+    sizes = np.bincount(rows, minlength=assoc.n_rrh)
     clean = (chan.small_scale * chan.large_scale) @ book.pilots  # noiseless received signal
     colors = book.color_of
     if colors is not None and _one_user_per_color(rows, colors[cols]):

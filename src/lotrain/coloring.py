@@ -39,12 +39,12 @@ def dsatur(g: ConflictGraph) -> Coloring:
     index. The chosen vertex gets the smallest color unused on its neighbors.
     """
     n = g.n_vertices
-    neighbors = [nb.tolist() for nb in g.neighbors]
+    arcs, start = g.dst.tolist(), np.searchsorted(g.src, np.arange(n + 1)).tolist()
     colors = [-1] * n
     # composite key ranks saturation first, then degree; degree < n+1 so the
     # two never interfere. Colored vertices drop to -1, and argmax takes the
     # first (lowest-index) maximum.
-    key = np.array([len(nb) for nb in neighbors], dtype=np.int64)
+    key = np.diff(start).astype(np.int64)
     seen: list[set] = [set() for _ in range(n)]
     for _ in range(n):
         v = int(np.argmax(key))
@@ -54,7 +54,7 @@ def dsatur(g: ConflictGraph) -> Coloring:
             c += 1
         colors[v] = c
         key[v] = -1
-        raised = [m for m in neighbors[v] if colors[m] < 0 and c not in seen[m]]
+        raised = [m for m in arcs[start[v]:start[v + 1]] if colors[m] < 0 and c not in seen[m]]
         if raised:
             for m in raised:
                 seen[m].add(c)

@@ -250,8 +250,8 @@ def _resolve_threshold(cfg: ExperimentConfig, n_user: int) -> float:
 
 # ---------------------------------------------------------------- baselines
 
-def baseline_random_pilots(length: int, n_user: int, beta=1.0, p0: float = 1.0,
-                           rng: np.random.Generator | None = None) -> PilotBook:
+def baseline_random_pilots(length: int, n_user: int, rng: np.random.Generator,
+                           beta=1.0, p0: float = 1.0) -> PilotBook:
     """Independent CSCG pilot per user, matched in length and training power.
 
     Each row is normalized so the power constraint is met with equality, like
@@ -261,8 +261,6 @@ def baseline_random_pilots(length: int, n_user: int, beta=1.0, p0: float = 1.0,
         raise ParameterError(f"length must be >= 1, got {length}")
     if not p0 > 0:
         raise ParameterError(f"p0 must be positive, got {p0}")
-    if rng is None:
-        rng = np.random.default_rng()
     b = _beta_array(beta, n_user)
     g = complex_gaussian(rng, (n_user, length))
     norms = np.linalg.norm(g, axis=1)
@@ -270,8 +268,7 @@ def baseline_random_pilots(length: int, n_user: int, beta=1.0, p0: float = 1.0,
     return PilotBook(_frozen(pilots), b, float(p0), None)
 
 
-def baseline_global_orthogonal(t_coherence: int, n_user: int,
-                               rng: np.random.Generator | None = None,
+def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Generator,
                                beta: float = 1.0, p0: float = 1.0):
     """Classical network-wide orthogonal training.
 
@@ -285,8 +282,6 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int,
     """
     if t_coherence < 2 or t_coherence % 2:
         raise ParameterError(f"t_coherence must be even and >= 2, got {t_coherence}")
-    if rng is None:
-        rng = np.random.default_rng()
     cap = t_coherence // 2
     if n_user <= cap:
         active = np.arange(n_user, dtype=np.intp)
@@ -304,11 +299,8 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int,
 
 def _global_orthogonal_assoc(n_rrh: int, active: np.ndarray, n_user: int) -> AssociationMap:
     # every RRH estimates every active user; association is not distance-based
-    act = tuple(int(k) for k in active)
-    act_set = set(act)
-    all_rrh = tuple(range(n_rrh))
-    serving = tuple(all_rrh if k in act_set else () for k in range(n_user))
-    return AssociationMap((act,) * n_rrh, serving, float("inf"))
+    return AssociationMap(np.repeat(np.arange(n_rrh), active.size), np.tile(active, n_rrh),
+                          n_rrh, n_user, float("inf"))
 
 
 # ------------------------------------------------------------ trial kernels
@@ -338,7 +330,7 @@ def _coloring_trial(item) -> dict:
 
 def _density_trial(item) -> dict:
     _, assoc = _draw(*item)
-    counts = np.array([len(u) for u in assoc.served_users])
+    counts = np.bincount(assoc.rrh, minlength=assoc.n_rrh)
     return {
         "histogram": np.bincount(counts),
         "mean_served": float(np.mean(counts)),
@@ -382,7 +374,7 @@ def _throughput_trial(item) -> dict:
             rng_s = _rng(np.random.SeedSequence(
                 seed, spawn_key=(SCHEME_SALT, trial, _SCHEME_STREAM[scheme])))
             a_s = assoc
-            book = baseline_random_pilots(chi, n_user, cfg.beta, p0, rng_s)
+            book = baseline_random_pilots(chi, n_user, rng_s, cfg.beta, p0)
         else:  # global-orthogonal
             rng_s = _rng(np.random.SeedSequence(
                 seed, spawn_key=(SCHEME_SALT, trial, _SCHEME_STREAM[scheme])))

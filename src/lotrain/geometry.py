@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConsistencyError, ParameterError
 
 # Bit generator used everywhere randomness is needed; recorded in config
 # echoes so runs can be replayed.
@@ -28,6 +28,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _index_pairs(a, b, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only intp copies of the index pairs (a[p], b[p]), which must lie
+    in range and be sorted by (a, b) with no repeats, as ``pairs_within``
+    returns them."""
+    a, b = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ConsistencyError("index pairs need two 1-D arrays of one length")
+    # with b in range, keys a*n_b + b rising strictly from -1 to n_a*n_b put a in range
+    keys = np.concatenate([[-1], a * n_b + b, [n_a * n_b]])
+    if np.any((b < 0) | (b >= n_b)) or np.any(np.diff(keys) <= 0):
+        raise ConsistencyError("index pairs must lie in range, sorted, with no repeats")
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,20 @@ users are strictly within 2r of each other.
 """
 
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .association import AssociationMap
 from .errors import ConsistencyError, GraphSizeError, ParameterError
-from .geometry import NetworkLayout, _frozen, pairs_within
+from .geometry import NetworkLayout, _frozen, _index_pairs, pairs_within
 
 
-def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sorted neighbor arrays of the graph with edges src[e]-dst[e].
+def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs (src, dst) of the graph with edges src[e]-dst[e]: both
+    directions, sorted by (src, dst), no repeats.
 
     Duplicate and reversed edges merge: one sort of the int64 keys
-    ``src*n + dst`` over both directions orders every vertex's neighbors.
+    ``src*n + dst`` over both directions orders every arc.
     (``np.unique`` gives the same keys, but numpy 2.4 runs it 50x slower
     than a sort on 2e5 keys.)
     """
@@ -29,23 +29,21 @@ def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ..
     dst = np.asarray(dst, dtype=np.int64)
     keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    return _neighbor_slices(n, *np.divmod(keys, max(n, 1)))
-
-
-def _neighbor_slices(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Neighbor arrays from directed arcs sorted by (src, dst), both directions
-    present, no repeats: each one a slice of one frozen array."""
-    flat = _frozen(dst.astype(np.intp))
-    bounds = [0, *np.cumsum(np.bincount(src, minlength=n)).tolist()]
-    return tuple(flat[s:e] for s, e in zip(bounds, bounds[1:]))
+    return np.divmod(keys, max(n, 1))
 
 
 class ConflictGraph:
-    """Undirected simple graph on user indices 0..n_vertices-1."""
+    """Undirected simple graph on user indices 0..n_vertices-1.
 
-    def __init__(self, n_vertices: int, neighbors: tuple[np.ndarray, ...], kind: str):
+    Stored as its arcs: read-only intp arrays ``src`` and ``dst`` that hold
+    every edge in both directions, sorted by (src, dst) with no repeats and no
+    loops. The constructor checks range and order, not symmetry or loops, and
+    copies.
+    """
+
+    def __init__(self, n_vertices: int, src, dst, kind: str):
         self.n_vertices = int(n_vertices)
-        self.neighbors = neighbors
+        self.src, self.dst = _index_pairs(src, dst, self.n_vertices, self.n_vertices)
         self.kind = kind
 
     @classmethod
@@ -57,24 +55,19 @@ class ConflictGraph:
                 raise ConsistencyError("edge endpoint out of range")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ConsistencyError("self loops are not allowed")
-        return cls(n_vertices, _adjacency(n_vertices, e[:, 0], e[:, 1]), kind)
+        return cls(n_vertices, *_adjacency(n_vertices, e[:, 0], e[:, 1]), kind)
+
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, ...]:
+        """Per vertex, its neighbors ascending: read-only slices of ``dst``."""
+        bounds = np.searchsorted(self.src, np.arange(self.n_vertices + 1))
+        return tuple(self.dst[s:e] for s, e in zip(bounds, bounds[1:]))
 
     @cached_property
     def edge_array(self) -> np.ndarray:
         """(E, 2) array of k < m edges in lexicographic order."""
-        pairs = [
-            np.column_stack((np.full(nb[nb > k].size, k), nb[nb > k]))
-            for k, nb in enumerate(self.neighbors)
-            if nb.size
-        ]
-        if not pairs:
-            return np.empty((0, 2), dtype=np.intp)
-        return _frozen(np.concatenate(pairs))
-
-    @cached_property
-    def _edge_keys(self) -> frozenset:
-        e = self.edge_array
-        return frozenset((e[:, 0] * self.n_vertices + e[:, 1]).tolist())
+        keep = self.src < self.dst
+        return _frozen(np.column_stack((self.src[keep], self.dst[keep])))
 
     @property
     def n_edges(self) -> int:
@@ -83,14 +76,14 @@ class ConflictGraph:
 
 def build_conflict_graph(assoc: AssociationMap) -> ConflictGraph:
     """Edge between two users iff some RRH serves both."""
-    sizes = np.fromiter(map(len, assoc.served_users), dtype=np.intp, count=assoc.n_rrh)
-    users = np.fromiter(chain.from_iterable(assoc.served_users), dtype=np.intp, count=int(sizes.sum()))
-    # the user at flat position p pairs with every later user of its RRH
+    sizes = np.bincount(assoc.rrh, minlength=assoc.n_rrh)
+    users = assoc.user
+    # the user at pair p pairs with every later user of its RRH
     ends = np.repeat(np.cumsum(sizes), sizes)
     later = ends - np.arange(users.size) - 1
     first = np.repeat(np.arange(users.size), later)
     second = np.arange(first.size) + np.repeat(np.arange(users.size) + 1 - (np.cumsum(later) - later), later)
-    return ConflictGraph(assoc.n_user, _adjacency(assoc.n_user, users[first], users[second]), "shared-rrh")
+    return ConflictGraph(assoc.n_user, *_adjacency(assoc.n_user, users[first], users[second]), "shared-rrh")
 
 
 def build_proximity_graph(layout: NetworkLayout, threshold: float) -> ConflictGraph:
@@ -104,21 +97,23 @@ def build_proximity_graph(layout: NetworkLayout, threshold: float) -> ConflictGr
     # the pairs come in both directions, sorted: all but the loops are arcs
     i, j = pairs_within(layout.user_xy, layout.user_xy, 2.0 * threshold)
     arc = i != j
-    return ConflictGraph(layout.n_user, _neighbor_slices(layout.n_user, i[arc], j[arc]), "proximity-2r")
+    return ConflictGraph(layout.n_user, i[arc], j[arc], "proximity-2r")
 
 
 def max_degree(g: ConflictGraph) -> int:
     """Largest vertex degree; 0 for edgeless graphs."""
-    if g.n_vertices == 0:
-        return 0
-    return max(nb.size for nb in g.neighbors)
+    return int(np.bincount(g.src, minlength=g.n_vertices).max(initial=0))
 
 
 def is_subgraph(sub: ConflictGraph, sup: ConflictGraph) -> bool:
     """True iff every edge of ``sub`` is an edge of ``sup`` (same vertex set)."""
     if sub.n_vertices != sup.n_vertices:
         raise ConsistencyError("graphs must share the same vertex count")
-    return sub._edge_keys <= sup._edge_keys
+    # sup's arcs are sorted, so its keys src*n + dst ascend
+    n = sup.n_vertices
+    want, have = sub.src * n + sub.dst, sup.src * n + sup.dst
+    pos = np.searchsorted(have, want)
+    return bool(np.all(pos < have.size)) and np.array_equal(have[pos], want)
 
 
 def find_coloring(g: ConflictGraph, n_colors: int, vertex_limit: int = 16):

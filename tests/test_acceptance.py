@@ -132,7 +132,7 @@ def test_criterion_05_single_user_estimator_matches_scalar_oracle():
     """With one served user the matrix estimator must reproduce the scalar
     error variance n0 / (n0 + gamma^2 * p), p the pilot energy, to 1e-10
     relative over a grid of gains, energies and noise powers."""
-    assoc = AssociationMap(((0,),), ((0,),), 1.0)
+    assoc = AssociationMap([0], [0], 1, 1, 1.0)
     h = np.array([[0.3 - 1.1j]])
     for gamma in (0.005, 0.1, 1.0):
         chan = ChannelRealization(h, np.array([[gamma]]), 3.5, None)

@@ -1,6 +1,5 @@
 """Sparsification and color-guided refinement of the association map."""
 
-from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +16,6 @@ from lotrain import (
     refine,
     sparsify,
 )
-from lotrain.association import _from_pairs
 from lotrain.geometry import abs_offsets
 
 
@@ -25,12 +23,20 @@ def layout_from(rrh, users, side=100.0):
     return NetworkLayout(side, np.asarray(rrh, float), np.asarray(users, float))
 
 
+def assert_pair_format(assoc):
+    """The served pairs are read-only intp arrays, strictly increasing in
+    rrh*n_user + user."""
+    for a in (assoc.rrh, assoc.user):
+        assert a.dtype == np.intp and not a.flags.writeable
+    assert np.all(np.diff(assoc.rrh * assoc.n_user + assoc.user) > 0)
+
+
 def test_strict_boundary():
     lay = layout_from([[0.0, 0.0]], [[10.0, 0.0], [9.9999999, 0.0], [0.0, 10.0]])
     assoc = sparsify(lay, 10.0)
     # users exactly on the ball boundary are not served
     assert assoc.served_users == ((1,),)
-    assert assoc.serving_rrhs == ((), (0,), ())
+    assert assoc.rrh.tolist() == [0] and assoc.user.tolist() == [1]
     assert assoc.threshold == 10.0
 
 
@@ -51,7 +57,23 @@ def test_empty_sides_are_legal():
     lay = layout_from([[0.0, 0.0]], [[90.0, 90.0]])
     assoc = sparsify(lay, 5.0)
     assert assoc.served_users == ((),)
-    assert assoc.serving_rrhs == ((),)
+    assert assoc.rrh.size == assoc.user.size == 0 and (assoc.n_rrh, assoc.n_user) == (1, 1)
+
+
+def test_pairs_are_checked_and_copied():
+    rrh, user = np.array([0, 0, 1]), np.array([1, 2, 0])
+    assoc = AssociationMap(rrh, user, 2, 3, 1.0)
+    rrh[0], user[0] = 1, 0
+    assert assoc.served_users == ((1, 2), (0,))
+    assert_pair_format(assoc)
+    for bad_rrh, bad_user in (([0, 0], [2, 1]),   # unsorted
+                              ([0, 0], [1, 1]),   # repeated
+                              ([0, 2], [0, 0]),   # RRH out of range
+                              ([0, 1], [0, 3]),   # user out of range
+                              ([-1, 0], [0, 0]),  # negative
+                              ([0, 1], [0])):     # lengths differ
+        with pytest.raises(ConsistencyError):
+            AssociationMap(bad_rrh, bad_user, 2, 3, 1.0)
 
 
 def test_matches_brute_force_and_bipartite_consistency():
@@ -62,16 +84,16 @@ def test_matches_brute_force_and_bipartite_consistency():
         lay = generate_layout(n, k, side, seed=int(rng.integers(1 << 31)))
         r = float(rng.uniform(2, side))
         assoc = sparsify(lay, r)
+        pairs = []
         for i in range(n):
             expect = tuple(
                 u for u in range(k) if dist_linf(lay.rrh_xy[i], lay.user_xy[u]) < r
             )
             assert assoc.served_users[i] == expect
             assert list(assoc.served_users[i]) == sorted(assoc.served_users[i])
-        for u in range(k):
-            assert assoc.serving_rrhs[u] == tuple(
-                i for i in range(n) if u in assoc.served_users[i]
-            )
+            pairs += [(i, u) for u in expect]
+        assert_pair_format(assoc)
+        assert list(zip(assoc.rrh.tolist(), assoc.user.tolist())) == pairs
 
 
 # --------------------------------------------------------------- refinement
@@ -84,7 +106,7 @@ def test_refine_adds_closest_of_missing_color():
     col = Coloring(np.array([0, 1, 1]), 2)
     ref = refine(assoc, lay, col)
     assert ref.served_users == ((0, 1),)
-    assert ref.serving_rrhs == ((0,), (0,), ())
+    assert ref.rrh.tolist() == [0, 0] and ref.user.tolist() == [0, 1]
 
 
 def test_refine_tie_breaks_to_lower_index():
@@ -166,9 +188,9 @@ def refine_loop(assoc, layout, coloring):
             # cls is ascending, argmin returns its first minimum: lowest index wins ties
             extra.append(int(classes[q][np.argmin(dists[i, classes[q]])]))
         served.append(sorted(set(users) | set(extra)))
-    rrh = np.repeat(np.arange(assoc.n_rrh), [len(u) for u in served])
-    user = np.fromiter(chain.from_iterable(served), dtype=np.intp, count=rrh.size)
-    return _from_pairs(rrh, user, layout.n_rrh, layout.n_user, assoc.threshold)
+    rrh = [i for i, users in enumerate(served) for _ in users]
+    user = [k for users in served for k in users]
+    return AssociationMap(rrh, user, layout.n_rrh, layout.n_user, assoc.threshold)
 
 
 def assert_refine_matches_loop(assoc, lay, col):
@@ -179,7 +201,10 @@ def assert_refine_matches_loop(assoc, lay, col):
             refine(assoc, lay, col)
         assert str(got.value) == str(exc)
         return
-    assert refine(assoc, lay, col) == want
+    got = refine(assoc, lay, col)
+    assert_pair_format(got)
+    for name in ("rrh", "user", "n_rrh", "n_user", "threshold"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_refine_matches_the_per_rrh_loop():
@@ -226,7 +251,7 @@ def test_refine_matches_the_loop_on_edge_cases():
         assert_refine_matches_loop(sparsify(one, r), one, Coloring(np.array([0]), 1))
     assert refine(sparsify(one, 2.0), one, Coloring(np.array([0]), 1)).served_users == ((0,), (0,))
     # the error names the lowest RRH serving two users of one color
-    two = AssociationMap(((0,), (1, 2), (0, 1)), ((0, 2), (1, 2), (1,)), 1.0)
+    two = AssociationMap([0, 1, 1, 2, 2], [0, 1, 2, 0, 1], 3, 3, 1.0)
     lay3 = layout_from([[0.0, 0.0]] * 3, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     with pytest.raises(ConsistencyError, match="RRH 1 serves two users"):
         refine(two, lay3, Coloring(np.array([0, 1, 1]), 2))

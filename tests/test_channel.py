@@ -20,6 +20,7 @@ import pytest
 import lotrain.channel as channel_mod
 import lotrain.experiments as experiments_mod
 from lotrain import (
+    AssociationMap,
     ChannelRealization,
     Coloring,
     ConsistencyError,
@@ -325,7 +326,7 @@ def overloaded_instance():
     lay = layout_from([[5.0, 5.0], [45.0, 5.0], [25.0, 45.0]], users, side=50.0)
     assoc = sparsify(lay, 6.0)
     assert assoc.served_users == (tuple(range(8)), (8, 9), ())
-    assert assoc.serving_rrhs[10] == ()
+    assert 10 not in assoc.user
     return lay, assoc, 3
 
 
@@ -347,7 +348,7 @@ def test_batched_estimate_matches_per_rrh_solve(case, per_user_beta):
     k = lay.n_user
     rng = np.random.default_rng(8)
     beta = rng.uniform(0.5, 1.5, k) if per_user_beta else 1.0
-    book = baseline_random_pilots(length, k, beta, 1.0, rng)
+    book = baseline_random_pilots(length, k, rng, beta, 1.0)
     ch = generate_channel(lay, 3.5, seed=9)
     z0 = channel_mod.complex_gaussian(rng, (lay.n_rrh, length))
     assert_matches_per_rrh_solve(ch, book, assoc, z0)
@@ -481,6 +482,23 @@ def test_memo_sees_arrays_changed_in_place(changed, book_kind):
     want = mmse_estimate(*build(copy=True), assoc, 0.01, noise=noise)
     assert np.array_equal(after.h_hat, want.h_hat) and np.array_equal(after.mse, want.mse)
     assert not (np.array_equal(before.h_hat, after.h_hat) and np.array_equal(before.mse, after.mse))
+
+
+@pytest.mark.parametrize("book_kind", ["proposed", "random"])
+def test_memo_holds_an_association_whose_source_arrays_change(book_kind):
+    # the memo keys on the association's identity, which is sound only
+    # because a map copies the arrays it is built from
+    ch, cases, z0 = memo_instance()
+    book, built = cases[book_kind]
+    rrh, user = built.rrh.copy(), built.user.copy()
+    assoc = AssociationMap(rrh, user, built.n_rrh, built.n_user, built.threshold)
+    noise = 0.1 * z0
+    mmse_estimate(ch, book, assoc, 0.01, noise=noise)
+    user[:] = user[::-1]
+    after = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
+    channel_mod._memo = None
+    want = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
+    assert np.array_equal(after.h_hat, want.h_hat) and np.array_equal(after.mse, want.mse)
 
 
 # ------------------------------------------------- variance and throughput

@@ -2,8 +2,11 @@
 CSV contracts: 0 success, 1 bad parameters, 2 infeasible training length,
 3 I/O failure."""
 
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +174,28 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # with BLAS at its default of one thread per core, three rates of this run
+    # moved in the last digit on a 2-core machine; lotrain pins one thread
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "sweep-r.cfg"
+    digests = []
+    for extra in ({}, dict.fromkeys(BLAS_VARS, "1")):
+        out = tmp_path / f"run{len(digests)}.csv"
+        proc = subprocess.run([sys.executable, "-m", "lotrain", "sweep-r", "--config", str(cfg),
+                               "--out", str(out), "--trials", "1", "--seed", "4", "--workers", "1"],
+                              env={**base, **extra}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+    # a thread count the user set is kept
+    code = "import os, lotrain; print(*(os.environ[k] for k in %r))" % (BLAS_VARS,)
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, "OPENBLAS_NUM_THREADS": "2"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "1", "1"]

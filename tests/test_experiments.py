@@ -186,16 +186,16 @@ def test_emit_csv_refuses_empty(tmp_path):
 
 def test_random_pilot_baseline_energy_and_determinism():
     beta = np.array([1.0, 0.5, 2.0])
-    a = baseline_random_pilots(7, 3, beta, 2.0, np.random.default_rng(5))
-    b = baseline_random_pilots(7, 3, beta, 2.0, np.random.default_rng(5))
+    a = baseline_random_pilots(7, 3, np.random.default_rng(5), beta, 2.0)
+    b = baseline_random_pilots(7, 3, np.random.default_rng(5), beta, 2.0)
     assert np.array_equal(a.pilots, b.pilots)
     energies = np.sum(np.abs(a.pilots) ** 2, axis=1)
     assert np.allclose(energies, 7 * beta * 2.0, rtol=1e-12)
     assert a.training_length == 7 and a.color_of is None
     with pytest.raises(ParameterError):
-        baseline_random_pilots(0, 3)
+        baseline_random_pilots(0, 3, np.random.default_rng(5))
     with pytest.raises(ParameterError):
-        baseline_random_pilots(4, 3, p0=0.0)
+        baseline_random_pilots(4, 3, np.random.default_rng(5), p0=0.0)
 
 
 def test_global_orthogonal_all_users_active_when_frame_allows():
@@ -231,14 +231,17 @@ def test_global_orthogonal_book_colors_one_per_active_user():
 def test_global_orthogonal_requires_even_frame():
     for t in (0, 1, 7):
         with pytest.raises(ParameterError):
-            baseline_global_orthogonal(t, 4)
+            baseline_global_orthogonal(t, 4, np.random.default_rng(0))
 
 
 def test_global_orthogonal_association_covers_all_rrhs():
     active = np.array([1, 3], dtype=np.intp)
     assoc = _global_orthogonal_assoc(3, active, 5)
     assert assoc.served_users == ((1, 3),) * 3
-    assert assoc.serving_rrhs == ((), (0, 1, 2), (), (0, 1, 2), ())
+    assert assoc.rrh.tolist() == [0, 0, 1, 1, 2, 2] and assoc.user.tolist() == [1, 3] * 3
+    for a in (assoc.rrh, assoc.user):
+        assert a.dtype == np.intp and not a.flags.writeable
+    assert np.all(np.diff(assoc.rrh * assoc.n_user + assoc.user) > 0)
 
 
 # ----------------------------------------------------------------- runners

@@ -24,11 +24,15 @@ from lotrain import (
 
 
 def assoc_of(served, n_user):
-    serving = [[] for _ in range(n_user)]
-    for i, users in enumerate(served):
-        for k in users:
-            serving[k].append(i)
-    return AssociationMap(tuple(tuple(u) for u in served), tuple(tuple(s) for s in serving), 1.0)
+    rrh = [i for i, users in enumerate(served) for _ in users]
+    user = [k for users in served for k in users]
+    return AssociationMap(rrh, user, len(served), n_user, 1.0)
+
+
+def assert_sorted_pairs(a, b, n_b):
+    """Read-only intp index arrays, strictly increasing in a*n_b + b."""
+    assert a.dtype == b.dtype == np.intp and not (a.flags.writeable or b.flags.writeable)
+    assert np.all(np.diff(a * n_b + b) > 0)
 
 
 def edge_set(g):
@@ -105,6 +109,10 @@ def test_is_subgraph_examples():
     path = ConflictGraph.from_edges(3, [(0, 1), (1, 2)])
     assert is_subgraph(path, tri) and is_subgraph(tri, tri)
     assert not is_subgraph(tri, path)
+    # sub's arcs past sup's last, or sup with no arcs at all
+    empty = ConflictGraph.from_edges(3, [])
+    assert not is_subgraph(ConflictGraph.from_edges(3, [(1, 2)]), ConflictGraph.from_edges(3, [(0, 1)]))
+    assert is_subgraph(empty, path) and is_subgraph(empty, empty) and not is_subgraph(path, empty)
     with pytest.raises(ConsistencyError):
         is_subgraph(path, ConflictGraph.from_edges(4, [(0, 1)]))
 
@@ -171,9 +179,7 @@ def linf_matrix(a, b):
 
 def brute_served(lay, r):
     d = linf_matrix(lay.rrh_xy, lay.user_xy)
-    served = tuple(tuple(np.flatnonzero(row < r).tolist()) for row in d)
-    serving = tuple(tuple(np.flatnonzero(col < r).tolist()) for col in d.T)
-    return served, serving
+    return tuple(tuple(np.flatnonzero(row < r).tolist()) for row in d)
 
 
 def brute_conflict_edges(served):
@@ -228,14 +234,16 @@ def test_sparsify_and_graphs_match_brute_force(block, monkeypatch):
         monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
     for lay, r in [*EDGE_CASES, *random_layouts()]:
         assoc = sparsify(lay, r)
-        served, serving = brute_served(lay, r)
-        assert assoc.served_users == served and assoc.serving_rrhs == serving
+        served = brute_served(lay, r)
+        assert assoc.served_users == served
+        assert_sorted_pairs(assoc.rrh, assoc.user, lay.n_user)
         g = build_conflict_graph(assoc)
         p = build_proximity_graph(lay, r)
         assert edge_set(g) == brute_conflict_edges(served)
         assert edge_set(p) == brute_proximity_edges(lay, r)
         for graph in (g, p):
             assert graph.n_vertices == lay.n_user
+            assert_sorted_pairs(graph.src, graph.dst, lay.n_user)
             for nb in graph.neighbors:
                 assert nb.dtype == np.intp and not nb.flags.writeable
                 assert np.all(np.diff(nb) > 0)
@@ -246,7 +254,7 @@ def test_boundary_layout_edges_are_pinned():
     assoc = sparsify(lay, r)
     # inside: one ulp short of 60 and one ulp above 40, along each axis
     assert assoc.served_users == ((2, 4, 8, 10), ())
-    assert assoc.serving_rrhs[:6] == ((), (), (0,), (), (0,), ())
+    assert assoc.rrh.tolist() == [0] * 4 and assoc.user.tolist() == [2, 4, 8, 10]
     p = edge_set(build_proximity_graph(lay, r))
     # 80 - 60 is exactly 2r: no edge; one ulp closer: edge; one ulp farther: none
     assert (0, 14) not in p and (1, 14) in p and (2, 14) not in p
