@@ -11,7 +11,7 @@ a lower bound on the ergodic achievable sum rate.
 All rates are in nats per channel use; CSV emission converts to bits.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ def snr_db_to_noise_power(snr_db: float, p0: float = 1.0) -> float:
     return p0 * 10.0 ** (-snr_db / 10.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One block-fading draw.
 
@@ -49,7 +49,11 @@ class ChannelRealization:
     small_scale: np.ndarray
     large_scale: np.ndarray
     pathloss_exponent: float
-    seed: object = field(default=None, compare=False)
+    seed: object = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "small_scale", _frozen(self.small_scale))
+        object.__setattr__(self, "large_scale", _frozen(self.large_scale))
 
     @property
     def n_rrh(self) -> int:
@@ -77,15 +81,17 @@ def generate_channel(layout: NetworkLayout, eta: float, seed, min_distance: floa
         raise DegenerateGeometryError("a user coincides exactly with an RRH")
     gains = np.maximum(d, min_distance) ** (-eta / 2.0)
     h = complex_gaussian(_rng(seed), (layout.n_rrh, layout.n_user))
-    return ChannelRealization(_frozen(h), _frozen(gains), float(eta), seed)
+    return ChannelRealization(h, gains, float(eta), seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationResult:
     """Per-(RRH, user) channel estimates and their error variances.
 
     Users outside an RRH's served set keep estimate 0 and error variance 1
-    (the prior): nothing about them was learned during training.
+    (the prior): nothing about them was learned during training. Unlike the
+    inputs, an estimate keeps the arrays it is given: nothing keys on its
+    identity, as the rate's level memo compares the pattern's content.
     """
 
     h_hat: np.ndarray
@@ -119,9 +125,8 @@ def mmse_estimate(
     regularized solve.
 
     The work that does not depend on the noise is planned once per
-    (channel, book, association) and reused across calls that pass the same
-    three objects with read-only arrays, as every lotrain constructor makes
-    them; a scheme evaluated over an SNR grid pays for it once.
+    (channel, book, association) and reused while the same three objects
+    come back; a scheme evaluated over an SNR grid pays for it once.
 
     The training observation is synthesized internally. Pass ``noise``
     (shape (n_rrh, training_length), entries of variance n0) to pin the noise
@@ -143,7 +148,7 @@ def mmse_estimate(
     if noise.shape != (n_rrh, length):
         raise ConsistencyError(f"noise must have shape {(n_rrh, length)}")
     h_hat, mse = _cached_plan(chan, book, assoc)(noise, n0)
-    return EstimationResult(_frozen(h_hat), _frozen(mse), float(n0))
+    return EstimationResult(h_hat, mse, float(n0))
 
 
 # The last plan and the objects it was made from. One slot suffices because a
@@ -154,27 +159,16 @@ _memo = None
 
 def _cached_plan(chan, book, assoc):
     """The plan of (chan, book, assoc), reused while the same three objects
-    come back with arrays nothing can write to."""
+    come back: each holds read-only copies of its arrays, so the same objects
+    mean the same values."""
     global _memo
-    frozen = all(map(_read_only, (chan.small_scale, chan.large_scale, book.pilots, book.color_of)))
     memo = _memo
-    if frozen and memo is not None and memo[0] is chan and memo[1] is book and memo[2] is assoc:
+    if memo is not None and memo[0] is chan and memo[1] is book and memo[2] is assoc:
         return memo[3]
     _memo = None  # at most one plan alive, also while the next is built
     plan = _plan(chan, book, assoc)
-    if frozen:
-        _memo = (chan, book, assoc, plan)
+    _memo = (chan, book, assoc, plan)
     return plan
-
-
-def _read_only(a) -> bool:
-    """True for None and for an array that, like every array it views, is
-    read-only and ends in an array owning its data."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
 
 
 def _plan(chan, book, assoc):

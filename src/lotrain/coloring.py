@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
+from .geometry import _frozen
 from .graphs import ConflictGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
     """Proper vertex coloring with contiguous colors 0..num_colors-1."""
 
@@ -22,10 +23,8 @@ class Coloring:
     num_colors: int
 
     def __post_init__(self):
-        c = np.asarray(self.colors, dtype=np.intp)
-        c.flags.writeable = False
-        object.__setattr__(self, "colors", c)
-        used = np.unique(c)
+        object.__setattr__(self, "colors", _frozen(self.colors, np.intp))
+        used = np.unique(self.colors)
         expect = np.arange(self.num_colors)
         if used.shape != expect.shape or np.any(used != expect):
             raise ConsistencyError("colors used must be exactly 0..num_colors-1")

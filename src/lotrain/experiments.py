@@ -40,7 +40,7 @@ from .channel import (
 )
 from .coloring import dsatur
 from .errors import ConsistencyError, ParameterError, TrainingLengthError
-from .geometry import RNG_ALGORITHM, _frozen, _rng, generate_layout
+from .geometry import RNG_ALGORITHM, _rng, generate_layout
 from .graphs import build_conflict_graph, build_proximity_graph, max_degree
 from .pilots import PilotBook, _beta_array, build_pilot_book, dft_rows
 from .scaling import chromatic_scaling_bound, degree_scaling_bound, radius_for_rho
@@ -265,7 +265,7 @@ def baseline_random_pilots(length: int, n_user: int, rng: np.random.Generator,
     g = complex_gaussian(rng, (n_user, length))
     norms = np.linalg.norm(g, axis=1)
     pilots = g * (np.sqrt(length * b * p0) / norms)[:, None]
-    return PilotBook(_frozen(pilots), b, float(p0), None)
+    return PilotBook(pilots, b, float(p0), None)
 
 
 def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Generator,
@@ -294,7 +294,7 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Gen
     pilots[active] = np.sqrt(length * beta * p0) * dft_rows(length)
     colors = np.zeros(n_user, dtype=np.intp)
     colors[active] = np.arange(length)
-    return _frozen(active), PilotBook(_frozen(pilots), _frozen(b), float(p0), _frozen(colors))
+    return active, PilotBook(pilots, b, float(p0), colors)
 
 
 def _global_orthogonal_assoc(n_rrh: int, active: np.ndarray, n_user: int) -> AssociationMap:

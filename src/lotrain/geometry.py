@@ -4,7 +4,7 @@ RRHs and users are drawn independently and uniformly on [0, side]^2. All
 coordinates are plain (x, y) float pairs; layouts store them as (n, 2) arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _frozen(a, dtype=None) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a``. The values the pipeline hands
+    from stage to stage take their arrays through here, so each owns its
+    data and never changes."""
+    a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 
@@ -34,18 +37,17 @@ def _index_pairs(a, b, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only intp copies of the index pairs (a[p], b[p]), which must lie
     in range and be sorted by (a, b) with no repeats, as ``pairs_within``
     returns them."""
-    a, b = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     if a.ndim != 1 or a.shape != b.shape:
         raise ConsistencyError("index pairs need two 1-D arrays of one length")
     # with b in range, keys a*n_b + b rising strictly from -1 to n_a*n_b put a in range
     keys = np.concatenate([[-1], a * n_b + b, [n_a * n_b]])
     if np.any((b < 0) | (b >= n_b)) or np.any(np.diff(keys) <= 0):
         raise ConsistencyError("index pairs must lie in range, sorted, with no repeats")
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
+    return _frozen(a), _frozen(b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkLayout:
     """One realization of RRH and user positions.
 
@@ -53,13 +55,15 @@ class NetworkLayout:
         side: edge length of the square service area (meters).
         rrh_xy: (n_rrh, 2) RRH positions.
         user_xy: (n_user, 2) user positions.
-        seed: seed the layout was drawn from, kept for replay.
     """
 
     side: float
     rrh_xy: np.ndarray
     user_xy: np.ndarray
-    seed: object = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rrh_xy", _frozen(self.rrh_xy))
+        object.__setattr__(self, "user_xy", _frozen(self.user_xy))
 
     @property
     def n_rrh(self) -> int:
@@ -81,9 +85,8 @@ def generate_layout(n_rrh: int, n_user: int, side: float, seed) -> NetworkLayout
     if not side > 0:
         raise ParameterError(f"side must be positive, got {side}")
     rng = _rng(seed)
-    rrh_xy = rng.uniform(0.0, side, size=(n_rrh, 2))
-    user_xy = rng.uniform(0.0, side, size=(n_user, 2))
-    return NetworkLayout(float(side), _frozen(rrh_xy), _frozen(user_xy), seed)
+    return NetworkLayout(float(side), rng.uniform(0.0, side, size=(n_rrh, 2)),
+                         rng.uniform(0.0, side, size=(n_user, 2)))
 
 
 def dist_linf(a, b) -> float:

@@ -153,7 +153,7 @@ def find_coloring(g: ConflictGraph, n_colors: int, vertex_limit: int = 16):
         colors[v] = -1
         return False
 
-    return _frozen(colors) if assign(0, 0) else None
+    return colors if assign(0, 0) else None
 
 
 def exact_chromatic_number(g: ConflictGraph, vertex_limit: int = 16) -> int:

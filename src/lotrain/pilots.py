@@ -6,13 +6,15 @@ every RRH sees mutually orthogonal pilots among the users it serves, which is
 all the orthogonality the per-RRH estimator needs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .association import AssociationMap
 from .coloring import Coloring
 from .errors import ConsistencyError, ParameterError
+from .geometry import _frozen
+from .graphs import build_conflict_graph
 
 
 def dft_rows(length: int) -> np.ndarray:
@@ -21,7 +23,7 @@ def dft_rows(length: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * t / length) / np.sqrt(length) if length else np.empty((0, 0), complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PilotBook:
     """Per-user training sequences.
 
@@ -40,7 +42,13 @@ class PilotBook:
     pilots: np.ndarray
     beta: np.ndarray
     p0: float
-    color_of: np.ndarray | None = field(default=None)
+    color_of: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "pilots", _frozen(self.pilots))
+        object.__setattr__(self, "beta", _frozen(self.beta))
+        if self.color_of is not None:
+            object.__setattr__(self, "color_of", _frozen(self.color_of))
 
     @property
     def n_user(self) -> int:
@@ -73,27 +81,21 @@ def build_pilot_book(coloring: Coloring, beta=1.0, p0: float = 1.0) -> PilotBook
     length = coloring.num_colors
     rows = dft_rows(length)
     pilots = np.sqrt(length * b * p0)[:, None] * rows[coloring.colors]
-    pilots.flags.writeable = False
     return PilotBook(pilots, b, float(p0), coloring.colors)
 
 
 def check_local_orthogonality(book: PilotBook, assoc: AssociationMap, tol: float = 1e-10) -> bool:
     """True iff, at every RRH, served users' pilots are pairwise orthogonal.
 
-    Orthogonality is only required within each RRH's served set; users served
-    by no common RRH may correlate arbitrarily. A cross-correlation counts as
-    zero when it is at most ``tol`` times the largest pilot energy in the
-    book, so the verdict does not depend on the power scale.
+    Orthogonality is only required within each RRH's served set, that is
+    along the edges of the conflict graph; users served by no common RRH may
+    correlate arbitrarily. A cross-correlation counts as zero when it is at
+    most ``tol`` times the largest pilot energy in the book, so the verdict
+    does not depend on the power scale.
     """
     if book.n_user != assoc.n_user:
         raise ConsistencyError("pilot book and association disagree on the user count")
-    limit = tol * float(np.max(np.sum(np.abs(book.pilots) ** 2, axis=1), initial=0.0))
-    for users in assoc.served_users:
-        if len(users) < 2:
-            continue
-        x = book.pilots[list(users)]
-        gram = x @ x.conj().T
-        np.fill_diagonal(gram, 0.0)
-        if np.max(np.abs(gram)) > limit:
-            return False
-    return True
+    x = book.pilots
+    limit = tol * float(np.max(np.sum(np.abs(x) ** 2, axis=1), initial=0.0))
+    k, m = build_conflict_graph(assoc).edge_array.T
+    return not np.any(np.abs(np.sum(x[k] * x[m].conj(), axis=1)) > limit)

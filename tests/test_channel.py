@@ -29,6 +29,7 @@ from lotrain import (
     ExperimentConfig,
     NetworkLayout,
     ParameterError,
+    PilotBook,
     baseline_global_orthogonal,
     baseline_random_pilots,
     build_conflict_graph,
@@ -453,52 +454,36 @@ def test_memo_plans_once_per_run_and_holds_one_plan(monkeypatch):
     assert len(planned) == len(SCHEMES)
 
 
-@pytest.mark.parametrize("book_kind", ["proposed", "random"])
-@pytest.mark.parametrize("changed", ["small_scale", "large_scale", "pilots", "viewed"])
-def test_memo_sees_arrays_changed_in_place(changed, book_kind):
-    # a writeable array, or a read-only view of one, may change between
-    # calls on the same objects: each call must see the new values. Every
-    # other array is read-only, so the changed one alone must stop the memo.
+SOURCE_CASES = [(source, kind) for source in ("small_scale", "large_scale", "pilots", "beta",
+                                              "color_of", "rrh", "user")
+                for kind in ("proposed", "random") if (source, kind) != ("color_of", "random")]
+
+
+@pytest.mark.parametrize("source,book_kind", SOURCE_CASES, ids=["-".join(c) for c in SOURCE_CASES])
+def test_memo_holds_values_whose_source_arrays_change(source, book_kind):
+    # the memo keys on the identity of (channel, book, association), which is
+    # sound only because every constructor copies the arrays it is given: a
+    # source array changed afterwards reaches neither the value nor its plan
     ch, cases, z0 = memo_instance()
     book, assoc = cases[book_kind]
-    arrays = {"small_scale": ch.small_scale, "large_scale": ch.large_scale, "pilots": book.pilots}
-    key = "small_scale" if changed == "viewed" else changed
-    target = arrays[key] = arrays[key].copy()
-    if changed == "viewed":
-        arrays[key] = target.view()
-        arrays[key].flags.writeable = False
-
-    def build(copy):
-        a = {key: v.copy() if copy else v for key, v in arrays.items()}
-        return (ChannelRealization(a["small_scale"], a["large_scale"], 3.5, None),
-                dataclasses.replace(book, pilots=a["pilots"]))
-
-    live_ch, live_book = build(copy=False)
+    given = {"small_scale": ch.small_scale, "large_scale": ch.large_scale, "pilots": book.pilots,
+             "beta": book.beta, "color_of": book.color_of, "rrh": assoc.rrh, "user": assoc.user}
+    given = {name: a.copy() for name, a in given.items() if a is not None}
+    ch = ChannelRealization(given["small_scale"], given["large_scale"], 3.5)
+    book = PilotBook(given["pilots"], given["beta"], book.p0, given.get("color_of"))
+    assoc = AssociationMap(given["rrh"], given["user"], assoc.n_rrh, assoc.n_user, assoc.threshold)
+    owner = {"small_scale": ch, "large_scale": ch, "rrh": assoc, "user": assoc}.get(source, book)
+    held = getattr(owner, source)
+    kept = held.copy()
     noise = 0.1 * z0
-    before = mmse_estimate(live_ch, live_book, assoc, 0.01, noise=noise)
-    target *= 0.5
-    after = mmse_estimate(live_ch, live_book, assoc, 0.01, noise=noise)
-    channel_mod._memo = None
-    want = mmse_estimate(*build(copy=True), assoc, 0.01, noise=noise)
-    assert np.array_equal(after.h_hat, want.h_hat) and np.array_equal(after.mse, want.mse)
-    assert not (np.array_equal(before.h_hat, after.h_hat) and np.array_equal(before.mse, after.mse))
-
-
-@pytest.mark.parametrize("book_kind", ["proposed", "random"])
-def test_memo_holds_an_association_whose_source_arrays_change(book_kind):
-    # the memo keys on the association's identity, which is sound only
-    # because a map copies the arrays it is built from
-    ch, cases, z0 = memo_instance()
-    book, built = cases[book_kind]
-    rrh, user = built.rrh.copy(), built.user.copy()
-    assoc = AssociationMap(rrh, user, built.n_rrh, built.n_user, built.threshold)
-    noise = 0.1 * z0
-    mmse_estimate(ch, book, assoc, 0.01, noise=noise)
-    user[:] = user[::-1]
+    before = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
+    given[source] += 1
+    assert np.array_equal(held, kept)
     after = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
     channel_mod._memo = None
-    want = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
-    assert np.array_equal(after.h_hat, want.h_hat) and np.array_equal(after.mse, want.mse)
+    fresh = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
+    for est in (after, fresh):
+        assert np.array_equal(est.h_hat, before.h_hat) and np.array_equal(est.mse, before.mse)
 
 
 # ------------------------------------------------- variance and throughput

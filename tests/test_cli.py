@@ -4,6 +4,7 @@ CSV contracts: 0 success, 1 bad parameters, 2 infeasible training length,
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -199,3 +200,19 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2", "1", "1"]
+
+
+def test_suite_runs_one_blas_thread(tmp_path):
+    # conftest.py imports lotrain before any test module imports numpy, so a
+    # suite started with the variables unset pins one thread, as the CLI does;
+    # a probe suite beside a copy of it reads the variables
+    tests = Path(__file__).resolve().parent
+    shutil.copy(tests / "conftest.py", tmp_path)
+    (tmp_path / "test_probe.py").write_text(
+        "import os\n\nimport numpy  # noqa: F401\n\n\ndef test_probe():\n"
+        f"    assert [os.environ.get(k) for k in {BLAS_VARS!r}] == ['1'] * 3\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tests.parent / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

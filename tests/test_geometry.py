@@ -1,9 +1,23 @@
-"""Layout generation and the Chebyshev metric."""
+"""Layout generation, the Chebyshev metric, and the rule the pipeline's
+values keep: they hold read-only copies of their arrays and compare by
+identity."""
 
 import numpy as np
 import pytest
 
-from lotrain import NetworkLayout, ParameterError, dist_linf, generate_layout, user_density
+from lotrain import (
+    AssociationMap,
+    ChannelRealization,
+    Coloring,
+    ConflictGraph,
+    EstimationResult,
+    NetworkLayout,
+    ParameterError,
+    PilotBook,
+    dist_linf,
+    generate_layout,
+    user_density,
+)
 
 
 def test_shapes_and_bounds():
@@ -23,10 +37,47 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.user_xy, c.user_xy)
 
 
+def built_values():
+    """One value of each type that copies its arrays, built from fresh
+    writeable arrays: (value, {field: the array passed for it}) pairs."""
+    rng = np.random.default_rng(0)
+    rrh_xy, user_xy = rng.uniform(0.0, 10.0, (2, 2)), rng.uniform(0.0, 10.0, (3, 2))
+    rrh, user, colors = np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([0, 1, 0])
+    src, dst = np.array([0, 1]), np.array([1, 0])
+    pilots, beta = rng.standard_normal((3, 2)) + 0j, np.ones(3)
+    small, large = rng.standard_normal((2, 3)) + 0j, rng.uniform(0.1, 1.0, (2, 3))
+    return [
+        (NetworkLayout(10.0, rrh_xy, user_xy), {"rrh_xy": rrh_xy, "user_xy": user_xy}),
+        (AssociationMap(rrh, user, 2, 3, 5.0), {"rrh": rrh, "user": user}),
+        (ConflictGraph(2, src, dst, "custom"), {"src": src, "dst": dst}),
+        (Coloring(colors, 2), {"colors": colors}),
+        (PilotBook(pilots, beta, 1.0, colors), {"pilots": pilots, "beta": beta, "color_of": colors}),
+        (ChannelRealization(small, large, 3.5), {"small_scale": small, "large_scale": large}),
+    ]
+
+
 def test_layout_arrays_immutable():
     lay = generate_layout(5, 5, 10.0, seed=1)
     with pytest.raises(ValueError):
         lay.rrh_xy[0, 0] = 99.0
+    # every value holds read-only copies: no caller can change it afterwards
+    for value, given in built_values():
+        for name, a in given.items():
+            held = getattr(value, name)
+            assert not held.flags.writeable and not np.shares_memory(held, a), (type(value), name)
+            assert np.array_equal(held, a)
+
+
+def test_values_hash_and_compare_by_identity():
+    # == is identity and hash() works, though the fields are arrays: two
+    # values built from equal arrays are still two values
+    def values():
+        est = EstimationResult(np.zeros((2, 3), complex), np.ones((2, 3)), 0.1)
+        return [value for value, _ in built_values()] + [est]
+
+    for a, b in zip(values(), values()):
+        assert a == a and a != b and not a == b, type(a)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 @pytest.mark.parametrize("n_rrh,n_user,side", [(0, 5, 10.0), (5, 0, 10.0), (5, 5, 0.0), (5, 5, -1.0)])

@@ -91,6 +91,60 @@ def test_local_orthogonality_end_to_end():
         assert check_local_orthogonality(book, refine(assoc, lay, col))
 
 
+def local_orthogonality_loop(book, assoc, tol=1e-10) -> bool:
+    """The per-RRH Gram check that check_local_orthogonality replaced by one
+    test along the conflict edges, kept as its oracle."""
+    limit = tol * float(np.max(np.sum(np.abs(book.pilots) ** 2, axis=1), initial=0.0))
+    for users in assoc.served_users:
+        if len(users) < 2:
+            continue
+        x = book.pilots[list(users)]
+        gram = x @ x.conj().T
+        np.fill_diagonal(gram, 0.0)
+        if np.max(np.abs(gram)) > limit:
+            return False
+    return True
+
+
+def test_local_orthogonality_matches_the_per_rrh_loop():
+    # colored and free-form books, and colored books perturbed so that user u
+    # meets every user of m's color at a cross term of 0.5x or 2x the limit:
+    # the verdict flips only at 2x, and only if u shares an RRH with one
+    rng = np.random.default_rng(29)
+    tol = 1e-10
+    verdicts = []
+    for _ in range(120):
+        k = int(rng.integers(2, 30))
+        lay = generate_layout(int(rng.integers(1, 12)), k, 50.0, seed=int(rng.integers(1 << 31)))
+        assoc = sparsify(lay, float(rng.uniform(3, 25)))
+        graph = build_conflict_graph(assoc)
+        col = dsatur(graph)
+        colored = build_pilot_book(col, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.5, 100.0)))
+        length = col.num_colors
+        free = rng.standard_normal((k, length)) + 1j * rng.standard_normal((k, length))
+        books = [(colored, None), (PilotBook(free, np.ones(k), 1.0, None), None)]
+        u = int(rng.integers(k))
+        others = np.flatnonzero(col.colors != col.colors[u])
+        if others.size:
+            # with a scalar beta every user of m's color sends m's row
+            m = int(rng.choice(others))
+            row = colored.pilots[m]
+            peers = np.flatnonzero(col.colors == col.colors[m])
+            shares = bool(np.isin(peers, graph.neighbors[u]).any())
+            energy = float(np.max(np.sum(np.abs(colored.pilots) ** 2, axis=1)))
+            norm = float(np.linalg.norm(row))
+            for factor in (0.5, 2.0):
+                x = colored.pilots.copy()
+                x[u] += factor * tol * energy / norm**2 * row
+                books.append((PilotBook(x, colored.beta, colored.p0, None), factor < 1 or not shares))
+        for book, want in books:
+            got = check_local_orthogonality(book, assoc, tol)
+            assert got == local_orthogonality_loop(book, assoc, tol)
+            assert want is None or got == want
+            verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_local_orthogonality_detects_conflicts():
     # both users at one RRH with the same pilot row
     lay = generate_layout(1, 2, 10.0, seed=0)
