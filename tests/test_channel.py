@@ -454,6 +454,38 @@ def test_memo_plans_once_per_run_and_holds_one_plan(monkeypatch):
     assert len(planned) == len(SCHEMES)
 
 
+@pytest.mark.parametrize("book_kind", ["proposed", "random"])
+@pytest.mark.parametrize("changed", ["small_scale", "large_scale", "pilots", "viewed"])
+def test_memo_sees_arrays_changed_in_place(changed, book_kind):
+    # a source array, or a read-only view of a writeable one, may change in
+    # place between calls: values built from it afterwards must see the new
+    # entries, while the values built before keep the old ones and their plan
+    ch, cases, z0 = memo_instance()
+    book, assoc = cases[book_kind]
+    arrays = {"small_scale": ch.small_scale, "large_scale": ch.large_scale, "pilots": book.pilots}
+    key = "small_scale" if changed == "viewed" else changed
+    target = arrays[key] = arrays[key].copy()
+    if changed == "viewed":
+        arrays[key] = target.view()
+        arrays[key].flags.writeable = False
+
+    def build():
+        return (ChannelRealization(arrays["small_scale"], arrays["large_scale"], 3.5, None),
+                dataclasses.replace(book, pilots=arrays["pilots"]))
+
+    old = build()
+    noise = 0.1 * z0
+    before = mmse_estimate(*old, assoc, 0.01, noise=noise)
+    target *= 0.5
+    after = mmse_estimate(*build(), assoc, 0.01, noise=noise)
+    again = mmse_estimate(*old, assoc, 0.01, noise=noise)
+    channel_mod._memo = None
+    want = mmse_estimate(*build(), assoc, 0.01, noise=noise)
+    assert np.array_equal(after.h_hat, want.h_hat) and np.array_equal(after.mse, want.mse)
+    assert not (np.array_equal(before.h_hat, after.h_hat) and np.array_equal(before.mse, after.mse))
+    assert np.array_equal(again.h_hat, before.h_hat) and np.array_equal(again.mse, before.mse)
+
+
 SOURCE_CASES = [(source, kind) for source in ("small_scale", "large_scale", "pilots", "beta",
                                               "color_of", "rrh", "user")
                 for kind in ("proposed", "random") if (source, kind) != ("color_of", "random")]
