@@ -1,8 +1,5 @@
 """Deterministic fan-out of independent trial payloads."""
 
-from concurrent.futures import ProcessPoolExecutor
-import multiprocessing
-
 
 def pool_map(fn, payloads, workers: int = 1) -> list:
     """Map fn over payloads preserving order; workers > 1 uses processes.
@@ -14,6 +11,10 @@ def pool_map(fn, payloads, workers: int = 1) -> list:
     payloads = list(payloads)
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    # imported here: they add about 20 ms to every CLI start, and only a pool needs them
+    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
+
     ctx = multiprocessing.get_context("spawn")
     chunk = max(1, len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

@@ -36,36 +36,36 @@ def dsatur(g: ConflictGraph) -> Coloring:
     Vertex selection: maximum saturation degree (count of distinct colors on
     neighbors), ties by maximum ordinary degree, remaining ties by lowest
     index. The chosen vertex gets the smallest color unused on its neighbors.
+
+    Each step is a fixed handful of numpy calls on the chosen vertex's arc
+    slice, with no Python work per arc. A boolean table ``free[c, m]`` is
+    true while vertex m is uncolored and no neighbor of m has color c; it is
+    stored color-major, so one color's entries for a neighbor slice are one
+    contiguous row. The table starts 8 colors wide and doubles whenever the
+    chosen color reaches its last row, which therefore stays true for every
+    uncolored vertex: working memory is O(n x colors used), not
+    O(n x (max_degree + 1)).
     """
     n = g.n_vertices
-    arcs, start = g.dst.tolist(), np.searchsorted(g.src, np.arange(n + 1)).tolist()
-    colors = [-1] * n
+    dst = g.dst
+    start = np.searchsorted(g.src, np.arange(n + 1)).tolist()
     # composite key ranks saturation first, then degree; degree < n+1 so the
     # two never interfere. Colored vertices drop to -1, and argmax takes the
     # first (lowest-index) maximum.
     key = np.diff(start).astype(np.int64)
-    seen: list[set] = [set() for _ in range(n)]
+    free = np.ones((8, n), dtype=bool)
+    colors = np.empty(n, dtype=np.intp)
     for _ in range(n):
-        v = int(np.argmax(key))
-        used = seen[v]
-        c = 0
-        while c in used:
-            c += 1
+        v = int(key.argmax())
+        c = int(free[:, v].argmax())
+        if c == free.shape[0] - 1:
+            free = np.concatenate([free, np.broadcast_to(key >= 0, free.shape)])
         colors[v] = c
+        free[:, v] = False
         key[v] = -1
-        raised = [m for m in arcs[start[v]:start[v + 1]] if colors[m] < 0 and c not in seen[m]]
-        if raised:
-            for m in raised:
-                seen[m].add(c)
-            key[raised] += n + 1
-    num = max(colors) + 1 if n else 0
-    return Coloring(np.array(colors, dtype=np.intp), num)
-
-
-def validate_coloring(g: ConflictGraph, coloring: Coloring) -> bool:
-    """True iff no edge joins two same-colored vertices."""
-    c = coloring.colors
-    if c.shape[0] != g.n_vertices:
-        raise ConsistencyError("coloring does not cover the graph's vertices")
-    e = g.edge_array
-    return bool(np.all(c[e[:, 0]] != c[e[:, 1]])) if e.size else True
+        row = free[c]
+        nb = dst[start[v]:start[v + 1]]
+        raised = nb[row[nb]]
+        row[raised] = False
+        key[raised] += n + 1
+    return Coloring(colors, int(colors.max()) + 1 if n else 0)

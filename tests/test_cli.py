@@ -177,6 +177,34 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # multiprocessing and concurrent.futures cost about 20 ms per start; only --workers > 1 needs them
+    code = ("import sys, lotrain.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# SHA-256 of the shipped configs' CSVs at --trials 2 --seed 4 --workers 1. Both
+# hold only counts and floats derived from them with math, so the bytes pin
+# every DSATUR coloring of the run and do not depend on the BLAS library.
+PINNED_CSV_SHA256 = {
+    "scaling": "ca867f432a0e7769e7228a66bfe9f305e5fb43d498778e4b4b0e05823611cce6",
+    "density": "5927d72d4235b98b1a0fc33b7a81c74aff8f75186403d5b95e3bdc82ea44a6d1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV_SHA256))
+def test_shipped_config_csv_bytes_are_pinned(tmp_path, name):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+    out = tmp_path / f"{name}.csv"
+    proc = run_cli(name, "--config", str(cfg), "--out", str(out),
+                   "--trials", "2", "--seed", "4", "--workers", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_SHA256[name]
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

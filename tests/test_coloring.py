@@ -1,5 +1,7 @@
 """DSATUR behavior and coloring validity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,18 @@ from lotrain import (
     exact_chromatic_number,
     generate_layout,
     max_degree,
+    radius_for_rho,
     sparsify,
 )
-from lotrain.coloring import validate_coloring
+
+
+def validate_coloring(g, coloring):
+    """True iff no edge joins two same-colored vertices."""
+    c = coloring.colors
+    if c.shape[0] != g.n_vertices:
+        raise ConsistencyError("coloring does not cover the graph's vertices")
+    e = g.edge_array
+    return bool(np.all(c[e[:, 0]] != c[e[:, 1]])) if e.size else True
 
 
 def dsatur_reference(g):
@@ -43,6 +54,18 @@ def dsatur_reference(g):
 
 def cycle(n):
     return ConflictGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete(n):
+    return ConflictGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += (g.edge_array + offset).tolist()
+        offset += g.n_vertices
+    return ConflictGraph.from_edges(offset, edges)
 
 
 def random_graph(rng, n_max=14):
@@ -162,3 +185,55 @@ def test_validate_coloring():
     assert not validate_coloring(tri, Coloring(np.array([0, 0, 1]), 2))
     with pytest.raises(ConsistencyError):
         validate_coloring(tri, Coloring(np.array([0, 1]), 2))
+
+
+def test_dsatur_on_complete_graphs_crosses_every_table_width():
+    # K_n needs exactly n colors, so K_1..K_70 take the color table through
+    # every width from 8 to 128
+    for n in range(1, 71):
+        g = complete(n)
+        col = dsatur(g)
+        assert col.num_colors == n == max_degree(g) + 1
+        assert np.array_equal(col.colors, dsatur_reference(g))
+
+
+def test_dsatur_on_odd_cycles_unions_and_empty_graphs():
+    for n in (3, 5, 7, 9, 21, 101):
+        col = dsatur(cycle(n))
+        assert col.num_colors == 3 and validate_coloring(cycle(n), col)
+        assert np.array_equal(col.colors, dsatur_reference(cycle(n)))
+    g = disjoint_union(complete(3), complete(12), complete(1), complete(9), cycle(5), complete(20))
+    col = dsatur(g)
+    assert col.num_colors == 20 and validate_coloring(g, col)
+    assert np.array_equal(col.colors, dsatur_reference(g))
+    empty = dsatur(ConflictGraph.from_edges(0, []))
+    assert empty.num_colors == 0 and empty.colors.shape == (0,)
+    single = dsatur(ConflictGraph.from_edges(1, []))
+    assert single.num_colors == 1 and list(single.colors) == [0]
+    isolated = dsatur(ConflictGraph.from_edges(40, []))
+    assert isolated.num_colors == 1 and not isolated.colors.any()
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_dsatur_matches_reference_at_scaling_size(seed):
+    # the scaling experiment's largest point: K = 2000 users, N = 1000 RRHs
+    # at the rho-matched radius, both graph kinds
+    r = radius_for_rho(2000, 1000 / 100.0**2, 0.5)
+    lay = generate_layout(1000, 2000, 100.0, seed=seed)
+    for g in (build_conflict_graph(sparsify(lay, r)), build_proximity_graph(lay, r)):
+        assert np.array_equal(dsatur(g).colors, dsatur_reference(g))
+
+
+def test_dsatur_memory_grows_with_colors_used_not_max_degree():
+    # a star with 20,000 leaves has max degree 20,000 but needs 2 colors; a
+    # (max_degree + 1)-wide table would take 400 MB
+    leaves = 20_000
+    star = ConflictGraph.from_edges(leaves + 1, [(0, j) for j in range(1, leaves + 1)])
+    tracemalloc.start()
+    try:
+        col = dsatur(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col.num_colors == 2 and col.colors[0] == 0 and np.all(col.colors[1:] == 1)
+    assert peak < 16 * 2**20, f"dsatur peaked at {peak / 2**20:.1f} MB"
