@@ -89,14 +89,22 @@ class EstimationResult:
     """Per-(RRH, user) channel estimates and their error variances.
 
     Users outside an RRH's served set keep estimate 0 and error variance 1
-    (the prior): nothing about them was learned during training. Unlike the
-    inputs, an estimate keeps the arrays it is given: nothing keys on its
-    identity, as the rate's level memo compares the pattern's content.
+    (the prior): nothing about them was learned during training.
+
+    ``mmse_estimate`` also records the served pairs in ``rrh`` and ``user``
+    (the association's arrays, sorted by (RRH, user)) and makes its
+    ``h_hat`` and ``mse`` read-only, so the rate reads the pattern from the
+    pairs. An estimate built by hand keeps the arrays it is given and
+    usually leaves the pairs None; the rate then takes the nonzeros of
+    ``h_hat`` as the pattern, whatever was written into it. Pairs given by
+    hand must be sorted the same way and hold every nonzero of ``h_hat``.
     """
 
     h_hat: np.ndarray
     mse: np.ndarray
     noise_power: float
+    rrh: np.ndarray | None = None
+    user: np.ndarray | None = None
 
 
 def mmse_estimate(
@@ -117,16 +125,20 @@ def mmse_estimate(
     ``color_of`` and no RRH serves two users of one color, the served pilots
     are orthogonal at every RRH, so each weight decouples to
     gamma_k x_k^* / (gamma_k^2 E_k + n0) and only same-colored users outside
-    the set leak in: all RRHs are estimated at once in closed form. Any other
-    book (free-form, or colored but not locally orthogonal) takes a batched
-    dual-form LMMSE that assumes nothing about the pilots: one stacked SVD of
-    every RRH's gain-scaled served pilots, after which each noise power is a
-    diagonal rescaling. The tests check both paths against a per-RRH
-    regularized solve.
+    the set leak in: all RRHs are estimated at once in closed form, from one
+    correlation per color. Any other book (free-form, or colored but not
+    locally orthogonal) takes a dual-form LMMSE that assumes nothing about
+    the pilots: the RRHs are grouped by the size of their served sets and
+    each group's gain-scaled served pilots take one stacked SVD, after which
+    each noise power is a diagonal rescaling. The tests check both paths
+    against a per-RRH regularized solve.
 
     The work that does not depend on the noise is planned once per
     (channel, book, association) and reused while the same three objects
-    come back; a scheme evaluated over an SNR grid pays for it once.
+    come back; a scheme evaluated over an SNR grid pays for it once. Each
+    call then works on the served pairs only, apart from filling the dense
+    ``h_hat`` and ``mse``. The result carries the association's pairs, and
+    its ``h_hat`` and ``mse`` are read-only.
 
     The training observation is synthesized internally. Pass ``noise``
     (shape (n_rrh, training_length), entries of variance n0) to pin the noise
@@ -147,8 +159,18 @@ def mmse_estimate(
         noise = np.sqrt(n0) * complex_gaussian(rng, (n_rrh, length))
     if noise.shape != (n_rrh, length):
         raise ConsistencyError(f"noise must have shape {(n_rrh, length)}")
-    h_hat, mse = _cached_plan(chan, book, assoc)(noise, n0)
-    return EstimationResult(h_hat, mse, float(n0))
+    h, e = _cached_plan(chan, book, assoc)(noise, n0)
+    flat = assoc.rrh * n_user + assoc.user
+    h_hat = _scatter(np.zeros((n_rrh, n_user), dtype=complex), flat, h)
+    mse = _scatter(np.ones((n_rrh, n_user)), flat, e)
+    return EstimationResult(h_hat, mse, float(n0), assoc.rrh, assoc.user)
+
+
+def _scatter(out: np.ndarray, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out`` with ``values`` written at the flat indices, made read-only."""
+    out.ravel()[flat] = values
+    out.flags.writeable = False
+    return out
 
 
 # The last plan and the objects it was made from. One slot suffices because a
@@ -173,14 +195,14 @@ def _cached_plan(chan, book, assoc):
 
 def _plan(chan, book, assoc):
     """Noise-independent work of the estimator. Returns a function of
-    (noise, n0) giving (h_hat, mse)."""
+    (noise, n0) giving the estimates and error variances of the served
+    pairs, in the association's order."""
     rows, cols = assoc.rrh, assoc.user
-    sizes = np.bincount(rows, minlength=assoc.n_rrh)
     clean = (chan.small_scale * chan.large_scale) @ book.pilots  # noiseless received signal
     colors = book.color_of
     if colors is not None and _one_user_per_color(rows, colors[cols]):
         return _decoupled_plan(chan, book, rows, cols, clean)
-    return _batched_plan(chan, book, sizes, rows, cols, clean)
+    return _batched_plan(chan, book, rows, cols, clean)
 
 
 def _one_user_per_color(rows: np.ndarray, pair_colors: np.ndarray) -> bool:
@@ -195,81 +217,97 @@ def _one_user_per_color(rows: np.ndarray, pair_colors: np.ndarray) -> bool:
 def _decoupled_plan(chan, book, rows, cols, clean):
     """Closed-form estimator for a colored, locally orthogonal book.
 
-    Users of one color send scaled copies of one pilot row and rows of
-    different colors are orthogonal, so with a = gamma^2 E and den = a + n0,
-    h_hat = gamma (y x^H) / den and mse = n0 / den + a (S[i, c] - a) / den^2,
+    By the book's color contract user k sends x_k = coef_k base[c_k], where
+    base[c] is a unit row (its color's strongest pilot, normalized; zero for
+    a color whose users all send nothing) and rows of different colors are
+    orthogonal. So an RRH correlates its signal once per color, and with
+    a = gamma^2 E and den = a + n0,
+    h_hat = gamma conj(coef) (y base[c]^H) / den and
+    mse = n0 / den + a (S[i, c] - a) / den^2,
     where S[i, c] is the pilot energy RRH i receives on color c.
     """
+    x = book.pilots
     colors = book.color_of
-    xh = book.pilots.conj().T
-    energy = np.sum(np.abs(book.pilots) ** 2, axis=1)
+    n_user, length = x.shape
+    n_colors = int(colors.max(initial=-1)) + 1
+    energy = np.sum(np.abs(x) ** 2, axis=1)
+    order = np.lexsort((-energy, colors))  # by color, strongest first
+    lead = order[np.diff(colors[order], prepend=-1) != 0]
+    norm = np.sqrt(energy[lead])
+    base = np.zeros((n_colors, length), dtype=complex)
+    base[colors[lead]] = x[lead] / np.where(norm > 0, norm, 1.0)[:, None]
+    coef = np.sum(x * base[colors].conj(), axis=1)  # one per user
+    base_h = np.ascontiguousarray(base.conj().T)
     # (n_user, n_colors): each user's pilot energy in its color's column
-    by_color = np.zeros((colors.size, int(colors.max()) + 1))
-    by_color[np.arange(colors.size), colors] = energy
+    by_color = np.zeros((n_user, n_colors))
+    by_color[np.arange(n_user), colors] = energy
     color_energy = chan.large_scale**2 @ by_color
+    at = rows * n_colors + colors[cols]  # flat (RRH, color) of each pair
     g = chan.large_scale[rows, cols]
     a = g * g * energy[cols]
-    leak = a * (color_energy[rows, colors[cols]] - a)
-    shape = chan.large_scale.shape
+    w = g * coef[cols].conj()
+    leak = a * (np.take(color_energy, at) - a)
 
     def estimate(noise, n0):
         den = a + n0
-        h_hat = np.zeros(shape, dtype=complex)
-        # one dense product per call, then the served entries: a
-        # (pairs, length) gather of received rows would be larger than the
-        # product, and correlating the noiseless signal apart would cost a
-        # second product whenever a book is used at one SNR only
-        h_hat[rows, cols] = g * ((clean + noise) @ xh)[rows, cols] / den
-        mse = np.ones(shape)
-        mse[rows, cols] = n0 / den + leak / den**2
-        return h_hat, mse
+        # (n_rrh x length) @ (length x n_colors), then one entry per pair
+        h = w * np.take((clean + noise) @ base_h, at) / den
+        return h, n0 / den + leak / den**2
 
     return estimate
 
 
-def _batched_plan(chan, book, sizes, rows, cols, clean):
-    """Dual-form LMMSE at every RRH at once; assumes nothing about the pilots.
+def _batched_plan(chan, book, rows, cols, clean):
+    """Dual-form LMMSE at every RRH; assumes nothing about the pilots.
 
-    RRH i stacks its served users' scaled pilots as A = diag(g) X_in, zero
-    rows padding every served set to the largest. With the SVD
+    RRH i stacks its served users' scaled pilots as A = diag(g) X_in, and
+    RRHs serving equally many users share one stacked SVD. With
     A = U diag(s) W^H, its weights (A^H A + n0 I)^-1 A^H are B D U^H with
     B = W diag(s) and D = diag(1 / (s^2 + n0)), so h_hat = conj(U D) (y B).
     The error variance is 1 - aligned + leak. Its first part equals
     |U|^2 (n0 d), plus, where the served pilots are dependent, the weight
     of the columns of U that have no singular value; this form does not
-    cancel digits the way 1 - |U|^2 (s^2 d) does. Out-of-set users leak
-    diag(U D P D U^H) with P = B^H Q B and
+    cancel digits the way 1 - |U|^2 (s^2 d) does. A set of m users on L < m
+    pilot dimensions therefore takes the full SVD, whose last m - L columns
+    of U are those columns; a set of m <= L takes the thin one, which has
+    none. Out-of-set users leak diag(U D P D U^H) with P = B^H Q B and
     Q = sum_{k not served} gamma_k^2 x_k^H x_k. Only d depends on n0.
     Taking B from the SVD, not from an eigendecomposition of A A^H, keeps
     exact zeros where A A^H is singular, so those directions add nothing
     instead of rounding residue times 1 / n0.
     """
     x = book.pilots
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    a = np.zeros((sizes.size, int(sizes.max(initial=0)), x.shape[1]), dtype=complex)
-    a[rows, slot] = chan.large_scale[rows, cols, None] * x[cols]
-    u, s, wh = np.linalg.svd(a)
-    rank = s.shape[1]  # min(largest served set, training length)
-    s2 = s * s
-    b = _herm(wh[:, :rank]) * s[:, None, :]
-    rest = np.sum(np.abs(u[:, :, rank:]) ** 2, axis=2)
-    u = np.ascontiguousarray(u[:, :, :rank])
-    u_abs2 = np.abs(u) ** 2
-    del a, wh  # lower the peak memory of the products below
-    p = _herm(b) @ (_out_of_set_covariance(chan, x, rows, cols) @ b)
-    shape = chan.large_scale.shape
+    length = x.shape[1]
+    sizes = np.bincount(rows, minlength=chan.n_rrh)
+    first = np.cumsum(sizes) - sizes  # each RRH's first pair
+    q = _out_of_set_covariance(chan, x, rows, cols)
+    groups = []
+    for m in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():  # the sizes that occur, 0 aside
+        rrh = np.flatnonzero(sizes == m)
+        pair = (first[rrh, None] + np.arange(m)).ravel()  # pairs come sorted by RRH
+        a = (chan.large_scale[rows[pair], cols[pair], None] * x[cols[pair]]).reshape(rrh.size, m, length)
+        u, s, wh = np.linalg.svd(a, full_matrices=m > length)
+        rank = s.shape[1]  # min(m, length)
+        rest = np.sum(np.abs(u[:, :, rank:]) ** 2, axis=2)
+        u = np.ascontiguousarray(u[:, :, :rank])
+        b = _herm(wh) * s[:, None, :]  # wh has rank rows either way
+        p = _herm(b) @ (q[rrh] @ b)
+        groups.append((rrh, pair, u, np.abs(u) ** 2, s * s, b, rest, p))
+    n_pairs = rows.size
 
     def estimate(noise, n0):
-        d = 1.0 / (s2 + n0)
-        ud = u * d[:, None, :]
-        ud_conj = ud.conj()
-        yb = ((clean + noise)[:, None, :] @ b).swapaxes(1, 2)
-        h_hat = np.zeros(shape, dtype=complex)
-        h_hat[rows, cols] = (ud_conj @ yb)[rows, slot, 0]
-        leak = np.real(np.sum((ud @ p) * ud_conj, axis=2))
-        mse = np.ones(shape)
-        mse[rows, cols] = (rest + (u_abs2 @ (n0 * d)[:, :, None])[:, :, 0] + leak)[rows, slot]
-        return h_hat, mse
+        y = clean + noise
+        h = np.empty(n_pairs, dtype=complex)
+        e = np.empty(n_pairs)
+        for rrh, pair, u, u_abs2, s2, b, rest, p in groups:
+            d = 1.0 / (s2 + n0)
+            ud = u * d[:, None, :]
+            ud_conj = ud.conj()
+            yb = (y[rrh, None, :] @ b).swapaxes(1, 2)
+            h[pair] = (ud_conj @ yb).ravel()
+            leak = np.real(np.sum((ud @ p) * ud_conj, axis=2))
+            e[pair] = (rest + (u_abs2 @ (n0 * d)[:, :, None])[:, :, 0] + leak).ravel()
+        return h, e
 
     return estimate
 
@@ -318,28 +356,34 @@ def throughput_lower_bound(
     diagonal of data powers beta'_k * p0, and R_v the diagonal of
     interference-plus-noise variances. Nonnegative by construction.
 
-    Only the estimated (RRH, user) pairs, the nonzeros of h_hat, enter. With
-    S the scaled effective channel the log-det is that of I + S^H S, which
-    couples two users only when some RRH estimates both; ordered by the BFS
-    levels of that co-service graph it is block tridiagonal, and one small
-    Cholesky per level gives the log-det. The level plan depends on the
-    sparsity pattern alone and is reused while the same pattern comes back,
-    as it does across a scheme's SNR grid.
+    Only the estimated (RRH, user) pairs enter: the pairs an estimate from
+    ``mmse_estimate`` records, or else the nonzeros of h_hat. With S the
+    scaled effective channel the log-det is that of I + S^H S, which couples
+    two users only when some RRH estimates both; ordered by the BFS levels
+    of that co-service graph it is block tridiagonal, and one small Cholesky
+    per level gives the log-det. The level plan depends on the pattern alone
+    and is reused while the same pattern comes back, as it does across a
+    scheme's SNR grid.
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     bp = _beta_array(beta_prime, chan.n_user, "beta_prime")
     sigma2 = interference_variance(est, chan, bp, p0)
-    flat = np.flatnonzero(est.h_hat != 0)
-    rows, cols = np.divmod(flat, est.h_hat.shape[1])
+    n_user = est.h_hat.shape[1]
+    if est.rrh is None:
+        flat = np.flatnonzero(est.h_hat != 0)
+        rows, cols = np.divmod(flat, n_user)
+    else:
+        rows, cols = est.rrh, est.user
+        flat = rows * n_user + cols
     s = (np.take(est.h_hat, flat) * np.take(chan.large_scale, flat)
          * np.sqrt(bp * p0)[cols] / np.sqrt(sigma2)[rows])
     return (1.0 - alpha) * _cached_level_plan(est.h_hat.shape, flat)(s)
 
 
 # The last level plan and the pattern it was made for: the shape and the flat
-# indices of the nonzeros. Keyed by content, not by object, so an estimate
-# changed in place or built by hand never meets a stale plan.
+# indices of the pattern's pairs. Keyed by content, not by object, so an
+# estimate changed in place or built by hand never meets a stale plan.
 _level_memo = None
 
 

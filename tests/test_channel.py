@@ -382,6 +382,97 @@ def test_colored_book_with_shared_color_at_an_rrh_takes_the_solve():
     assert np.max(np.abs(est.h_hat - slow.h_hat)) <= 1e-9 * np.max(np.abs(slow.h_hat))
 
 
+def spy(monkeypatch, owner, name):
+    """Record the positional arguments of every call to owner.name."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def test_decoupled_plan_on_phased_and_silent_users(monkeypatch):
+    # the color contract allows any complex scale per user: give every user
+    # its own phase and amplitude, silence a few served users (among them the
+    # lowest-indexed user of a color, and every user of another color), and
+    # the closed form still agrees with the per-RRH solve at 0-50 dB
+    n, k = 60, 80
+    lay = generate_layout(n, k, 50.0, seed=51)
+    assoc = sparsify(lay, 9.0)
+    col = dsatur(build_conflict_graph(assoc))
+    rng = np.random.default_rng(52)
+    scale = rng.uniform(0.3, 1.7, k) * np.exp(2j * np.pi * rng.random(k))
+    silent = [int(np.flatnonzero(col.colors == 0)[0]), *np.flatnonzero(col.colors == 1).tolist()]
+    scale[silent] = 0.0
+    assert set(silent) <= set(assoc.user.tolist()) and col.num_colors > 2
+    base = build_pilot_book(col)
+    book = PilotBook(scale[:, None] * base.pilots, np.abs(scale) ** 2, 1.0, col.colors)
+    ch = generate_channel(lay, 3.5, seed=53)
+    z0 = channel_mod.complex_gaussian(rng, (n, col.num_colors))
+    plans = spy(monkeypatch, channel_mod, "_decoupled_plan")
+    channel_mod._memo = None
+    assert_matches_per_rrh_solve(ch, book, assoc, z0)
+    assert len(plans) == 1  # the closed form, planned once for six SNRs
+    est = mmse_estimate(ch, book, assoc, 1e-3, noise=np.sqrt(1e-3) * z0)
+    assert np.all(est.h_hat[:, silent] == 0.0) and np.all(est.mse[:, silent] == 1.0)
+    # the silent users' pairs stay in the pattern, with zero values; a
+    # hand-built copy's pattern, its nonzeros, leaves them out
+    bp = data_power_coefficients(book.beta, 0.2, k)
+    rate = assert_rate_matches_dense(est, ch, bp, 0.2)
+    assert np.array_equal(channel_mod._level_memo[1], assoc.rrh * k + assoc.user)
+    by_hand = manual_est(est.h_hat.copy(), est.mse.copy(), 1e-3)
+    assert abs(throughput_lower_bound(by_hand, ch, 0.2, bp, 1.0) - rate) <= 1e-12 * rate
+    assert channel_mod._level_memo[1].size == assoc.rrh.size - np.isin(assoc.user, silent).sum()
+
+
+def set_size_instance():
+    """Ten RRHs on L = 4 pilot dimensions whose served sets hold 0, 1, 2, 3,
+    4, 6 and 8 users, with repeated pilots inside sets of 2 and 3 (m <= L,
+    rank deficient) and of 6 and 8 (m > L), and one user who sends nothing."""
+    served = [[], [0], [1, 2], [3, 4, 5, 6], list(range(8)), list(range(8, 14)), [],
+              [14], [2, 9, 15], [1, 2, 3]]
+    rrh = np.repeat(np.arange(len(served)), [len(s) for s in served])
+    assoc = AssociationMap(rrh, np.concatenate([np.array(s, np.intp) for s in served]),
+                           len(served), 16, 1.0)
+    rng = np.random.default_rng(61)
+    x = baseline_random_pilots(4, 16, rng).pilots.copy()
+    x[2] = np.exp(0.7j) * x[1]  # one direction at RRHs 2, 4 and 9
+    x[9] = 0.5 * x[8]  # two pairs of one direction at RRH 5
+    x[11] = x[10]
+    x[12] = 0.0  # silent, also at RRH 5
+    book = PilotBook(x, np.ones(16), 1.0)
+    ch = generate_channel(generate_layout(10, 16, 30.0, seed=62), 3.5, seed=63)
+    return ch, book, assoc, channel_mod.complex_gaussian(rng, (10, 4))
+
+
+def test_batched_plan_on_every_set_size(monkeypatch):
+    ch, book, assoc, z0 = set_size_instance()
+    svds = spy(monkeypatch, np.linalg, "svd")
+    channel_mod._memo = None
+    assert_matches_per_rrh_solve(ch, book, assoc, z0)
+    # one SVD per set size that occurs, each on the true size: (size, RRHs)
+    assert sorted(a[0].shape[1::-1] for a in svds) == [(1, 2), (2, 1), (3, 2), (4, 1), (6, 1), (8, 1)]
+    est = mmse_estimate(ch, book, assoc, 1e-4, noise=1e-2 * z0)
+    assert np.all(est.mse[[0, 6]] == 1.0) and np.all(est.h_hat[[0, 6]] == 0.0)
+    assert np.all(est.h_hat[:, 12] == 0.0) and np.all(est.mse[:, 12] == 1.0)
+    assert np.all(est.mse[assoc.rrh, assoc.user] > 0.0)
+
+
+def test_estimate_records_its_pairs_and_is_read_only():
+    ch, cases, z0 = memo_instance()
+    for book, assoc in cases.values():
+        est = mmse_estimate(ch, book, assoc, 0.01, noise=0.1 * z0)
+        assert est.rrh is assoc.rrh and est.user is assoc.user
+        for a in (est.h_hat, est.mse):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.5
+        # the rate reads the pairs; a hand-built copy, the nonzeros
+        bp = data_power_coefficients(book.beta, 0.25, book.n_user)
+        rate = assert_rate_matches_dense(est, ch, bp, 0.25)
+        by_hand = manual_est(est.h_hat.copy(), est.mse.copy(), 0.01)
+        assert by_hand.rrh is None
+        assert throughput_lower_bound(by_hand, ch, 0.25, bp, 1.0) == rate
+
+
 def memo_instance():
     """A channel and, per scheme, the (book, association) a trial would
     build: every array read-only. Proposed and refined share the book."""

@@ -186,6 +186,22 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("name,cfg_text", [
+    ("scaling", "n_rrh = 10\nk_grid = [30, 60]\nrho = 0.5\nside = 30.0\ntrials = 3\n"),
+    ("compare", COMPARE_CFG),
+], ids=["scaling", "compare"])
+def test_cli_run_loads_no_numpy_ma(tmp_path, name, cfg_text):
+    # the first np.unique call imports numpy.ma, which cost 10-26 ms per run
+    cfg = write(tmp_path, cfg_text)
+    out = str(tmp_path / f"{name}.csv")
+    code = ("import sys; from lotrain.cli import main; "
+            f"code = main([{name!r}, '--config', {cfg!r}, '--out', {out!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+
+
 # SHA-256 of the shipped configs' CSVs at --trials 2 --seed 4 --workers 1. Both
 # hold only counts and floats derived from them with math, so the bytes pin
 # every DSATUR coloring of the run and do not depend on the BLAS library.

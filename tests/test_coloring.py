@@ -76,10 +76,19 @@ def random_graph(rng, n_max=14):
 
 def test_contiguity_enforced():
     Coloring(np.array([0, 1, 0]), 2)
-    with pytest.raises(ConsistencyError):
-        Coloring(np.array([0, 2]), 3)  # color 1 unused
-    with pytest.raises(ConsistencyError):
-        Coloring(np.array([0, 1]), 1)  # color out of range
+    Coloring(np.array([], dtype=np.intp), 0)
+    for colors, num_colors in (
+        ([0, 2], 3),  # color 1 unused
+        ([0, 2, 2, 3], 4),  # a gap inside
+        ([0, 1, 3], 3),  # a gap where the top color should be
+        ([-1, 0, 1], 2),  # a negative color, the top one present
+        ([0, 1], 1),  # color out of range
+        ([0, 1, 5], 3),
+        ([], 1),  # nothing colored, yet colors claimed
+        ([], 3),
+    ):
+        with pytest.raises(ConsistencyError):
+            Coloring(np.array(colors, dtype=np.intp), num_colors)
 
 
 def test_dsatur_examples():
