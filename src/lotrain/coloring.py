@@ -40,21 +40,28 @@ def dsatur(g: ConflictGraph) -> Coloring:
     index. The chosen vertex gets the smallest color unused on its neighbors.
 
     Each step is a fixed handful of numpy calls on the chosen vertex's arc
-    slice, with no Python work per arc. A boolean table ``free[c, m]`` is
-    true while vertex m is uncolored and no neighbor of m has color c; it is
-    stored color-major, so one color's entries for a neighbor slice are one
-    contiguous row. The table starts 8 colors wide and doubles whenever the
-    chosen color reaches its last row, which therefore stays true for every
+    slice, with no Python work per arc. In a boolean table ``free[c, m]``,
+    an uncolored vertex m's entry is true while no neighbor of m has color c;
+    colored vertices' entries are never read. The table is stored
+    color-major, so one color's entries for a neighbor slice are one
+    contiguous row. It starts 8 colors wide and doubles whenever the chosen
+    color reaches its last row, which therefore stays true for every
     uncolored vertex: working memory is O(n x colors used), not
     O(n x (max_degree + 1)).
+
+    A colored vertex is not cleared from the table, which would be a strided
+    write down one column. Its key drops to a floor so far below zero that
+    the at most n raises a vertex can take never lift it back to the
+    uncolored keys.
     """
     n = g.n_vertices
     dst = g.dst
     start = np.searchsorted(g.src, np.arange(n + 1)).tolist()
     # composite key ranks saturation first, then degree; degree < n+1 so the
-    # two never interfere. Colored vertices drop to -1, and argmax takes the
-    # first (lowest-index) maximum.
+    # two never interfere. Colored vertices drop to the floor, and argmax
+    # takes the first (lowest-index) maximum.
     key = np.diff(start).astype(np.int64)
+    floor = np.iinfo(np.int64).min // 2
     free = np.ones((8, n), dtype=bool)
     colors = np.empty(n, dtype=np.intp)
     for _ in range(n):
@@ -63,8 +70,7 @@ def dsatur(g: ConflictGraph) -> Coloring:
         if c == free.shape[0] - 1:
             free = np.concatenate([free, np.broadcast_to(key >= 0, free.shape)])
         colors[v] = c
-        free[:, v] = False
-        key[v] = -1
+        key[v] = floor
         row = free[c]
         nb = dst[start[v]:start[v + 1]]
         raised = nb[row[nb]]

@@ -103,30 +103,52 @@ def pairs_within(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np
     """Index arrays (i, j) of every pair with max|a[i] - b[j]| < r (Chebyshev),
     sorted by (i, j).
 
-    Sweep over b sorted by x: each a[i] takes the b points in an x-window a
-    little wider than r, so rounding in the window bounds cannot drop a pair,
-    and the strict check on both coordinates keeps exactly the pairs within r.
+    Cell sweep: b is bucketed by y into cells of height ``half``, a little more
+    than r, and sorted by (cell, x). Each a[i] takes, in its own cell and the
+    two cells beside it, the b points in an x-window of half-width ``half``.
+    The margin ``half - r`` outgrows any rounding in the cell indices and the
+    window bounds, so no pair within r is missed, and the strict check on both
+    coordinates keeps exactly the pairs within r. Only occupied cells are
+    located, by search, so memory is O(len(a) + len(b)) however small r is.
+    Candidates are checked in blocks of whole rows of a, about ``_PAIR_BLOCK``
+    at a time.
     """
-    order = np.argsort(b[:, 0], kind="stable")
-    bx, by = b[order, 0], b[order, 1]
-    ax, ay = a[:, 0], a[:, 1]
+    n = b.shape[0]
     scale = r + float(np.max(np.abs(a), initial=0.0)) + float(np.max(np.abs(b), initial=0.0))
     half = r + 1e-9 * scale
-    lo = np.searchsorted(bx, ax - half, side="left")
-    counts = np.searchsorted(bx, ax + half, side="right") - lo
-    ends = np.cumsum(counts)
-    n = b.shape[0]
+    # |y| / half is at most 1e9, so the cell indices are exact in int64
+    bcell = np.floor(b[:, 1] / half).astype(np.int64)
+    order = np.lexsort((b[:, 0], bcell))
+    bx, by, bcell = b[order, 0], b[order, 1], bcell[order]
+    # integer sort keys of b: its cell's first position, then the rank of its x
+    # among all of b's x (ties share a rank), so keys ascend along b and a
+    # key search finds one cell's x-window without scanning the cell
+    xs = np.sort(bx)
+    width = n + 1
+    bkey = np.searchsorted(bcell, bcell) * width + np.searchsorted(xs, bx)
+    ax, ay = a[:, 0], a[:, 1]
+    acell = np.floor(ay / half).astype(np.int64)
+    # bounds of the cells below, at and above each a[i]: (len(a), 3) each
+    edges = np.searchsorted(bcell, acell[:, None] + np.arange(-1, 3))
+    cell_lo, cell_hi = edges[:, :3], edges[:, 1:]
+    x_lo = np.searchsorted(xs, ax - half, side="left")[:, None]
+    x_hi = np.searchsorted(xs, ax + half, side="right")[:, None]
+    lo = np.searchsorted(bkey, cell_lo * width + x_lo)
+    # an empty cell has cell_lo == cell_hi, and its key search lands in the next cell
+    counts = np.where(cell_hi > cell_lo, np.searchsorted(bkey, cell_lo * width + x_hi) - lo, 0).ravel()
+    lo, rows = lo.ravel(), counts.reshape(-1, 3).sum(axis=1)
+    seg_ends, ends = np.cumsum(counts), np.cumsum(rows)
     keys = [np.empty(0, dtype=np.intp)]
     start = 0
     while start < a.shape[0]:
         # whole rows of a, about _PAIR_BLOCK candidates (at least one row) per block
         done = int(ends[start - 1]) if start else 0
         stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
-        c = counts[start:stop]
-        first = ends[start:stop] - c - done  # block position of each row's first candidate
-        i = np.repeat(np.arange(start, stop), c)
-        j = np.arange(int(ends[stop - 1]) - done) + np.repeat(lo[start:stop] - first, c)
-        # y first: the x-window has already ruled out nearly all that x would
+        c = counts[3 * start:3 * stop]
+        first = seg_ends[3 * start:3 * stop] - c - done  # block position of each segment's first candidate
+        i = np.repeat(np.arange(start, stop), rows[start:stop])
+        j = np.arange(int(ends[stop - 1]) - done) + np.repeat(lo[3 * start:3 * stop] - first, c)
+        # y first: the cells leave about a third of the candidates out of reach in y
         near = np.abs(ay[i] - by[j]) < r
         i, j = i[near], j[near]
         near = np.abs(ax[i] - bx[j]) < r

@@ -1,5 +1,7 @@
 """Conflict graphs, the proximity supergraph, and the exact-coloring oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from lotrain import (
     max_degree,
     sparsify,
 )
+from lotrain.graphs import _adjacency
+from lotrain.scaling import radius_for_rho
 
 
 def assoc_of(served, n_user):
@@ -266,3 +270,132 @@ def test_from_edges_merges_reversed_and_repeated_edges():
     g = ConflictGraph.from_edges(4, [(2, 0), (0, 2), (3, 1), (0, 2), (1, 3)])
     assert edge_set(g) == {(0, 2), (1, 3)}
     assert [nb.tolist() for nb in g.neighbors] == [[2], [3], [0], [1]]
+
+
+# ------------------------------------------ the cell sweep's edge cases
+
+def cell_boundary_points():
+    # pairs_within's cells are `half` high for these points, whose largest
+    # coordinate is 10: rows on the cell boundaries, one ulp either side, and
+    # r above and below them; x on a grid of r / 2, so x ties at exactly r
+    r, top = 1.0, 10.0
+    half = r + 1e-9 * (r + 2 * top)
+    ys = np.arange(int(top / half) + 1) * half
+    ys = np.clip(np.concatenate([ys, np.nextafter(ys, np.inf), np.nextafter(ys, -np.inf),
+                                 ys + r, ys - r]), 0.0, top)
+    xs = np.arange(len(ys)) % 5 * (r / 2)
+    pts = np.column_stack([xs, ys])
+    return pts, np.vstack([pts[::-1], [[top, top]]]), r
+
+
+def tiny_radius_points():
+    # r = 1e-9 on a 100 m square: about 5e8 cells of height ~2e-7, nearly all empty
+    rng = np.random.default_rng(8)
+    a = rng.uniform(0.0, 100.0, size=(300, 2))
+    b = np.vstack([rng.uniform(0.0, 100.0, size=(300, 2)),
+                   a[:40] + 5e-10, a[40:80] - [0.0, 5e-10], a[80:120] + 2e-9])
+    return a, b, 1e-9
+
+
+def pair_cases():
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(0.0, 10.0, size=(60, 2))
+    dup = np.repeat(rng.uniform(0.0, 20.0, size=(15, 2)), 3, axis=0)
+    far = 1e9 + rng.uniform(0.0, 100.0, size=(150, 2))
+    empty = np.empty((0, 2))
+    return {
+        "cell-boundaries": cell_boundary_points(),
+        "tiny-r": tiny_radius_points(),
+        "r-above-spread": (pts, pts[::-1], 1000.0),
+        "offset-1e9": (far[:70], far[70:], 7.0),
+        "duplicates": (dup, dup, 1.5),
+        "duplicates-to-distinct": (dup, pts, 3.0),
+        "empty-a": (empty, pts, 2.0),
+        "empty-b": (pts, empty, 2.0),
+        "both-empty": (empty, empty, 2.0),
+    }
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("case", sorted(pair_cases()))
+def test_pairs_within_edge_cases_match_brute_force(case, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    a, b, r = pair_cases()[case]
+    i, j = geometry.pairs_within(a, b, r)
+    want_i, want_j = np.nonzero(linf_matrix(a, b) < r)
+    assert i.dtype == j.dtype == np.intp
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    if case == "r-above-spread":
+        assert i.size == len(a) * len(b)
+    if case == "tiny-r":
+        assert i.size == 80  # the pairs 5e-10 apart, not those 2e-9 apart
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_pairs_within_allocates_nothing_per_empty_cell(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    a, b, r = tiny_radius_points()
+    tracemalloc.start()
+    try:
+        i, _ = geometry.pairs_within(a, b, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert i.size == 80
+    # one byte per cell would be about 500 MB
+    assert peak < 2**20, f"pairs_within peaked at {peak / 2**20:.1f} MB"
+
+
+# ------------------------------------------ arcs from an edge multiset
+
+def oracle_arcs(u, v):
+    return sorted({(a, b) for a, b in zip(u, v)} | {(b, a) for a, b in zip(u, v)})
+
+
+def test_adjacency_matches_a_set_oracle():
+    rng = np.random.default_rng(13)
+    for n in (0, 1, 5):  # no edges
+        src, dst = _adjacency(n, np.empty(0, np.intp), np.empty(0, np.intp))
+        assert src.size == dst.size == 0
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        u, v = rng.integers(0, n, size=(2, int(rng.integers(0, 60))))
+        u, v = u[u != v], v[u != v]
+        # every edge repeated up to 8 times, each copy reversed at random, shuffled
+        reps = rng.integers(1, 9, size=u.size)
+        u, v = np.repeat(u, reps), np.repeat(v, reps)
+        flip = rng.random(u.size) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        perm = rng.permutation(u.size)
+        src, dst = _adjacency(n, u[perm], v[perm])
+        assert list(zip(src.tolist(), dst.tolist())) == oracle_arcs(u.tolist(), v.tolist())
+
+
+def test_adjacency_keys_do_not_overflow_past_int32():
+    # n*n above 2**31: the keys must widen to int64
+    n = 50_000
+    u = np.array([n - 1, 0, n - 2, n - 1, 46_341])
+    v = np.array([n - 2, n - 1, n - 1, 0, 46_340])
+    src, dst = _adjacency(n, u, v)
+    assert list(zip(src.tolist(), dst.tolist())) == oracle_arcs(u.tolist(), v.tolist())
+
+
+def test_graphs_match_brute_force_at_scaling_size():
+    # the scaling experiment's largest point: N = 1000, K = 2000, rho-matched r
+    r = radius_for_rho(2000, 1000 / 100.0**2, 0.5)
+    lay = generate_layout(1000, 2000, 100.0, seed=9)
+
+    def linf(p, q):
+        return np.maximum(np.abs(p[:, None, 0] - q[None, :, 0]), np.abs(p[:, None, 1] - q[None, :, 1]))
+
+    served = (linf(lay.rrh_xy, lay.user_xy) < r).astype(np.float32)
+    shared = served.T @ served > 0  # counts below 2**24 are exact in float32
+    near = linf(lay.user_xy, lay.user_xy) < 2.0 * r
+    for g, adj in ((build_conflict_graph(sparsify(lay, r)), shared),
+                   (build_proximity_graph(lay, r), near)):
+        np.fill_diagonal(adj, False)
+        src, dst = np.nonzero(adj)
+        assert np.array_equal(g.src, src) and np.array_equal(g.dst, dst)
+    assert g.n_edges > 100_000  # the proximity graph is dense enough to matter
