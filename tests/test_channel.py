@@ -9,6 +9,7 @@ matrix rate to scalar arithmetic.
 import dataclasses
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -409,19 +410,20 @@ def test_decoupled_plan_on_phased_and_silent_users(monkeypatch):
     ch = generate_channel(lay, 3.5, seed=53)
     z0 = channel_mod.complex_gaussian(rng, (n, col.num_colors))
     plans = spy(monkeypatch, channel_mod, "_decoupled_plan")
-    channel_mod._memo = None
     assert_matches_per_rrh_solve(ch, book, assoc, z0)
     assert len(plans) == 1  # the closed form, planned once for six SNRs
     est = mmse_estimate(ch, book, assoc, 1e-3, noise=np.sqrt(1e-3) * z0)
     assert np.all(est.h_hat[:, silent] == 0.0) and np.all(est.mse[:, silent] == 1.0)
-    # the silent users' pairs stay in the pattern, with zero values; a
+    # the silent users' pairs stay in the plan's pattern, with zero values; a
     # hand-built copy's pattern, its nonzeros, leaves them out
     bp = data_power_coefficients(book.beta, 0.2, k)
     rate = assert_rate_matches_dense(est, ch, bp, 0.2)
-    assert np.array_equal(channel_mod._level_memo[1], assoc.rrh * k + assoc.user)
+    assert np.array_equal(est.plan.flat, assoc.rrh * k + assoc.user)
+    levels = spy(monkeypatch, channel_mod, "_level_plan")
     by_hand = manual_est(est.h_hat.copy(), est.mse.copy(), 1e-3)
     assert abs(throughput_lower_bound(by_hand, ch, 0.2, bp, 1.0) - rate) <= 1e-12 * rate
-    assert channel_mod._level_memo[1].size == assoc.rrh.size - np.isin(assoc.user, silent).sum()
+    ((_, flat),) = levels
+    assert flat.size == assoc.rrh.size - np.isin(assoc.user, silent).sum()
 
 
 def set_size_instance():
@@ -447,7 +449,6 @@ def set_size_instance():
 def test_batched_plan_on_every_set_size(monkeypatch):
     ch, book, assoc, z0 = set_size_instance()
     svds = spy(monkeypatch, np.linalg, "svd")
-    channel_mod._memo = None
     assert_matches_per_rrh_solve(ch, book, assoc, z0)
     # one SVD per set size that occurs, each on the true size: (size, RRHs)
     assert sorted(a[0].shape[1::-1] for a in svds) == [(1, 2), (2, 1), (3, 2), (4, 1), (6, 1), (8, 1)]
@@ -461,16 +462,23 @@ def test_estimate_records_its_pairs_and_is_read_only():
     ch, cases, z0 = memo_instance()
     for book, assoc in cases.values():
         est = mmse_estimate(ch, book, assoc, 0.01, noise=0.1 * z0)
-        assert est.rrh is assoc.rrh and est.user is assoc.user
+        assert est.plan.rrh is assoc.rrh and est.plan.user is assoc.user
         for a in (est.h_hat, est.mse):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.5
-        # the rate reads the pairs; a hand-built copy, the nonzeros
+        # the rate reads the plan's pairs; a hand-built copy, the nonzeros
         bp = data_power_coefficients(book.beta, 0.25, book.n_user)
         rate = assert_rate_matches_dense(est, ch, bp, 0.25)
         by_hand = manual_est(est.h_hat.copy(), est.mse.copy(), 0.01)
-        assert by_hand.rrh is None
+        assert by_hand.plan is None
         assert throughput_lower_bound(by_hand, ch, 0.25, bp, 1.0) == rate
+        # a pickled estimate keeps its plan's pattern, for the rate; a
+        # pickled channel leaves its plan behind and plans afresh
+        chan, book2, assoc2, est2 = pickle.loads(pickle.dumps((ch, book, assoc, est)))
+        assert chan._last_plan is None and np.array_equal(est2.plan.flat, est.plan.flat)
+        assert throughput_lower_bound(est2, chan, 0.25, bp, 1.0) == rate
+        again = mmse_estimate(chan, book2, assoc2, 0.01, noise=0.1 * z0)
+        assert np.array_equal(again.h_hat, est.h_hat) and np.array_equal(again.mse, est.mse)
 
 
 def memo_instance():
@@ -492,15 +500,15 @@ MEMO_SEQUENCE = (("proposed", 10.0), ("random", 10.0), ("proposed", 10.0), ("pro
 
 
 def memo_sequence(fresh: bool) -> list:
-    """h_hat and mse of each call in MEMO_SEQUENCE; with ``fresh`` the memo
-    is emptied before every call, so each one plans from scratch."""
+    """h_hat and mse of each call in MEMO_SEQUENCE; with ``fresh`` every
+    call gets a new copy of the channel, which holds no plan yet, so each
+    one plans from scratch."""
     ch, cases, z0 = memo_instance()
     out = []
     for name, snr in MEMO_SEQUENCE:
-        if fresh:
-            channel_mod._memo = None
         n0 = snr_db_to_noise_power(snr)
-        est = mmse_estimate(ch, *cases[name], n0, noise=np.sqrt(n0) * z0)
+        chan = dataclasses.replace(ch) if fresh else ch
+        est = mmse_estimate(chan, *cases[name], n0, noise=np.sqrt(n0) * z0)
         out += [est.h_hat, est.mse]
     return out
 
@@ -527,12 +535,17 @@ def test_memo_plans_once_per_run_and_holds_one_plan(monkeypatch):
     plan = channel_mod._plan
     monkeypatch.setattr(channel_mod, "_plan",
                         lambda c, b, a: planned.append(names.get((id(b), id(a)))) or plan(c, b, a))
-    monkeypatch.setattr(channel_mod, "_memo", None)
     for name, snr in MEMO_SEQUENCE:
         mmse_estimate(ch, *cases[name], snr_db_to_noise_power(snr), noise=z0)
     # a new plan only where the book or the association changes
     assert planned == ["proposed", "random", "proposed", "refined", "random"]
-    assert all(m is o for m, o in zip(channel_mod._memo, (ch, *cases["random"])))
+    last = ch._last_plan
+    assert last[0] is cases["random"][0] and last[1] is cases["random"][1]
+    # each channel keeps its own plan: another one plans afresh and leaves it
+    other = dataclasses.replace(ch)
+    assert other._last_plan is None
+    mmse_estimate(other, *cases["random"], 0.01, noise=z0)
+    assert len(planned) == 6 and ch._last_plan is last and other._last_plan[2] is not last[2]
     book = weakref.ref(cases.pop("proposed")[0])
     del cases["refined"]
     gc.collect()
@@ -570,7 +583,6 @@ def test_memo_sees_arrays_changed_in_place(changed, book_kind):
     target *= 0.5
     after = mmse_estimate(*build(), assoc, 0.01, noise=noise)
     again = mmse_estimate(*old, assoc, 0.01, noise=noise)
-    channel_mod._memo = None
     want = mmse_estimate(*build(), assoc, 0.01, noise=noise)
     assert np.array_equal(after.h_hat, want.h_hat) and np.array_equal(after.mse, want.mse)
     assert not (np.array_equal(before.h_hat, after.h_hat) and np.array_equal(before.mse, after.mse))
@@ -584,9 +596,10 @@ SOURCE_CASES = [(source, kind) for source in ("small_scale", "large_scale", "pil
 
 @pytest.mark.parametrize("source,book_kind", SOURCE_CASES, ids=["-".join(c) for c in SOURCE_CASES])
 def test_memo_holds_values_whose_source_arrays_change(source, book_kind):
-    # the memo keys on the identity of (channel, book, association), which is
-    # sound only because every constructor copies the arrays it is given: a
-    # source array changed afterwards reaches neither the value nor its plan
+    # the channel keys its plan on the identity of the book and the
+    # association, which is sound only because every constructor copies the
+    # arrays it is given: a source array changed afterwards reaches neither
+    # the value nor its plan
     ch, cases, z0 = memo_instance()
     book, assoc = cases[book_kind]
     given = {"small_scale": ch.small_scale, "large_scale": ch.large_scale, "pilots": book.pilots,
@@ -603,8 +616,7 @@ def test_memo_holds_values_whose_source_arrays_change(source, book_kind):
     given[source] += 1
     assert np.array_equal(held, kept)
     after = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
-    channel_mod._memo = None
-    fresh = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
+    fresh = mmse_estimate(dataclasses.replace(ch), book, assoc, 0.01, noise=noise)
     for est in (after, fresh):
         assert np.array_equal(est.h_hat, before.h_hat) and np.array_equal(est.mse, before.mse)
 
@@ -806,27 +818,33 @@ def test_bfs_levels_root_each_component_at_a_peripheral_user():
     assert level.tolist() == [2, 1, 3, 0, 4, 0, 1, -1]
 
 
-def test_level_plan_is_keyed_by_the_pattern(monkeypatch):
-    planned = []
-    plan = channel_mod._level_plan
-    monkeypatch.setattr(channel_mod, "_level_plan",
-                        lambda shape, flat: planned.append(flat.size) or plan(shape, flat))
-    monkeypatch.setattr(channel_mod, "_level_memo", None)
-    rng = np.random.default_rng(34)
-    first = pattern_instance(rng, rng.random((30, 40)) < 0.1)
-    other = pattern_instance(rng, rng.random((30, 40)) < 0.1)  # same shape
-    for est, chan, bp in (first, first, other, first):
-        assert_rate_matches_dense(est, chan, bp)
+def test_level_plan_belongs_to_the_estimator_plan(monkeypatch):
+    # the estimator's plan makes the level plan of its pairs on first use and
+    # keeps it for every SNR; an estimate built by hand has no plan, so its
+    # nonzeros are planned on each call
+    planned = spy(monkeypatch, channel_mod, "_level_plan")
+    ch, cases, z0 = memo_instance()
+    book, assoc = cases["proposed"]
+    bp = data_power_coefficients(book.beta, 0.25, book.n_user)
+    ests = [mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0) for n0 in (0.1, 0.01)]
+    assert planned == []
+    for est in ests + ests:
+        assert_rate_matches_dense(est, ch, bp, 0.25)
+    ((_, flat),) = planned
+    assert flat is ests[0].plan.flat
+    # new values on the same plan keep its level plan
+    assert_rate_matches_dense(dataclasses.replace(ests[0], h_hat=2.0 * ests[0].h_hat), ch, bp, 0.25)
+    by_hand = manual_est(ests[0].h_hat.copy(), ests[0].mse.copy(), 0.1)
+    assert_rate_matches_dense(by_hand, ch, bp, 0.25)
+    assert_rate_matches_dense(by_hand, ch, bp, 0.25)
     assert len(planned) == 3
-    # new values on the same pattern keep the plan
-    est, chan, bp = first
-    assert_rate_matches_dense(manual_est(2.0 * est.h_hat, est.mse, 0.1), chan, bp)
-    assert len(planned) == 3
-    # one plan alive: the memo holds the last pattern only
-    held = weakref.ref(channel_mod._level_memo[2])
-    assert_rate_matches_dense(*other)
-    gc.collect()
-    assert held() is None and len(planned) == 4
+    # the level plan lives as long as its estimator plan: once the channel
+    # moves to another plan, only the estimates hold it
+    held = weakref.ref(ests[0].plan.logdet)
+    mmse_estimate(ch, *cases["refined"], 0.1, noise=np.sqrt(0.1) * z0)
+    assert held() is not None
+    del ests, est
+    assert held() is None
 
 
 def test_level_plan_sees_h_hat_changed_in_place():
@@ -841,20 +859,37 @@ def test_level_plan_sees_h_hat_changed_in_place():
     assert_rate_matches_dense(est, chan, bp)
 
 
-def test_trial_plans_the_rate_once_per_pattern(monkeypatch):
-    planned = []
-    plan = channel_mod._level_plan
-    monkeypatch.setattr(channel_mod, "_level_plan",
-                        lambda shape, flat: planned.append(flat.size) or plan(shape, flat))
-    monkeypatch.setattr(channel_mod, "_level_memo", None)
+def test_trial_plans_the_rate_once_per_scheme(monkeypatch):
+    planned = spy(monkeypatch, channel_mod, "_level_plan")
     cfg = ExperimentConfig("compare", n_rrh=20, n_user=30, side=40.0, threshold=10.0,
                            snr_db=(0.0, 20.0, 40.0), schemes=SCHEMES, t_coherence=60)
     _throughput_trial((cfg, 30, 10.0, 0))
     assert len(planned) == len(SCHEMES)
-    # random pilots estimate the pairs proposed does: the plan carries over
+    # random pilots estimate the pairs proposed does, but on their own plan
     planned.clear()
     _throughput_trial((dataclasses.replace(cfg, schemes=("proposed", "random-pilot")), 30, 10.0, 0))
-    assert len(planned) == 1
+    assert len(planned) == 2
+
+
+def test_channel_plan_dies_with_the_channel():
+    # a plan refers to neither the channel nor the book nor the association,
+    # so it and its level plan die with the last channel or estimate that
+    # holds them, without the cycle collector
+    ch, cases, z0 = memo_instance()
+    for book, assoc in cases.values():
+        chan = dataclasses.replace(ch)
+        est = mmse_estimate(chan, book, assoc, 0.01, noise=0.1 * z0)
+        throughput_lower_bound(est, chan, 0.25, 1.0, 1.0)
+        assert chan._last_plan[2] is est.plan
+        refs = [weakref.ref(v) for v in (chan, est.plan, est.plan.logdet)]
+        gc.disable()
+        try:
+            del est
+            assert all(r() is not None for r in refs)  # the channel keeps its plan
+            del chan
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
 
 def test_data_power_coefficients():

@@ -6,6 +6,8 @@ ell-infinity ball with probability ((2r - r^2/side)/side)^2, so
 E|U_i| = K * ((2r - r^2/side)/side)^2 for r <= side/2.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -439,3 +441,20 @@ def test_worker_count_invariance(name):
     rows = [run_experiment(ExperimentConfig(name, **dict(DESK_CONFIGS[name], workers=w)))
             for w in (1, 2)]
     assert rows[0] and rows[0] == rows[1]
+
+
+def test_a_trial_leaves_no_module_state():
+    # no attribute of any lotrain module is created or rebound by a compare
+    # trial: whatever a trial keeps lives in objects it creates, so one run
+    # cannot reach the next
+    def state():
+        return {(name, attr): value for name, module in list(sys.modules.items())
+                if name == "lotrain" or name.startswith("lotrain.")
+                for attr, value in vars(module).items()}
+
+    before = state()
+    run_experiment(ExperimentConfig("compare", n_rrh=20, n_user=30, side=40.0, threshold=10.0,
+                                    trials=1, snr_db=(0.0, 20.0), schemes=SCHEMES, t_coherence=60))
+    after = state()
+    assert after.keys() == before.keys()
+    assert [key for key, value in after.items() if value is not before[key]] == []
