@@ -19,7 +19,7 @@ not independent ones.
 import hashlib
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -103,6 +103,13 @@ class ExperimentConfig:
             raise ParameterError("snr_db grid must be nonempty")
         for snr in self.snr_db:
             _check_real("snr_db entry", snr, floor=-math.inf)
+            try:
+                n0 = snr_db_to_noise_power(snr, self.p0)
+            except OverflowError:
+                n0 = math.inf
+            if not 0 < n0 < math.inf:
+                raise ParameterError(f"snr_db entry {snr!r} puts the noise power at {n0} for "
+                                     f"p0 = {self.p0!r}; it must be positive and finite")
         if self.resample_layout not in ("per-trial", "fixed"):
             raise ParameterError(
                 f"resample_layout must be 'per-trial' or 'fixed', got {self.resample_layout!r}")
@@ -239,15 +246,6 @@ def _mean_se(values) -> tuple[float, float]:
     return float(np.mean(a)), se
 
 
-def _resolve_threshold(cfg: ExperimentConfig, n_user: int) -> float:
-    """Fixed radius if configured, else the density-matched radius for rho."""
-    if cfg.threshold is not None:
-        return float(cfg.threshold)
-    if cfg.rho is not None:
-        return radius_for_rho(n_user, n_user / cfg.side**2, cfg.rho)
-    raise ParameterError(f"{cfg.experiment}: config needs 'threshold' or 'rho'")
-
-
 # ---------------------------------------------------------------- baselines
 
 def baseline_random_pilots(length: int, n_user: int, rng: np.random.Generator,
@@ -274,11 +272,11 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Gen
 
     Half the frame is training, so at most t_coherence/2 users can be active;
     a uniformly random subset that size is selected (all users when fewer).
-    Active users get rows of an orthonormal base scaled to the power
-    constraint; inactive users transmit nothing in either phase. Active user
-    j takes color j; inactive users take color 0 with zero energy.
+    The scheme is the problem of its active users alone: active user j sends
+    row j of an orthonormal base scaled to the power constraint and takes
+    color j. The other users neither train nor send data.
 
-    Returns (active_indices, PilotBook).
+    Returns (active_indices, PilotBook); the book has one row per active user.
     """
     if t_coherence < 2 or t_coherence % 2:
         raise ParameterError(f"t_coherence must be even and >= 2, got {t_coherence}")
@@ -288,18 +286,14 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Gen
     else:
         active = np.sort(rng.choice(n_user, size=cap, replace=False)).astype(np.intp)
     length = active.size
-    b = np.zeros(n_user)
-    b[active] = beta
-    pilots = np.zeros((n_user, length), dtype=complex)
-    pilots[active] = np.sqrt(length * beta * p0) * dft_rows(length)
-    colors = np.zeros(n_user, dtype=np.intp)
-    colors[active] = np.arange(length)
-    return active, PilotBook(pilots, b, float(p0), colors)
+    pilots = np.sqrt(length * beta * p0) * dft_rows(length)
+    return active, PilotBook(pilots, np.full(length, beta, dtype=float), float(p0),
+                             np.arange(length, dtype=np.intp))
 
 
-def _global_orthogonal_assoc(n_rrh: int, active: np.ndarray, n_user: int) -> AssociationMap:
-    # every RRH estimates every active user; association is not distance-based
-    return AssociationMap(np.repeat(np.arange(n_rrh), active.size), np.tile(active, n_rrh),
+def _global_orthogonal_assoc(n_rrh: int, n_user: int) -> AssociationMap:
+    # every RRH estimates every user; the infinite radius marks the scheme
+    return AssociationMap(np.repeat(np.arange(n_rrh), n_user), np.tile(np.arange(n_user), n_rrh),
                           n_rrh, n_user, float("inf"))
 
 
@@ -339,8 +333,10 @@ def _density_trial(item) -> dict:
 
 
 def _throughput_trial(item) -> dict:
-    """All configured schemes at all SNRs on shared random draws. Only
-    sweep-r returns an infeasible coloring instead of raising."""
+    """All configured schemes at all SNRs on shared random draws. Each scheme
+    resolves to one (channel, association, pilot book) triple, and
+    global-orthogonal's holds its active users alone. Only sweep-r returns an
+    infeasible coloring instead of raising."""
     cfg, n_user, _, trial = item
     seed, t_coh, p0 = cfg.seed, cfg.t_coherence, cfg.p0
     layout, assoc = _draw(*item)
@@ -366,55 +362,52 @@ def _throughput_trial(item) -> dict:
     rates: dict = {}
     lengths: dict = {}
     for scheme in cfg.schemes:
-        if scheme == "proposed":
-            a_s, book = assoc, colored
-        elif scheme == "refined":
-            a_s, book = refine(assoc, layout, col), colored
+        rng_s = (_rng(np.random.SeedSequence(seed, spawn_key=(SCHEME_SALT, trial, _SCHEME_STREAM[scheme])))
+                 if scheme in _SCHEME_STREAM else None)
+        chan_s, a_s, book = chan, assoc, colored
+        if scheme == "refined":
+            a_s = refine(assoc, layout, col)
         elif scheme == "random-pilot":
-            rng_s = _rng(np.random.SeedSequence(
-                seed, spawn_key=(SCHEME_SALT, trial, _SCHEME_STREAM[scheme])))
-            a_s = assoc
             book = baseline_random_pilots(chi, n_user, rng_s, cfg.beta, p0)
-        else:  # global-orthogonal
-            rng_s = _rng(np.random.SeedSequence(
-                seed, spawn_key=(SCHEME_SALT, trial, _SCHEME_STREAM[scheme])))
+        elif scheme == "global-orthogonal":
             active, book = baseline_global_orthogonal(t_coh, n_user, rng_s, cfg.beta, p0)
-            a_s = _global_orthogonal_assoc(cfg.n_rrh, active, n_user)
+            chan_s = replace(chan, small_scale=chan.small_scale[:, active],
+                             large_scale=chan.large_scale[:, active])
+            a_s = _global_orthogonal_assoc(cfg.n_rrh, active.size)
         length = book.training_length
         alpha = length / t_coh
-        if scheme == "global-orthogonal":
-            bp = np.zeros(n_user)
-            bp[active] = data_power_coefficients(cfg.beta, alpha, active.size)
-        else:
-            bp = data_power_coefficients(cfg.beta, alpha, n_user)
+        bp = data_power_coefficients(cfg.beta, alpha, book.n_user)
         lengths[scheme] = length
         for snr in cfg.snr_db:
             n0 = snr_db_to_noise_power(snr, p0)
-            est = mmse_estimate(chan, book, a_s, n0, noise=np.sqrt(n0) * z0[:, :length])
-            rates[(scheme, snr)] = throughput_lower_bound(est, chan, alpha, bp, p0)
-    return {"rates": rates, "lengths": lengths, "chi": chi}
+            est = mmse_estimate(chan_s, book, a_s, n0, noise=np.sqrt(n0) * z0[:, :length])
+            rates[(scheme, snr)] = throughput_lower_bound(est, chan_s, alpha, bp, p0)
+    return {"rates": rates, "lengths": lengths}
 
 
 # ----------------------------------------------------------------- runner
 
 def _grid(cfg: ExperimentConfig) -> list:
-    """The (K, r) points of cfg.experiment in grid order."""
+    """The (K, r) points of cfg.experiment in grid order. The radius is an
+    r_grid entry for sweep-r, else the fixed threshold if configured, else
+    (and always for scaling) the density-matched radius for rho at each K."""
     name = cfg.experiment
-    if name in ("scaling", "sweep-k") and not cfg.k_grid:
-        raise ParameterError(f"{name} requires k_grid")
-    if name == "scaling":
-        if cfg.rho is None:
-            raise ParameterError("scaling requires rho (the radius tracks each K)")
-        return [(k, radius_for_rho(k, k / cfg.side**2, cfg.rho)) for k in cfg.k_grid]
-    if name == "sweep-k":
-        return [(k, _resolve_threshold(cfg, k)) for k in cfg.k_grid]
-    if cfg.n_user is None:
-        raise ParameterError(f"{name} requires n_user")
+    key = "k_grid" if name in ("scaling", "sweep-k") else "n_user"
+    ks = cfg.k_grid if key == "k_grid" else (cfg.n_user,)
+    if not ks or ks[0] is None:
+        raise ParameterError(f"{name} requires {key}")
     if name == "sweep-r":
         if not cfg.r_grid:
             raise ParameterError("sweep-r requires r_grid")
         return [(cfg.n_user, float(r)) for r in cfg.r_grid]
-    return [(cfg.n_user, _resolve_threshold(cfg, cfg.n_user))]
+    if cfg.threshold is not None and name != "scaling":
+        return [(k, float(cfg.threshold)) for k in ks]
+    if cfg.rho is None:
+        raise ParameterError(f"{name} requires " + ("rho (the radius tracks each K)"
+                                                   if name == "scaling" else "threshold or rho"))
+    if min(ks) < 2:
+        raise ParameterError(f"{key}: a radius matched to rho needs at least 2 users, got {min(ks)}")
+    return [(k, radius_for_rho(k, k / cfg.side**2, cfg.rho)) for k in ks]
 
 
 def _row(cfg: ExperimentConfig, digest: str, k: int, r: float, scheme: str,

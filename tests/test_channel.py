@@ -279,13 +279,16 @@ def per_rrh_solve(chan, book, assoc, n0, noise):
     return EstimationResult(h_hat, mse, float(n0))
 
 
+COMPARE_SNR_DB = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)  # configs/compare.cfg's grid
+
+
 def assert_matches_per_rrh_solve(ch, book, assoc, z0, t_coh=100):
     """mmse_estimate against the per-RRH solve over 0-50 dB, on the same
     noise: 1e-8 relative in mse, 1e-9 of the largest |h_hat|, 1e-12
     relative in the rate."""
     alpha = book.training_length / t_coh
     bp = data_power_coefficients(book.beta, alpha, book.n_user)
-    for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
+    for snr in COMPARE_SNR_DB:
         n0 = snr_db_to_noise_power(snr)
         fast = mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0)
         slow = per_rrh_solve(ch, book, assoc, n0, np.sqrt(n0) * z0)
@@ -305,19 +308,98 @@ def test_closed_form_matches_per_rrh_solve(scheme, per_user_beta):
     col = dsatur(build_conflict_graph(assoc))
     rng = np.random.default_rng(8)
     beta = rng.uniform(0.5, 1.5, k) if per_user_beta else 1.0
+    ch = generate_channel(lay, 3.5, seed=9)
     if scheme == "global-orthogonal":
         active, book = baseline_global_orthogonal(t_coh, k, rng)
-        b = np.zeros(k)
-        b[active] = np.broadcast_to(beta, (k,))[active]
+        b = np.broadcast_to(beta, (k,))[active]
         book = dataclasses.replace(book, pilots=np.sqrt(b)[:, None] * book.pilots, beta=b)
-        assoc = _global_orthogonal_assoc(n, active, k)
+        z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
+        # the padded oracle's inactive users are silent: zero pilots, zero beta
+        assert_matches_per_rrh_solve(ch, *padded_global_orthogonal(book, active, n, k), z0, t_coh)
+        ch, assoc = active_columns(ch, active), _global_orthogonal_assoc(n, active.size)
     else:
         book = build_pilot_book(col, beta)
         if scheme == "refined":
             assoc = refine(assoc, lay, col)
-    ch = generate_channel(lay, 3.5, seed=9)
-    z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
+        z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
     assert_matches_per_rrh_solve(ch, book, assoc, z0, t_coh)
+
+
+def active_columns(chan, active):
+    """The channel of the active users alone, as the trial kernel cuts it."""
+    return dataclasses.replace(chan, small_scale=chan.small_scale[:, active],
+                               large_scale=chan.large_scale[:, active])
+
+
+def padded_global_orthogonal(book, active, n_rrh, n_user):
+    """The zero-padded formulation of global-orthogonal training: the book
+    and association over all n_user users, where the users outside
+    ``active`` are silent (zero pilot, zero beta, color 0) and every RRH
+    estimates every active user. The oracle of the active users' problem."""
+    pilots = np.zeros((n_user, book.training_length), dtype=complex)
+    pilots[active] = book.pilots
+    beta = np.zeros(n_user)
+    beta[active] = book.beta
+    colors = np.zeros(n_user, dtype=np.intp)
+    colors[active] = book.color_of
+    assoc = AssociationMap(np.repeat(np.arange(n_rrh), active.size), np.tile(active, n_rrh),
+                           n_rrh, n_user, float("inf"))
+    return PilotBook(pilots, beta, book.p0, colors), assoc
+
+
+def padded_rate(chan, book, active, n0, noise, alpha, p0=1.0):
+    """The rate of the zero-padded formulation on the full channel, with the
+    data powers zeroed off the active set."""
+    padded, assoc = padded_global_orthogonal(book, active, chan.n_rrh, chan.n_user)
+    bp = np.zeros(chan.n_user)
+    bp[active] = data_power_coefficients(book.beta, alpha, book.n_user)
+    est = mmse_estimate(chan, padded, assoc, n0, noise=noise)
+    return throughput_lower_bound(est, chan, alpha, bp, p0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_global_orthogonal_matches_the_padded_book(seed):
+    # the active users' problem against the old formulation over all K users
+    n, k, t_coh = 300, 300, 100
+    ch = generate_channel(generate_layout(n, k, 100.0, seed=seed), 3.5, seed=seed + 10)
+    rng = np.random.default_rng(seed + 20)
+    active, book = baseline_global_orthogonal(t_coh, k, rng)
+    assert active.size == t_coh // 2
+    sub, assoc = active_columns(ch, active), _global_orthogonal_assoc(n, active.size)
+    alpha = book.training_length / t_coh
+    bp = data_power_coefficients(book.beta, alpha, book.n_user)
+    z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
+    for snr in COMPARE_SNR_DB:
+        n0 = snr_db_to_noise_power(snr)
+        noise = np.sqrt(n0) * z0
+        want = padded_rate(ch, book, active, n0, noise, alpha)
+        got = throughput_lower_bound(mmse_estimate(sub, book, assoc, n0, noise=noise), sub, alpha, bp, 1.0)
+        assert abs(got - want) <= 1e-12 * want, (snr, got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trial_global_orthogonal_matches_the_padded_book(monkeypatch, seed):
+    # the kernel's rates against the padded formulation on the kernel's own
+    # channel, active set and noise
+    def capture(name):
+        out, real = [], getattr(experiments_mod, name)
+        monkeypatch.setattr(experiments_mod, name,
+                            lambda *a, **kw: out.append((a, kw, real(*a, **kw))) or out[-1][2])
+        return out
+
+    channels, baselines, estimates = map(capture, ("generate_channel", "baseline_global_orthogonal",
+                                                   "mmse_estimate"))
+    cfg = ExperimentConfig("compare", n_rrh=300, n_user=300, side=100.0, threshold=10.0,
+                           t_coherence=100, snr_db=COMPARE_SNR_DB, schemes=("global-orthogonal",),
+                           seed=seed)
+    rates = _throughput_trial((cfg, 300, 10.0, 0))["rates"]
+    ((_, _, ch),), ((_, _, (active, book)),) = channels, baselines
+    assert len(estimates) == len(COMPARE_SNR_DB) and active.size == 50
+    for snr, ((sub, est_book, _, n0), kw, _) in zip(COMPARE_SNR_DB, estimates):
+        assert est_book is book and np.array_equal(sub.large_scale, ch.large_scale[:, active])
+        want = padded_rate(ch, book, active, n0, kw["noise"], book.training_length / cfg.t_coherence)
+        got = rates[("global-orthogonal", snr)]
+        assert abs(got - want) <= 1e-12 * want, (snr, got, want)
 
 
 def overloaded_instance():
@@ -788,18 +870,18 @@ def test_rate_matches_dense_cholesky_on_each_scheme(scheme):
     assoc = sparsify(lay, 10.0)
     col = dsatur(build_conflict_graph(assoc))
     rng = np.random.default_rng(42)
+    ch = generate_channel(lay, 3.5, seed=43)
     if scheme == "global-orthogonal":
         active, book = baseline_global_orthogonal(t_coh, k, rng)
-        assoc = _global_orthogonal_assoc(n, active, k)
+        ch, assoc = active_columns(ch, active), _global_orthogonal_assoc(n, active.size)
     elif scheme == "random-pilot":
         book = baseline_random_pilots(col.num_colors, k, rng=rng)
     else:
         book = build_pilot_book(col)
         if scheme == "refined":
             assoc = refine(assoc, lay, col)
-    ch = generate_channel(lay, 3.5, seed=43)
     alpha = book.training_length / t_coh
-    bp = data_power_coefficients(book.beta, alpha, k)
+    bp = data_power_coefficients(book.beta, alpha, book.n_user)
     z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
     for snr in (0.0, 50.0):
         n0 = snr_db_to_noise_power(snr)

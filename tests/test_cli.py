@@ -105,6 +105,8 @@ def test_malformed_value_exits_one(tmp_path):
     ("side = -1.0", "side"),
     ("eta = 0.0", "eta"),
     ("snr_db = [NaN]", "snr_db"),
+    ("snr_db = [4000.0]", "snr_db"),  # the noise power underflows to 0
+    ("snr_db = [-4000.0]", "snr_db"),  # and here overflows
     ('schemes = ["proposed", 3]', "schemes"),
     ('schemes = ["proposed", "proposed"]', "schemes"),
     ("seed = 2", "seed"),  # appended to COMPARE_CFG's own seed line: a repeated key
@@ -121,6 +123,19 @@ def test_bad_value_exits_one_naming_the_key(tmp_path, line, key):
     assert proc.returncode == 1, proc.stderr
     assert key in proc.stderr and "Traceback" not in proc.stderr
     assert ("repeated" in proc.stderr) == repeat
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,cfg_text,key", [
+    ("scaling", "n_rrh = 10\nk_grid = [1, 20]\nrho = 0.5\nside = 30.0\ntrials = 1\n", "k_grid"),
+    ("density", "n_rrh = 8\nn_user = 1\nrho = 0.5\nside = 30.0\ntrials = 1\n", "n_user"),
+], ids=["scaling", "density"])
+def test_rho_matched_radius_for_one_user_exits_one_naming_the_key(tmp_path, name, cfg_text, key):
+    # ln K is 0 at K = 1, so no radius matches rho there
+    out = tmp_path / "x.csv"
+    proc = run_cli(name, "--config", write(tmp_path, cfg_text), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert key in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

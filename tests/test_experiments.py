@@ -211,23 +211,22 @@ def test_global_orthogonal_all_users_active_when_frame_allows():
 def test_global_orthogonal_selects_half_frame_subset():
     rng = np.random.default_rng(9)
     active, book = baseline_global_orthogonal(10, 12, rng, beta=1.0, p0=2.0)
-    assert active.size == 5 and book.training_length == 5
+    assert active.size == 5 and book.training_length == 5 and book.n_user == 5
     assert np.all(np.diff(active) > 0) and active.min() >= 0 and active.max() < 12
-    inactive = np.setdiff1d(np.arange(12), active)
-    assert np.all(book.pilots[inactive] == 0) and np.all(book.beta[inactive] == 0)
-    act_rows = book.pilots[active]
-    assert np.allclose(act_rows @ act_rows.conj().T, 5 * 1.0 * 2.0 * np.eye(5), atol=1e-10)
+    assert np.all(book.beta == 1.0)
+    assert np.allclose(book.pilots @ book.pilots.conj().T, 5 * 1.0 * 2.0 * np.eye(5), atol=1e-10)
     again, _ = baseline_global_orthogonal(10, 12, np.random.default_rng(9), 1.0, 2.0)
     assert np.array_equal(active, again)
 
 
 def test_global_orthogonal_book_colors_one_per_active_user():
+    # the book holds the active users alone: one color and one row of full
+    # energy each, and no zero-energy rows
     for t_coh, n_user in ((20, 6), (10, 12)):
         active, book = baseline_global_orthogonal(t_coh, n_user, np.random.default_rng(9))
-        assert np.array_equal(book.color_of[active], np.arange(active.size))
-        inactive = np.setdiff1d(np.arange(n_user), active)
-        assert np.all(book.color_of[inactive] == 0)
-        assert np.all(book.pilots[inactive] == 0)
+        assert book.n_user == active.size == min(n_user, t_coh // 2)
+        assert np.array_equal(book.color_of, np.arange(active.size))
+        assert np.allclose(np.sum(np.abs(book.pilots) ** 2, axis=1), active.size, rtol=1e-12)
 
 
 def test_global_orthogonal_requires_even_frame():
@@ -237,10 +236,10 @@ def test_global_orthogonal_requires_even_frame():
 
 
 def test_global_orthogonal_association_covers_all_rrhs():
-    active = np.array([1, 3], dtype=np.intp)
-    assoc = _global_orthogonal_assoc(3, active, 5)
-    assert assoc.served_users == ((1, 3),) * 3
-    assert assoc.rrh.tolist() == [0, 0, 1, 1, 2, 2] and assoc.user.tolist() == [1, 3] * 3
+    assoc = _global_orthogonal_assoc(3, 2)
+    assert (assoc.n_rrh, assoc.n_user, assoc.threshold) == (3, 2, float("inf"))
+    assert assoc.served_users == ((0, 1),) * 3
+    assert assoc.rrh.tolist() == [0, 0, 1, 1, 2, 2] and assoc.user.tolist() == [0, 1] * 3
     for a in (assoc.rrh, assoc.user):
         assert a.dtype == np.intp and not a.flags.writeable
     assert np.all(np.diff(assoc.rrh * assoc.n_user + assoc.user) > 0)
