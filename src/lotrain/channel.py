@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DegenerateGeometryError, ParameterError
 from .geometry import NetworkLayout, abs_offsets, _frozen, _rng
-from .pilots import PilotBook, _beta_array
+from .pilots import _ORTHOGONALITY_TOL, PilotBook, _beta_array
 
 # SeedSequence spawn-key salts; shared with the experiment harness so every
 # consumer of a master seed draws from disjoint streams.
@@ -124,16 +124,16 @@ def mmse_estimate(
     interference whose full covariance is charged to the error variance.
 
     Two paths compute the same estimator. When the book carries a
-    ``color_of`` and no RRH serves two users of one color, the served pilots
-    are orthogonal at every RRH, so each weight decouples to
-    gamma_k x_k^* / (gamma_k^2 E_k + n0) and only same-colored users outside
-    the set leak in: all RRHs are estimated at once in closed form, from one
-    correlation per color. Any other book (free-form, or colored but not
-    locally orthogonal) takes a dual-form LMMSE that assumes nothing about
-    the pilots: the RRHs are grouped by the size of their served sets and
-    each group's gain-scaled served pilots take one stacked SVD, after which
-    each noise power is a diagonal rescaling. The tests check both paths
-    against a per-RRH regularized solve.
+    ``color_of``, its rows keep the color contract (see ``PilotBook``) and no
+    RRH serves two users of one color, the served pilots are orthogonal at
+    every RRH, so each weight decouples to gamma_k x_k^* / (gamma_k^2 E_k + n0)
+    and only same-colored users outside the set leak in: all RRHs are
+    estimated at once in closed form, from one correlation per color. Any
+    other book (free-form, or colored but not so) takes a dual-form LMMSE
+    that assumes nothing about the pilots: the RRHs are grouped by the size
+    of their served sets and each group's gain-scaled served pilots take one
+    stacked SVD, after which each noise power is a diagonal rescaling. The
+    tests check both paths against a per-RRH regularized solve.
 
     The work that does not depend on the noise is planned once per book and
     association: the channel keeps its last plan and reuses it while the
@@ -206,34 +206,26 @@ def _plan(chan, book, assoc) -> _Plan:
     """Plan the estimator of (chan, book, assoc)."""
     rows, cols = assoc.rrh, assoc.user
     clean = (chan.small_scale * chan.large_scale) @ book.pilots  # noiseless received signal
-    colors = book.color_of
-    if colors is not None and _one_user_per_color(rows, colors[cols]):
-        estimate = _decoupled_plan(chan, book, rows, cols, clean)
-    else:
+    estimate = None if book.color_of is None else _decoupled_plan(chan, book, rows, cols, clean)
+    if estimate is None:
         estimate = _batched_plan(chan, book, rows, cols, clean)
     return _Plan(estimate, chan.small_scale.shape, rows, cols)
 
 
-def _one_user_per_color(rows: np.ndarray, pair_colors: np.ndarray) -> bool:
-    """True iff no RRH serves two users of one color: every served (RRH,
-    color) pair is counted once at most. Exact, integers only."""
-    if rows.size == 0:
-        return True
-    n_colors = int(pair_colors.max()) + 1
-    return int(np.bincount(rows * n_colors + pair_colors).max()) <= 1
-
-
 def _decoupled_plan(chan, book, rows, cols, clean):
-    """Closed-form estimator for a colored, locally orthogonal book.
+    """Closed-form estimator for a colored, locally orthogonal book; None
+    if some RRH serves two users of one color (an exact integer count) or
+    the book breaks its color contract.
 
-    By the book's color contract user k sends x_k = coef_k base[c_k], where
-    base[c] is a unit row (its color's strongest pilot, normalized; zero for
-    a color whose users all send nothing) and rows of different colors are
-    orthogonal. So an RRH correlates its signal once per color, and with
-    a = gamma^2 E and den = a + n0,
-    h_hat = gamma conj(coef) (y base[c]^H) / den and
-    mse = n0 / den + a (S[i, c] - a) / den^2,
-    where S[i, c] is the pilot energy RRH i receives on color c.
+    By that contract user k sends x_k = coef_k base[c_k], where base[c] is a
+    unit row (its color's strongest pilot, normalized; zero for a color whose
+    users all send nothing) and rows of different colors are orthogonal. Both
+    are checked: no row's energy off its color's row, and no correlation of
+    two colors' strongest rows, may pass _ORTHOGONALITY_TOL times the largest
+    pilot energy. So an RRH correlates its signal once per color, and with
+    a = gamma^2 E and den = a + n0, h_hat = gamma conj(coef) (y base[c]^H) / den
+    and mse = n0 / den + a (S[i, c] - a) / den^2, where S[i, c] is the pilot
+    energy RRH i receives on color c.
     """
     x = book.pilots
     colors = book.color_of
@@ -246,12 +238,17 @@ def _decoupled_plan(chan, book, rows, cols, clean):
     base = np.zeros((n_colors, length), dtype=complex)
     base[colors[lead]] = x[lead] / np.where(norm > 0, norm, 1.0)[:, None]
     coef = np.sum(x * base[colors].conj(), axis=1)  # one per user
+    at = rows * n_colors + colors[cols]  # flat (RRH, color) of each pair
+    cross = x[lead] @ x[lead].conj().T
+    np.fill_diagonal(cross, 0.0)
+    off = max(np.max(energy - np.abs(coef) ** 2, initial=0.0), np.max(np.abs(cross), initial=0.0))
+    if np.bincount(at).max(initial=0) > 1 or off > _ORTHOGONALITY_TOL * energy.max(initial=0.0):
+        return None
     base_h = np.ascontiguousarray(base.conj().T)
     # (n_user, n_colors): each user's pilot energy in its color's column
     by_color = np.zeros((n_user, n_colors))
     by_color[np.arange(n_user), colors] = energy
     color_energy = chan.large_scale**2 @ by_color
-    at = rows * n_colors + colors[cols]  # flat (RRH, color) of each pair
     g = chan.large_scale[rows, cols]
     a = g * g * energy[cols]
     w = g * coef[cols].conj()
@@ -365,28 +362,19 @@ def throughput_lower_bound(
     diagonal of data powers beta'_k * p0, and R_v the diagonal of
     interference-plus-noise variances. Nonnegative by construction.
 
-    Only the estimated (RRH, user) pairs enter: the pairs of the plan an
-    estimate from ``mmse_estimate`` records, or else the nonzeros of h_hat.
-    With S the scaled effective channel the log-det is that of I + S^H S,
-    which couples two users only when some RRH estimates both; ordered by
-    the BFS levels of that co-service graph it is block tridiagonal, and one
-    small Cholesky per level gives the log-det. The estimate's plan makes
-    the level plan once, so a scheme's SNR grid pays for it once.
+    Only the pairs of the estimate's plan enter, scaled into S, and the
+    plan's level plan (``_level_plan``) gives log det(I + S^H S); the plan
+    makes it once, so a scheme's SNR grid pays for it once. An estimate
+    built by hand gets a plan of the nonzeros of its h_hat on each call.
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     bp = _beta_array(beta_prime, chan.n_user, "beta_prime")
     sigma2 = interference_variance(est, chan, bp, p0)
-    plan = est.plan
-    if plan is None:
-        flat = np.flatnonzero(est.h_hat != 0)
-        rows, cols = np.divmod(flat, est.h_hat.shape[1])
-        logdet = _level_plan(est.h_hat.shape, flat)
-    else:
-        rows, cols, flat, logdet = plan.rrh, plan.user, plan.flat, plan.logdet
-    s = (np.take(est.h_hat, flat) * np.take(chan.large_scale, flat)
-         * np.sqrt(bp * p0)[cols] / np.sqrt(sigma2)[rows])
-    return (1.0 - alpha) * logdet(s)
+    plan = est.plan if est.plan is not None else _Plan(None, est.h_hat.shape, *np.nonzero(est.h_hat))
+    s = (np.take(est.h_hat, plan.flat) * np.take(chan.large_scale, plan.flat)
+         * np.sqrt(bp * p0)[plan.user] / np.sqrt(sigma2)[plan.rrh])
+    return (1.0 - alpha) * plan.logdet(s)
 
 
 def _level_plan(shape: tuple, flat: np.ndarray):
@@ -394,60 +382,49 @@ def _level_plan(shape: tuple, flat: np.ndarray):
     sparsity pattern: ascending flat indices into an (n_rrh, n_user) array.
 
     Users are ordered by their BFS level in the co-service graph, where users
-    estimated by one RRH are adjacent. An RRH's users form a clique, so they
-    lie on one level or on two adjacent ones, and the RRH is grouped at the
-    lower. Level l's window holds its group's rows of S restricted to the
-    users of levels l and l + 1. Their Gram [[A, C], [C^H, F]] adds A to
-    diagonal block l, C to the off-diagonal block (l, l + 1) and F to block
-    l + 1, so I + S^H S is block tridiagonal. With Z_l the Schur complement
-    reached at level l (Z_0 = I + A_0), the Cholesky factor of the window
-    [[Z_l, C], [C^H, I + F]] has Z_l's factor on top and, bottom right, a
-    factor R of I + F - C^H Z_l^-1 C, so Z_{l+1} = A_{l+1} + R R^H. The
-    log-det is the sum of the log-dets of the Z_l (George & Liu 1981). A
-    last level with no RRH of its own is covered by the window before it.
+    estimated by one RRH are adjacent. An RRH's users form a clique, on one
+    level or two adjacent ones, and the RRH is grouped at the lower. S is
+    scattered into one zeroed matrix whose rows are the RRHs with pairs, by
+    (group, index), and whose columns are the users with pairs, by (level,
+    index); window l is the slice of group l's rows and levels l and l + 1's
+    columns. Its Gram [[A, C], [C^H, F]] adds A to diagonal block l, C to
+    block (l, l + 1) and F to block l + 1, so I + S^H S is block tridiagonal.
+    With Z_l the Schur complement reached at level l (Z_0 = I + A_0), the
+    Cholesky factor of [[Z_l, C], [C^H, I + F]] has Z_l's factor on top and,
+    bottom right, a factor R of I + F - C^H Z_l^-1 C, so Z_{l+1} =
+    A_{l+1} + R R^H; the log-det sums those of the Z_l (George & Liu 1981).
+    A last level with no RRH of its own is covered by the window before it.
     """
     n_rrh, n_user = shape
     rows, cols = np.divmod(flat, n_user)
     level = _bfs_levels(rows, cols, n_rrh, n_user)
+    first = np.flatnonzero(np.diff(rows, prepend=-1))  # pairs come sorted by RRH
+    group = np.minimum.reduceat(level[cols], first)
     users = np.flatnonzero(level >= 0)
     size = np.bincount(level[users])
-    # each user's place inside its level, users ascending
-    start = np.cumsum(size) - size
-    pos = np.empty(n_user, dtype=np.intp)
-    pos[users[np.argsort(level[users] * n_user + users)]] = (
-        np.arange(users.size) - np.repeat(start, size))
-    # each RRH at the lowest level of its users, and its row in that group
-    first = np.flatnonzero(np.diff(rows, prepend=-1))  # pairs come sorted by RRH
-    counts = np.diff(first, append=rows.size)
-    pair_level = level[cols]
-    group = np.minimum.reduceat(pair_level, first)
-    n_group = np.bincount(group, minlength=size.size)
-    rank = np.empty(first.size, dtype=np.intp)
-    rank[np.argsort(group * n_rrh + rows[first])] = (
-        np.arange(first.size) - np.repeat(np.cumsum(n_group) - n_group, n_group))
-    # one flat buffer of windows, each (its group's RRHs) x (levels l, l + 1)
-    width = size + np.append(size[1:], 0)
-    cells = n_group * width
-    offset = np.cumsum(cells) - cells
-    pair_group = np.repeat(group, counts)
-    col = pos[cols] + (pair_level - pair_group) * size[pair_group]
-    index = offset[pair_group] + np.repeat(rank, counts) * width[pair_group] + col
-    blocks = list(zip(offset.tolist(), (offset + cells).tolist(), n_group.tolist(),
-                      width.tolist(), size.tolist(), start.tolist()))
-    if len(blocks) > 1 and blocks[-1][2] == 0:
-        blocks.pop()
-    first_size = int(size[0]) if size.size else 0
-
-    # zero off index, and each call overwrites index, so one buffer serves
-    # every call; a fresh one per call had the heap re-fault megabytes
-    buf = np.zeros(int(cells.sum()), dtype=complex)
+    # each user's column and each RRH's row; stable sorts keep index order
+    col_of = np.empty(n_user, dtype=np.intp)
+    col_of[users[np.argsort(level[users], kind="stable")]] = np.arange(users.size)
+    row_of = np.empty(n_rrh, dtype=np.intp)
+    row_of[rows[first][np.argsort(group, kind="stable")]] = np.arange(first.size)
+    # each call overwrites the same cells, so one matrix serves every call;
+    # a fresh one per call had the heap re-fault megabytes
+    mat = np.zeros((first.size, users.size), dtype=complex)
+    index = row_of[rows] * users.size + col_of[cols]
+    col = np.append(0, np.cumsum(size)).tolist()  # level l's columns: col[l]:col[l + 1]
+    row = np.append(0, np.cumsum(np.bincount(group, minlength=size.size))).tolist()
+    windows = [(mat[row[l]:row[l + 1], col[l]:col[min(l + 2, size.size)]], col[l], m)
+               for l, m in enumerate(size.tolist())]
+    if len(windows) > 1 and row[-2] == row[-1]:
+        windows.pop()
+    eye = np.eye(size[:1].sum())  # Z_0 = I + A_0
 
     def logdet(s: np.ndarray) -> float:
-        buf[index] = s
+        mat.ravel()[index] = s
         diag = np.empty(users.size)
-        r = np.eye(first_size)  # Z_0 = I + A_0
-        for lo, hi, n, width, m, start in blocks:
-            b = buf[lo:hi].reshape(n, width)
+        r = eye
+        for b, start, m in windows:
+            width = b.shape[1]
             window = b.conj().T @ b
             window[:m, :m] += r @ r.conj().T
             window.flat[m * (width + 1)::width + 1] += 1.0

@@ -124,12 +124,23 @@ class ExperimentConfig:
             raise ParameterError(
                 f"t_coherence must be even for global-orthogonal (half the frame trains), "
                 f"got {self.t_coherence}")
+        k = max(self.k_grid) if self.experiment == "sweep-k" and self.k_grid else self.n_user
+        if "global-orthogonal" in self.schemes and k is not None:  # it trains min(K, T/2) uses
+            _check_beta(self.beta, min(k, self.t_coherence // 2), self.t_coherence,
+                        f"for global-orthogonal at K = {k}")
 
 
 def _check_int(key: str, value, low: int) -> None:
     """Reject anything but an integer >= low; JSON true/false are not integers."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+def _check_beta(beta: float, length: int, t_coh: int, where: str) -> None:
+    """Reject beta above 1/alpha = T / length, which leaves negative data power."""
+    if length / t_coh * beta > 1.0:  # data_power_coefficients' test, term for term
+        raise ParameterError(f"beta = {beta!r} exceeds 1/alpha = {t_coh}/{length} {where}: "
+                             "training overdraws the energy")
 
 
 def _check_real(key: str, value, floor: float = 0.0, inclusive: bool = False) -> None:
@@ -337,7 +348,7 @@ def _throughput_trial(item) -> dict:
     resolves to one (channel, association, pilot book) triple, and
     global-orthogonal's holds its active users alone. Only sweep-r returns an
     infeasible coloring instead of raising."""
-    cfg, n_user, _, trial = item
+    cfg, n_user, r, trial = item
     seed, t_coh, p0 = cfg.seed, cfg.t_coherence, cfg.p0
     layout, assoc = _draw(*item)
     col = dsatur(build_conflict_graph(assoc))
@@ -349,6 +360,8 @@ def _throughput_trial(item) -> dict:
         raise TrainingLengthError(
             f"training length {chi} reaches the coherence time {t_coh}"
         )
+    if needs_coloring:
+        _check_beta(cfg.beta, chi, t_coh, f"at K = {n_user}, r = {r!r}, where chi = {chi}")
     chan = generate_channel(layout, cfg.eta,
                             np.random.SeedSequence(seed, spawn_key=(FADING_SALT, trial)),
                             cfg.min_distance)

@@ -52,7 +52,7 @@ class ConflictGraph:
         self.kind = kind
 
     @classmethod
-    def from_edges(cls, n_vertices: int, edges, kind: str = "custom") -> "ConflictGraph":
+    def from_edges(cls, n_vertices: int, edges) -> "ConflictGraph":
         """Build from an iterable of (k, m) pairs; duplicates are merged."""
         e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
         if e.size:
@@ -60,7 +60,7 @@ class ConflictGraph:
                 raise ConsistencyError("edge endpoint out of range")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ConsistencyError("self loops are not allowed")
-        return cls(n_vertices, *_adjacency(n_vertices, e[:, 0], e[:, 1]), kind)
+        return cls(n_vertices, *_adjacency(n_vertices, e[:, 0], e[:, 1]), "custom")
 
     @cached_property
     def neighbors(self) -> tuple[np.ndarray, ...]:

@@ -16,6 +16,8 @@ from .errors import ConsistencyError, ParameterError
 from .geometry import _frozen
 from .graphs import build_conflict_graph
 
+_ORTHOGONALITY_TOL = 1e-10  # of the largest pilot energy: a correlation this small is zero
+
 
 def dft_rows(length: int) -> np.ndarray:
     """Rows of the unitary DFT matrix: an orthonormal base of C^length."""
@@ -36,7 +38,7 @@ class PilotBook:
         color_of: pilot color per user for books built from a coloring,
             None for free-form books (e.g. the random baseline). Users of
             one color send scaled copies of one row and rows of different
-            colors are orthogonal; ``mmse_estimate`` relies on this.
+            colors are orthogonal; ``mmse_estimate`` checks this.
     """
 
     pilots: np.ndarray
@@ -84,18 +86,18 @@ def build_pilot_book(coloring: Coloring, beta=1.0, p0: float = 1.0) -> PilotBook
     return PilotBook(pilots, b, float(p0), coloring.colors)
 
 
-def check_local_orthogonality(book: PilotBook, assoc: AssociationMap, tol: float = 1e-10) -> bool:
+def check_local_orthogonality(book: PilotBook, assoc: AssociationMap) -> bool:
     """True iff, at every RRH, served users' pilots are pairwise orthogonal.
 
     Orthogonality is only required within each RRH's served set, that is
     along the edges of the conflict graph; users served by no common RRH may
     correlate arbitrarily. A cross-correlation counts as zero when it is at
-    most ``tol`` times the largest pilot energy in the book, so the verdict
-    does not depend on the power scale.
+    most ``_ORTHOGONALITY_TOL`` (1e-10) times the largest pilot energy in the
+    book, so the verdict does not depend on the power scale.
     """
     if book.n_user != assoc.n_user:
         raise ConsistencyError("pilot book and association disagree on the user count")
     x = book.pilots
-    limit = tol * float(np.max(np.sum(np.abs(x) ** 2, axis=1), initial=0.0))
+    limit = _ORTHOGONALITY_TOL * float(np.max(np.sum(np.abs(x) ** 2, axis=1), initial=0.0))
     k, m = build_conflict_graph(assoc).edge_array.T
     return not np.any(np.abs(np.sum(x[k] * x[m].conj(), axis=1)) > limit)

@@ -465,6 +465,50 @@ def test_colored_book_with_shared_color_at_an_rrh_takes_the_solve():
     assert np.max(np.abs(est.h_hat - slow.h_hat)) <= 1e-9 * np.max(np.abs(slow.h_hat))
 
 
+def contract_breaking_book(case, col, rng):
+    """A colored book whose rows break the color contract although no RRH
+    serves two users of one color: random unit rows (both parts broken), a
+    DFT book with one served user moved halfway onto another color's row
+    (that user off its color's row), or one random unit row per color that
+    its users share (rows of different colors not orthogonal)."""
+    k, length = col.colors.size, col.num_colors
+    if case == "random":
+        x = channel_mod.complex_gaussian(rng, (k, length))
+    elif case == "off-row":
+        x = build_pilot_book(col).pilots.copy()
+        u = next(u for u in range(k) if np.any(col.colors[:u] == col.colors[u]))  # not its color's lead
+        x[u] = x[u] + x[int(np.flatnonzero(col.colors != col.colors[u])[0])]
+    else:
+        x = channel_mod.complex_gaussian(rng, (length, length))[col.colors]
+    x = x / np.linalg.norm(x, axis=1)[:, None]
+    return PilotBook(x, np.full(k, 1.0 / length), 1.0, col.colors)
+
+
+@pytest.mark.parametrize("case", ["random", "off-row", "crossed"])
+def test_colored_book_that_breaks_the_color_contract_takes_the_solve(monkeypatch, case):
+    # the closed form would be wrong for these rows, so the book takes the
+    # batched solve, bit for bit as without its colors, and agrees with the
+    # per-RRH solve; the package's book on the same coloring keeps the
+    # closed form
+    lay = generate_layout(20, 30, 50.0, seed=3)
+    assoc = sparsify(lay, 10.0)
+    col = dsatur(build_conflict_graph(assoc))
+    assert col.num_colors == 11 and set(assoc.user.tolist()) == set(range(30))
+    rng = np.random.default_rng(13)
+    book = contract_breaking_book(case, col, rng)
+    ch = generate_channel(lay, 3.5, seed=14)
+    noise = np.sqrt(0.01) * channel_mod.complex_gaussian(rng, (20, col.num_colors))
+    batched = spy(monkeypatch, channel_mod, "_batched_plan")
+    est = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
+    ref = mmse_estimate(ch, dataclasses.replace(book, color_of=None), assoc, 0.01, noise=noise)
+    assert len(batched) == 2
+    assert np.array_equal(est.mse, ref.mse) and np.array_equal(est.h_hat, ref.h_hat)
+    assert_matches_per_rrh_solve(ch, book, assoc, noise / np.sqrt(0.01))
+    batched.clear()
+    mmse_estimate(ch, build_pilot_book(col), assoc, 0.01, noise=noise)
+    assert batched == []
+
+
 def spy(monkeypatch, owner, name):
     """Record the positional arguments of every call to owner.name."""
     calls = []
@@ -492,8 +536,9 @@ def test_decoupled_plan_on_phased_and_silent_users(monkeypatch):
     ch = generate_channel(lay, 3.5, seed=53)
     z0 = channel_mod.complex_gaussian(rng, (n, col.num_colors))
     plans = spy(monkeypatch, channel_mod, "_decoupled_plan")
+    batched = spy(monkeypatch, channel_mod, "_batched_plan")
     assert_matches_per_rrh_solve(ch, book, assoc, z0)
-    assert len(plans) == 1  # the closed form, planned once for six SNRs
+    assert len(plans) == 1 and batched == []  # the closed form, planned once for six SNRs
     est = mmse_estimate(ch, book, assoc, 1e-3, noise=np.sqrt(1e-3) * z0)
     assert np.all(est.h_hat[:, silent] == 0.0) and np.all(est.mse[:, silent] == 1.0)
     # the silent users' pairs stay in the plan's pattern, with zero values; a
@@ -861,6 +906,23 @@ def test_rate_matches_dense_cholesky_on_a_chain(band):
     for perm in (np.arange(k), rng.permutation(k)):
         est, chan, bp = pattern_instance(rng, mask[:, perm])
         assert_rate_matches_dense(est, chan, bp)
+
+
+def test_rate_matches_dense_cholesky_on_groups_against_index_order():
+    # RRH 2 serves users 0, 3 and 5, RRH 0 users 1 and 3, RRH 1 users 1, 2
+    # and 4: the levels are {0}, {3, 5}, {1} and {2, 4}, and the groups, each
+    # RRH at the lower of its levels, hold RRHs 2, 0 and 1. Neither the
+    # groups nor the levels follow index order, and the last level has no
+    # RRH of its own, so the window of level 2 covers it
+    mask = np.zeros((3, 6), dtype=bool)
+    for rrh, users in ((2, [0, 3, 5]), (0, [1, 3]), (1, [1, 2, 4])):
+        mask[rrh, users] = True
+    rows, cols = np.nonzero(mask)
+    assert channel_mod._bfs_levels(rows, cols, 3, 6).tolist() == [0, 2, 3, 1, 3, 1]
+    rng = np.random.default_rng(37)
+    for n0 in (1e-5, 1.0):
+        for _ in range(5):
+            assert_rate_matches_dense(*pattern_instance(rng, mask, n0))
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "refined", "random-pilot", "global-orthogonal"])

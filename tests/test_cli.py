@@ -126,6 +126,22 @@ def test_bad_value_exits_one_naming_the_key(tmp_path, line, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("scheme,named", [
+    ("global-orthogonal", "1/alpha = 24/8 for global-orthogonal at K = 8"),  # known to the config
+    ("proposed", "at K = 8, r = 10.0, where chi = "),  # chi is known in the trial
+], ids=["global-orthogonal", "proposed"])
+def test_beta_above_one_over_alpha_exits_one_naming_beta(tmp_path, scheme, named, workers):
+    # beta above 1/alpha would leave a negative data power; the message names
+    # beta and what bounds it, also when a worker process raises it
+    text = COMPARE_CFG.replace('["proposed", "global-orthogonal"]', f'["{scheme}"]') + "beta = 30.0\n"
+    out = tmp_path / "x.csv"
+    proc = run_cli("compare", "--config", write(tmp_path, text), "--out", str(out), "--workers", workers)
+    assert proc.returncode == 1, proc.stderr
+    assert "beta = 30.0" in proc.stderr and named in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+
 @pytest.mark.parametrize("name,cfg_text,key", [
     ("scaling", "n_rrh = 10\nk_grid = [1, 20]\nrho = 0.5\nside = 30.0\ntrials = 1\n", "k_grid"),
     ("density", "n_rrh = 8\nn_user = 1\nrho = 0.5\nside = 30.0\ntrials = 1\n", "n_user"),

@@ -121,3 +121,18 @@ def test_repeated_grid_entry_raises_naming_the_key(key, data):
     if key == "snr_db" and float(twice).is_integer():
         with pytest.raises(ParameterError, match=key):
             config_from_mapping("compare", {"n_rrh": 4, key: [twice, int(twice)]})
+
+
+def test_beta_above_the_global_orthogonal_bound_raises_naming_beta():
+    # global-orthogonal trains min(K, T/2) users for as many uses, so beta may
+    # reach T / min(K, T/2); sweep-k's largest K sets the bound
+    base = {"n_rrh": 6, "t_coherence": 24, "schemes": ["global-orthogonal"]}
+    for experiment, extra, length in (("compare", {"n_user": 8}, 8),
+                                      ("sweep-r", {"n_user": 30}, 12),
+                                      ("sweep-k", {"k_grid": [8, 4]}, 8)):
+        bound = 24 / length
+        assert config_from_mapping(experiment, {**base, **extra, "beta": bound}).beta == bound
+        with pytest.raises(ParameterError, match=rf"^beta = .* exceeds 1/alpha = 24/{length} "):
+            config_from_mapping(experiment, {**base, **extra, "beta": bound * 1.001})
+    # the colored schemes' bound, T / chi, waits for each trial's coloring
+    config_from_mapping("compare", {**base, "n_user": 8, "beta": 30.0, "schemes": ["proposed"]})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lotrain.pilots as pilots_mod
 from lotrain import (
     Coloring,
     ConsistencyError,
@@ -111,7 +112,7 @@ def test_local_orthogonality_matches_the_per_rrh_loop():
     # meets every user of m's color at a cross term of 0.5x or 2x the limit:
     # the verdict flips only at 2x, and only if u shares an RRH with one
     rng = np.random.default_rng(29)
-    tol = 1e-10
+    tol = pilots_mod._ORTHOGONALITY_TOL
     verdicts = []
     for _ in range(120):
         k = int(rng.integers(2, 30))
@@ -138,7 +139,7 @@ def test_local_orthogonality_matches_the_per_rrh_loop():
                 x[u] += factor * tol * energy / norm**2 * row
                 books.append((PilotBook(x, colored.beta, colored.p0, None), factor < 1 or not shares))
         for book, want in books:
-            got = check_local_orthogonality(book, assoc, tol)
+            got = check_local_orthogonality(book, assoc)
             assert got == local_orthogonality_loop(book, assoc, tol)
             assert want is None or got == want
             verdicts.append(got)
