@@ -12,9 +12,12 @@ import sys
 
 # One BLAS thread per process unless the user set one (too late once numpy is
 # loaded): CSV bytes do not depend on the core count, --workers is the only
-# parallelism, and spawned workers inherit the setting.
-if "numpy" not in sys.modules:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# parallelism, and spawned workers inherit the setting. run_experiment warns
+# when numpy came first without that setting.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_PINNED = "numpy" not in sys.modules
+if _BLAS_PINNED:
+    for _var in _BLAS_VARS:
         os.environ.setdefault(_var, "1")
     del _var
 

@@ -65,6 +65,16 @@ def sparsify(layout: NetworkLayout, threshold: float) -> AssociationMap:
     return AssociationMap(rrh, user, layout.n_rrh, layout.n_user, float(threshold))
 
 
+def color_slots(assoc: AssociationMap, colors: np.ndarray, n_colors: int) -> np.ndarray:
+    """The slot rrh * n_colors + color of every served pair; two pairs in
+    one slot, an RRH serving two users of one color, raise ConsistencyError."""
+    at = assoc.rrh * n_colors + colors[assoc.user]
+    twice = np.flatnonzero(np.bincount(at) > 1)
+    if twice.size:
+        raise ConsistencyError(f"RRH {twice[0] // n_colors} serves two users of the same color")
+    return at
+
+
 def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -> AssociationMap:
     """Extend each RRH's set with its nearest user of every missing color.
 
@@ -84,13 +94,8 @@ def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -
     if assoc.n_rrh != layout.n_rrh:
         raise ConsistencyError("association and layout disagree on the RRH count")
     n_rrh, n_colors = assoc.n_rrh, coloring.num_colors
-    rrh, user = assoc.rrh, assoc.user
-    # (n_rrh, n_colors): how many users of each color every RRH serves
-    have = np.bincount(rrh * n_colors + colors[user],
-                       minlength=n_rrh * n_colors).reshape(n_rrh, n_colors)
-    twice = np.flatnonzero(have.max(axis=1, initial=0) > 1)
-    if twice.size:
-        raise ConsistencyError(f"RRH {twice[0]} serves two users of the same color")
+    missing = np.ones(n_rrh * n_colors, dtype=bool)  # (RRH, color) slots nobody fills
+    missing[color_slots(assoc, colors, n_colors)] = False
     # every RRH's nearest user of each color; a class is ascending and argmin
     # returns its first minimum, so the lowest index wins ties
     dists = np.maximum(*abs_offsets(layout.rrh_xy, layout.user_xy))
@@ -99,8 +104,8 @@ def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -
         cls = np.flatnonzero(colors == q)
         if cls.size:
             nearest[:, q] = cls[np.argmin(dists[:, cls], axis=1)]
-    add_rrh, add_color = np.nonzero((have == 0) & (nearest >= 0))
-    rrh = np.concatenate([rrh, add_rrh])
-    user = np.concatenate([user, nearest[add_rrh, add_color]])
+    add_rrh, add_color = np.nonzero(missing.reshape(n_rrh, n_colors) & (nearest >= 0))
+    rrh = np.concatenate([assoc.rrh, add_rrh])
+    user = np.concatenate([assoc.user, nearest[add_rrh, add_color]])
     order = np.argsort(rrh * layout.n_user + user)  # keys are distinct
     return AssociationMap(rrh[order], user[order], n_rrh, layout.n_user, assoc.threshold)

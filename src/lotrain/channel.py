@@ -16,9 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .association import color_slots
 from .errors import ConsistencyError, DegenerateGeometryError, ParameterError
 from .geometry import NetworkLayout, abs_offsets, _frozen, _rng
-from .pilots import _ORTHOGONALITY_TOL, PilotBook, _beta_array
+from .pilots import PilotBook, _beta_array
 
 # SeedSequence spawn-key salts; shared with the experiment harness so every
 # consumer of a master seed draws from disjoint streams.
@@ -123,17 +124,14 @@ def mmse_estimate(
     ``AssociationMap``); out-of-set users' pilots act as unmodeled
     interference whose full covariance is charged to the error variance.
 
-    Two paths compute the same estimator. When the book carries a
-    ``color_of``, its rows keep the color contract (see ``PilotBook``) and no
-    RRH serves two users of one color, the served pilots are orthogonal at
-    every RRH, so each weight decouples to gamma_k x_k^* / (gamma_k^2 E_k + n0)
-    and only same-colored users outside the set leak in: all RRHs are
-    estimated at once in closed form, from one correlation per color. Any
-    other book (free-form, or colored but not so) takes a dual-form LMMSE
-    that assumes nothing about the pilots: the RRHs are grouped by the size
-    of their served sets and each group's gain-scaled served pilots take one
-    stacked SVD, after which each noise power is a diagonal rescaling. The
-    tests check both paths against a per-RRH regularized solve.
+    The book picks the path. A colored book keeps its color contract
+    (``PilotBook`` checks it), so unless an RRH serves two users of one
+    color (ConsistencyError, as from ``refine``) every RRH's served pilots
+    are orthogonal, and all RRHs are estimated at once in closed form from
+    one correlation per color. A free-form book (``color_of`` None) takes a
+    dual-form LMMSE that assumes nothing about the pilots: RRHs with equally
+    many served users share one stacked SVD. The tests check both paths
+    against a per-RRH regularized solve.
 
     The work that does not depend on the noise is planned once per book and
     association: the channel keeps its last plan and reuses it while the
@@ -203,55 +201,32 @@ class _Plan:
 
 
 def _plan(chan, book, assoc) -> _Plan:
-    """Plan the estimator of (chan, book, assoc)."""
-    rows, cols = assoc.rrh, assoc.user
+    """Plan the estimator of (chan, book, assoc): the closed form for a
+    colored book, the batched solve for a free-form one."""
     clean = (chan.small_scale * chan.large_scale) @ book.pilots  # noiseless received signal
-    estimate = None if book.color_of is None else _decoupled_plan(chan, book, rows, cols, clean)
-    if estimate is None:
-        estimate = _batched_plan(chan, book, rows, cols, clean)
-    return _Plan(estimate, chan.small_scale.shape, rows, cols)
+    estimate = (_batched_plan if book.color_of is None else _decoupled_plan)(chan, book, assoc, clean)
+    return _Plan(estimate, chan.small_scale.shape, assoc.rrh, assoc.user)
 
 
-def _decoupled_plan(chan, book, rows, cols, clean):
-    """Closed-form estimator for a colored, locally orthogonal book; None
-    if some RRH serves two users of one color (an exact integer count) or
-    the book breaks its color contract.
-
-    By that contract user k sends x_k = coef_k base[c_k], where base[c] is a
-    unit row (its color's strongest pilot, normalized; zero for a color whose
-    users all send nothing) and rows of different colors are orthogonal. Both
-    are checked: no row's energy off its color's row, and no correlation of
-    two colors' strongest rows, may pass _ORTHOGONALITY_TOL times the largest
-    pilot energy. So an RRH correlates its signal once per color, and with
-    a = gamma^2 E and den = a + n0, h_hat = gamma conj(coef) (y base[c]^H) / den
-    and mse = n0 / den + a (S[i, c] - a) / den^2, where S[i, c] is the pilot
-    energy RRH i receives on color c.
+def _decoupled_plan(chan, book, assoc, clean):
+    """Closed-form estimator for a colored book, whose user k sends
+    x_k = coef_k rows[c_k]: each weight decouples, and an RRH correlates its
+    signal once per color. With a = gamma^2 E and den = a + n0, h_hat =
+    gamma conj(coef) (y rows[c]^H) / den and mse = n0 / den + a (S[i, c] -
+    a) / den^2, where S[i, c] is the pilot energy RRH i receives on color c.
     """
-    x = book.pilots
-    colors = book.color_of
-    n_user, length = x.shape
-    n_colors = int(colors.max(initial=-1)) + 1
-    energy = np.sum(np.abs(x) ** 2, axis=1)
-    order = np.lexsort((-energy, colors))  # by color, strongest first
-    lead = order[np.diff(colors[order], prepend=-1) != 0]
-    norm = np.sqrt(energy[lead])
-    base = np.zeros((n_colors, length), dtype=complex)
-    base[colors[lead]] = x[lead] / np.where(norm > 0, norm, 1.0)[:, None]
-    coef = np.sum(x * base[colors].conj(), axis=1)  # one per user
-    at = rows * n_colors + colors[cols]  # flat (RRH, color) of each pair
-    cross = x[lead] @ x[lead].conj().T
-    np.fill_diagonal(cross, 0.0)
-    off = max(np.max(energy - np.abs(coef) ** 2, initial=0.0), np.max(np.abs(cross), initial=0.0))
-    if np.bincount(at).max(initial=0) > 1 or off > _ORTHOGONALITY_TOL * energy.max(initial=0.0):
-        return None
-    base_h = np.ascontiguousarray(base.conj().T)
+    rows, cols, colors = assoc.rrh, assoc.user, book.color_of
+    n_user, n_colors = colors.size, book.rows.shape[0]
+    energy = np.sum(np.abs(book.pilots) ** 2, axis=1)
+    at = color_slots(assoc, colors, n_colors)  # raises if an RRH serves one color twice
+    base_h = np.ascontiguousarray(book.rows.conj().T)
     # (n_user, n_colors): each user's pilot energy in its color's column
     by_color = np.zeros((n_user, n_colors))
     by_color[np.arange(n_user), colors] = energy
     color_energy = chan.large_scale**2 @ by_color
     g = chan.large_scale[rows, cols]
     a = g * g * energy[cols]
-    w = g * coef[cols].conj()
+    w = g * book.coef[cols].conj()
     leak = a * (np.take(color_energy, at) - a)
 
     def estimate(noise, n0):
@@ -263,7 +238,7 @@ def _decoupled_plan(chan, book, rows, cols, clean):
     return estimate
 
 
-def _batched_plan(chan, book, rows, cols, clean):
+def _batched_plan(chan, book, assoc, clean):
     """Dual-form LMMSE at every RRH; assumes nothing about the pilots.
 
     RRH i stacks its served users' scaled pilots as A = diag(g) X_in, and
@@ -282,6 +257,7 @@ def _batched_plan(chan, book, rows, cols, clean):
     exact zeros where A A^H is singular, so those directions add nothing
     instead of rounding residue times 1 / n0.
     """
+    rows, cols = assoc.rrh, assoc.user
     x = book.pilots
     length = x.shape[1]
     sizes = np.bincount(rows, minlength=chan.n_rrh)

@@ -19,11 +19,14 @@ not independent ones.
 import hashlib
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
+from . import _BLAS_PINNED, _BLAS_VARS, pilots
 from ._parallel import pool_map
 from .association import AssociationMap, refine, sparsify
 from .channel import (
@@ -38,11 +41,11 @@ from .channel import (
     snr_db_to_noise_power,
     throughput_lower_bound,
 )
-from .coloring import dsatur
+from .coloring import Coloring, dsatur
 from .errors import ConsistencyError, ParameterError, TrainingLengthError
 from .geometry import RNG_ALGORITHM, _rng, generate_layout
 from .graphs import build_conflict_graph, build_proximity_graph, max_degree
-from .pilots import PilotBook, _beta_array, build_pilot_book, dft_rows
+from .pilots import PilotBook, _beta_array, build_pilot_book
 from .scaling import chromatic_scaling_bound, degree_scaling_bound, radius_for_rho
 
 NATS_TO_BITS = 1.0 / np.log(2.0)
@@ -101,15 +104,22 @@ class ExperimentConfig:
             _check_real("r_grid entry", r)
         if not self.snr_db:
             raise ParameterError("snr_db grid must be nonempty")
+        # the estimator squares den = gamma^2 E + n0, whose training energy E
+        # reaches T beta p0 and gain gamma^2 min_distance^-eta
+        try:
+            peak = self.t_coherence * self.beta * self.p0 * self.min_distance ** -self.eta
+        except OverflowError:
+            peak = math.inf
         for snr in self.snr_db:
             _check_real("snr_db entry", snr, floor=-math.inf)
             try:
                 n0 = snr_db_to_noise_power(snr, self.p0)
             except OverflowError:
                 n0 = math.inf
-            if not 0 < n0 < math.inf:
-                raise ParameterError(f"snr_db entry {snr!r} puts the noise power at {n0} for "
-                                     f"p0 = {self.p0!r}; it must be positive and finite")
+            if not (n0 * n0 >= sys.float_info.min and (peak + n0) * (peak + n0) < math.inf):
+                raise ParameterError(f"snr_db entry {snr!r} and p0 = {self.p0!r} put the noise power at "
+                                     f"{n0:.3g} and the received training energy at up to {peak:.3g}; "
+                                     "the estimator squares both, and each square must stay a normal double")
         if self.resample_layout not in ("per-trial", "fixed"):
             raise ParameterError(
                 f"resample_layout must be 'per-trial' or 'fixed', got {self.resample_layout!r}")
@@ -272,8 +282,7 @@ def baseline_random_pilots(length: int, n_user: int, rng: np.random.Generator,
         raise ParameterError(f"p0 must be positive, got {p0}")
     b = _beta_array(beta, n_user)
     g = complex_gaussian(rng, (n_user, length))
-    norms = np.linalg.norm(g, axis=1)
-    pilots = g * (np.sqrt(length * b * p0) / norms)[:, None]
+    pilots = g * (np.sqrt(length * b * p0) / np.linalg.norm(g, axis=1))[:, None]
     return PilotBook(pilots, b, float(p0), None)
 
 
@@ -281,25 +290,21 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Gen
                                beta: float = 1.0, p0: float = 1.0):
     """Classical network-wide orthogonal training.
 
-    Half the frame is training, so at most t_coherence/2 users can be active;
-    a uniformly random subset that size is selected (all users when fewer).
-    The scheme is the problem of its active users alone: active user j sends
-    row j of an orthonormal base scaled to the power constraint and takes
-    color j. The other users neither train nor send data.
+    Half the frame is training, so at most t_coherence/2 users can be active:
+    a uniformly random subset that size (all users when fewer). The scheme
+    is the problem of its active users alone, and its book is the pilot book
+    of the coloring that gives active user j color j. The other users
+    neither train nor send data.
 
     Returns (active_indices, PilotBook); the book has one row per active user.
     """
     if t_coherence < 2 or t_coherence % 2:
         raise ParameterError(f"t_coherence must be even and >= 2, got {t_coherence}")
     cap = t_coherence // 2
-    if n_user <= cap:
-        active = np.arange(n_user, dtype=np.intp)
-    else:
-        active = np.sort(rng.choice(n_user, size=cap, replace=False)).astype(np.intp)
-    length = active.size
-    pilots = np.sqrt(length * beta * p0) * dft_rows(length)
-    return active, PilotBook(pilots, np.full(length, beta, dtype=float), float(p0),
-                             np.arange(length, dtype=np.intp))
+    active = (np.arange(n_user) if n_user <= cap
+              else np.sort(rng.choice(n_user, size=cap, replace=False))).astype(np.intp)
+    # through its module: the kernels' own build_pilot_book is the shared colored book
+    return active, pilots.build_pilot_book(Coloring(np.arange(active.size), active.size), beta, p0)
 
 
 def _global_orthogonal_assoc(n_rrh: int, n_user: int) -> AssociationMap:
@@ -357,9 +362,7 @@ def _throughput_trial(item) -> dict:
     if needs_coloring and chi >= t_coh:
         if cfg.experiment == "sweep-r":
             return {"infeasible": chi}
-        raise TrainingLengthError(
-            f"training length {chi} reaches the coherence time {t_coh}"
-        )
+        raise TrainingLengthError(f"training length {chi} reaches the coherence time {t_coh}")
     if needs_coloring:
         _check_beta(cfg.beta, chi, t_coh, f"at K = {n_user}, r = {r!r}, where chi = {chi}")
     chan = generate_channel(layout, cfg.eta,
@@ -394,7 +397,10 @@ def _throughput_trial(item) -> dict:
         for snr in cfg.snr_db:
             n0 = snr_db_to_noise_power(snr, p0)
             est = mmse_estimate(chan_s, book, a_s, n0, noise=np.sqrt(n0) * z0[:, :length])
-            rates[(scheme, snr)] = throughput_lower_bound(est, chan_s, alpha, bp, p0)
+            rate = rates[(scheme, snr)] = throughput_lower_bound(est, chan_s, alpha, bp, p0)
+            if not math.isfinite(rate):  # no NaN may reach a CSV
+                raise ConsistencyError(f"{scheme} at snr_db {snr!r}, K = {n_user}, r = {r!r}: "
+                                       f"the rate is {rate} at p0 = {p0!r}")
     return {"rates": rates, "lengths": lengths}
 
 
@@ -499,6 +505,12 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     """
     if cfg.experiment not in _STUDIES:
         raise ParameterError(f"unknown experiment {cfg.experiment!r}; choose from {sorted(_STUDIES)}")
+    if not _BLAS_PINNED and any(os.environ.get(v) != "1" for v in _BLAS_VARS):
+        import logging  # here alone: every CLI start would pay for it
+
+        logging.getLogger(__name__).warning(
+            "numpy was imported before lotrain with %s not all 1: BLAS may run several threads, and the "
+            "CSV bytes can differ from a one-thread run; import lotrain first", ", ".join(_BLAS_VARS))
     kernel, aggregate = _STUDIES[cfg.experiment]
     points = _grid(cfg)
     items = [(cfg, k, r, t) for k, r in points for t in range(cfg.trials)]

@@ -6,7 +6,7 @@ every RRH sees mutually orthogonal pilots among the users it serves, which is
 all the orthogonality the per-RRH estimator needs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,21 +36,46 @@ class PilotBook:
         beta: per-user training power coefficients.
         p0: power budget per channel use.
         color_of: pilot color per user for books built from a coloring,
-            None for free-form books (e.g. the random baseline). Users of
-            one color send scaled copies of one row and rows of different
-            colors are orthogonal; ``mmse_estimate`` checks this.
+            None for free-form books (e.g. the random baseline).
+        rows, coef: a colored book's color contract (None if free-form):
+            user k sends coef[k] * rows[color_of[k]], one orthonormal row
+            per color, its strongest user's pilot normalized (zero if all
+            are silent). Energy off a user's row, or a correlation of two
+            colors' rows, above ``_ORTHOGONALITY_TOL`` times the largest
+            pilot energy raises ConsistencyError naming the user or colors.
     """
 
     pilots: np.ndarray
     beta: np.ndarray
     p0: float
     color_of: np.ndarray | None = None
+    rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    coef: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pilots", _frozen(self.pilots))
         object.__setattr__(self, "beta", _frozen(self.beta))
-        if self.color_of is not None:
-            object.__setattr__(self, "color_of", _frozen(self.color_of))
+        if self.color_of is None:
+            return
+        x, colors = self.pilots, _frozen(self.color_of, np.intp)
+        if colors.shape != x.shape[:1] or colors.min(initial=0) < 0:
+            raise ConsistencyError(f"color_of must give each of the {x.shape[0]} users one nonnegative color")
+        energy = np.sum(np.abs(x) ** 2, axis=1)
+        order = np.lexsort((-energy, colors))  # by color, strongest first
+        lead = order[np.diff(colors[order], prepend=-1) != 0]
+        norm = np.sqrt(energy[lead])
+        rows = np.zeros((int(colors.max(initial=-1)) + 1, x.shape[1]), dtype=complex)
+        rows[colors[lead]] = x[lead] / np.where(norm > 0, norm, 1.0)[:, None]
+        coef = np.sum(x * rows[colors].conj(), axis=1)
+        limit = _ORTHOGONALITY_TOL * energy.max(initial=0.0)
+        off = np.flatnonzero(energy - np.abs(coef) ** 2 > limit)
+        if off.size:
+            raise ConsistencyError(f"user {off[0]}'s pilot has energy off its color's row ({colors[off[0]]})")
+        i, j = colors[lead[np.argwhere(np.triu(np.abs(x[lead] @ x[lead].conj().T) > limit, 1))]].T
+        if i.size:
+            raise ConsistencyError(f"the rows of colors {i[0]} and {j[0]} correlate")
+        for name, a in (("color_of", colors), ("rows", _frozen(rows)), ("coef", _frozen(coef))):
+            object.__setattr__(self, name, a)
 
     @property
     def n_user(self) -> int:
@@ -78,11 +103,9 @@ def build_pilot_book(coloring: Coloring, beta=1.0, p0: float = 1.0) -> PilotBook
     times the DFT row of its color."""
     if not p0 > 0:
         raise ParameterError(f"p0 must be positive, got {p0}")
-    n_user = coloring.colors.shape[0]
-    b = _beta_array(beta, n_user)
+    b = _beta_array(beta, coloring.colors.shape[0])
     length = coloring.num_colors
-    rows = dft_rows(length)
-    pilots = np.sqrt(length * b * p0)[:, None] * rows[coloring.colors]
+    pilots = np.sqrt(length * b * p0)[:, None] * dft_rows(length)[coloring.colors]
     return PilotBook(pilots, b, float(p0), coloring.colors)
 
 

@@ -36,6 +36,7 @@ from lotrain import (
     build_conflict_graph,
     build_pilot_book,
     data_power_coefficients,
+    dft_rows,
     dsatur,
     generate_channel,
     generate_layout,
@@ -445,32 +446,41 @@ def test_batched_estimate_matches_per_rrh_solve(case, per_user_beta):
 
 
 def test_colored_book_with_shared_color_at_an_rrh_takes_the_solve():
-    # two users of one color served by one RRH: the decoupled weights would be
-    # wrong, so the book takes the batched solve, bit for bit as without its
-    # colors, and agrees with the per-RRH solve
+    # two users of one color served by one RRH: the closed form would be
+    # wrong, so the colored book is refused with refine's error and the
+    # channel keeps no plan; the same rows without colors take the batched
+    # solve and agree with the per-RRH solve
     lay = generate_layout(3, 12, 60.0, seed=21)
     assoc = sparsify(lay, 18.0)
     col = dsatur(build_conflict_graph(assoc))
     k, m = assoc.served_users[0][:2]
     colors = col.colors.copy()
     colors[m] = colors[k]
-    book = build_pilot_book(Coloring(colors, col.num_colors))
+    shared = Coloring(colors, col.num_colors)
+    book = build_pilot_book(shared)
     ch = generate_channel(lay, 3.5, seed=22)
     noise = np.sqrt(0.05) * channel_mod.complex_gaussian(np.random.default_rng(3), (3, col.num_colors))
-    est = mmse_estimate(ch, book, assoc, 0.05, noise=noise)
-    ref = mmse_estimate(ch, dataclasses.replace(book, color_of=None), assoc, 0.05, noise=noise)
-    assert np.array_equal(est.mse, ref.mse) and np.array_equal(est.h_hat, ref.h_hat)
-    slow = per_rrh_solve(ch, book, assoc, 0.05, noise)
+    with pytest.raises(ConsistencyError) as refused:
+        refine(assoc, lay, shared)
+    with pytest.raises(ConsistencyError) as raised:
+        mmse_estimate(ch, book, assoc, 0.05, noise=noise)
+    assert str(raised.value) == str(refused.value) == "RRH 0 serves two users of the same color"
+    assert ch._last_plan is None
+    free = dataclasses.replace(book, color_of=None)
+    assert free.rows is None and free.coef is None
+    est = mmse_estimate(ch, free, assoc, 0.05, noise=noise)
+    slow = per_rrh_solve(ch, free, assoc, 0.05, noise)
     assert np.all(np.abs(est.mse - slow.mse) <= 1e-8 * slow.mse)
     assert np.max(np.abs(est.h_hat - slow.h_hat)) <= 1e-9 * np.max(np.abs(slow.h_hat))
 
 
 def contract_breaking_book(case, col, rng):
-    """A colored book whose rows break the color contract although no RRH
-    serves two users of one color: random unit rows (both parts broken), a
-    DFT book with one served user moved halfway onto another color's row
+    """Free-form rows that break the color contract of ``col`` although no
+    RRH serves two users of one color: random unit rows (both parts broken),
+    a DFT book with one served user moved halfway onto another color's row
     (that user off its color's row), or one random unit row per color that
-    its users share (rows of different colors not orthogonal)."""
+    its users share (rows of different colors not orthogonal). Returns the
+    free-form book and the error a colored book of those rows raises."""
     k, length = col.colors.size, col.num_colors
     if case == "random":
         x = channel_mod.complex_gaussian(rng, (k, length))
@@ -481,32 +491,94 @@ def contract_breaking_book(case, col, rng):
     else:
         x = channel_mod.complex_gaussian(rng, (length, length))[col.colors]
     x = x / np.linalg.norm(x, axis=1)[:, None]
-    return PilotBook(x, np.full(k, 1.0 / length), 1.0, col.colors)
+    error = (r"the rows of colors \d+ and \d+ correlate" if case == "crossed"
+             else r"user \d+'s pilot has energy off its color's row \(\d+\)")
+    return PilotBook(x, np.full(k, 1.0 / length), 1.0), error
 
 
 @pytest.mark.parametrize("case", ["random", "off-row", "crossed"])
 def test_colored_book_that_breaks_the_color_contract_takes_the_solve(monkeypatch, case):
-    # the closed form would be wrong for these rows, so the book takes the
-    # batched solve, bit for bit as without its colors, and agrees with the
-    # per-RRH solve; the package's book on the same coloring keeps the
+    # the closed form would be wrong for these rows, so a colored book of
+    # them is refused where it is built, naming the user or the colors; the
+    # rows take the batched solve as a free-form book and agree with the
+    # per-RRH solve, and the package's book on the same coloring keeps the
     # closed form
     lay = generate_layout(20, 30, 50.0, seed=3)
     assoc = sparsify(lay, 10.0)
     col = dsatur(build_conflict_graph(assoc))
     assert col.num_colors == 11 and set(assoc.user.tolist()) == set(range(30))
     rng = np.random.default_rng(13)
-    book = contract_breaking_book(case, col, rng)
+    book, error = contract_breaking_book(case, col, rng)
+    with pytest.raises(ConsistencyError, match=error):
+        PilotBook(book.pilots, book.beta, book.p0, col.colors)
     ch = generate_channel(lay, 3.5, seed=14)
     noise = np.sqrt(0.01) * channel_mod.complex_gaussian(rng, (20, col.num_colors))
     batched = spy(monkeypatch, channel_mod, "_batched_plan")
-    est = mmse_estimate(ch, book, assoc, 0.01, noise=noise)
-    ref = mmse_estimate(ch, dataclasses.replace(book, color_of=None), assoc, 0.01, noise=noise)
-    assert len(batched) == 2
-    assert np.array_equal(est.mse, ref.mse) and np.array_equal(est.h_hat, ref.h_hat)
     assert_matches_per_rrh_solve(ch, book, assoc, noise / np.sqrt(0.01))
+    assert len(batched) == 1
     batched.clear()
     mmse_estimate(ch, build_pilot_book(col), assoc, 0.01, noise=noise)
     assert batched == []
+
+
+def contract_keeping_book(case):
+    """One book of each kind that keeps the color contract at its edges."""
+    rng = np.random.default_rng(71)
+    col = dsatur(build_conflict_graph(sparsify(generate_layout(20, 30, 50.0, seed=3), 10.0)))
+    if case == "beta-zero":
+        return build_pilot_book(col, 0.0)
+    if case == "global-orthogonal":
+        return baseline_global_orthogonal(100, 300, rng)[1]
+    if case == "phased-and-silent":
+        scale = rng.uniform(0.3, 1.7, 30) * np.exp(2j * np.pi * rng.random(30))
+        scale[np.flatnonzero(col.colors == 1)] = 0.0  # every user of one color
+        scale[np.flatnonzero(col.colors == 0)[0]] = 0.0  # and the first of another
+        return PilotBook(scale[:, None] * build_pilot_book(col).pilots, np.abs(scale) ** 2, 1.0, col.colors)
+    if case == "padded-oracle":
+        active, book = baseline_global_orthogonal(100, 300, rng)
+        return padded_global_orthogonal(book, active, 300, 300)[0]
+    # criterion 01's shorter DFT books: any colors, some rows unused
+    assign = rng.integers(0, 6, size=30)
+    return PilotBook(np.sqrt(6.0) * dft_rows(6)[assign], np.ones(30), 1.0, assign)
+
+
+# books from build_pilot_book at the edges of the accepted powers build in
+# test_experiments.py::test_accepted_powers_give_finite_rates
+CONTRACT_CASES = ["beta-zero", "global-orthogonal", "phased-and-silent", "padded-oracle", "shorter-dft"]
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_books_at_the_edges_of_the_color_contract_construct(case):
+    # each builds, and its rows and coefficients give back its pilots
+    book = contract_keeping_book(case)
+    assert not book.rows.flags.writeable and not book.coef.flags.writeable
+    rebuilt = book.coef[:, None] * book.rows[book.color_of]
+    scale = np.max(np.abs(book.pilots))
+    assert np.max(np.abs(rebuilt - book.pilots), initial=0.0) <= 1e-14 * scale
+    norms = np.linalg.norm(book.rows, axis=1)
+    assert np.all((np.abs(norms - 1.0) < 1e-14) | (norms == 0.0))
+
+
+def test_global_orthogonal_book_keeps_its_rows_bit_for_bit():
+    # built from the coloring that gives active user j color j, the book
+    # holds the rows the scheme was defined with
+    for beta, p0 in ((1.0, 1.0), (0.7, 3.0), (2.0, 1e-3)):
+        active, book = baseline_global_orthogonal(100, 300, np.random.default_rng(5), beta, p0)
+        length = active.size
+        assert np.array_equal(book.pilots, np.sqrt(length * beta * p0) * dft_rows(length))
+        assert np.array_equal(book.color_of, np.arange(length))
+
+
+def test_trial_takes_the_solve_for_free_form_books_only(monkeypatch):
+    # across every scheme of one trial, the batched solve plans the random
+    # pilots alone, and every colored book takes the closed form
+    batched = spy(monkeypatch, channel_mod, "_batched_plan")
+    decoupled = spy(monkeypatch, channel_mod, "_decoupled_plan")
+    cfg = ExperimentConfig("compare", n_rrh=20, n_user=30, side=40.0, threshold=10.0,
+                           snr_db=(0.0, 20.0, 40.0), schemes=SCHEMES, t_coherence=60)
+    _throughput_trial((cfg, 30, 10.0, 0))
+    assert [args[1].color_of is None for args in batched] == [True]
+    assert len(decoupled) == 3 and all(args[1].color_of is not None for args in decoupled)
 
 
 def spy(monkeypatch, owner, name):

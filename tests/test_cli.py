@@ -107,6 +107,8 @@ def test_malformed_value_exits_one(tmp_path):
     ("snr_db = [NaN]", "snr_db"),
     ("snr_db = [4000.0]", "snr_db"),  # the noise power underflows to 0
     ("snr_db = [-4000.0]", "snr_db"),  # and here overflows
+    ("p0 = 1e-300", "p0"),  # the square of the noise power underflows
+    ("p0 = 1e300", "p0"),  # the square of the training energy overflows
     ('schemes = ["proposed", 3]', "schemes"),
     ('schemes = ["proposed", "proposed"]', "schemes"),
     ("seed = 2", "seed"),  # appended to COMPARE_CFG's own seed line: a repeated key
@@ -291,3 +293,21 @@ def test_suite_runs_one_blas_thread(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("first,pinned,warns", [("numpy", False, True), ("numpy", True, False),
+                                                ("lotrain", False, False)])
+def test_a_late_blas_pin_warns_on_stderr(first, pinned, warns):
+    # numpy imported before lotrain keeps its own BLAS thread count unless the
+    # variables say one thread, and run_experiment warns through logging
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(dict.fromkeys(BLAS_VARS, "1") if pinned else {})
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tests.parent / "src"), env.get("PYTHONPATH")) if p)
+    script = (f"import {first}\nimport lotrain\n"
+              "lotrain.run_experiment(lotrain.ExperimentConfig('density', n_rrh=3, n_user=5, "
+              "threshold=10.0, trials=1))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert ("numpy was imported before lotrain" in proc.stderr) == warns, proc.stderr

@@ -6,13 +6,17 @@ ell-infinity ball with probability ((2r - r^2/side)/side)^2, so
 E|U_i| = K * ((2r - r^2/side)/side)^2 for r <= side/2.
 """
 
+import math
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lotrain.experiments as experiments_mod
 from lotrain import (
     ConsistencyError,
     ExperimentConfig,
@@ -39,6 +43,7 @@ from lotrain.experiments import (
     _draw,
     _global_orthogonal_assoc,
     _grid,
+    _throughput_trial,
 )
 
 
@@ -457,3 +462,63 @@ def test_a_trial_leaves_no_module_state():
     after = state()
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
+
+
+# ---------------------------------------------------------- power range
+
+# the p0 repro: all four schemes, where a p0 of 1e-300 once wrote NaN rows
+SMALL_COMPARE = dict(n_rrh=20, n_user=20, side=50.0, threshold=10.0, t_coherence=40,
+                     schemes=SCHEMES, trials=2, seed=0)
+
+
+def accepted_p0_range(**kw) -> tuple[float, float]:
+    """The smallest and largest p0 the config accepts, bisected in log p0."""
+    def accepted(p0):
+        try:
+            ExperimentConfig("compare", p0=p0, **kw)
+        except ParameterError:
+            return False
+        return True
+
+    edges = []
+    for bad in (1e-320, 1e308):
+        good = 1.0
+        for _ in range(60):
+            mid = math.sqrt(good) * math.sqrt(bad)
+            good, bad = (mid, bad) if accepted(mid) else (good, mid)
+        edges.append(good)
+    return edges[0], edges[1]
+
+
+@pytest.mark.parametrize("snr", [-20.0, 10.0, 60.0])
+def test_accepted_powers_give_finite_rates(snr):
+    # the config bounds p0 where the estimator's squares leave the double
+    # range; every power inside, up to the edges, builds its pilot books and
+    # runs every scheme without a warning
+    low, high = accepted_p0_range(snr_db=(snr,), **SMALL_COMPARE)
+    assert low < 1e-100 and high > 1e100
+    with pytest.raises(ParameterError, match="p0"):
+        ExperimentConfig("compare", p0=low / 2, snr_db=(snr,), **SMALL_COMPARE)
+    with pytest.raises(ParameterError, match="p0"):
+        ExperimentConfig("compare", p0=high * 2, snr_db=(snr,), **SMALL_COMPARE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p0 in (low, 1e-100, 1.0, 1e100, high):
+            cfg = ExperimentConfig("compare", p0=p0, snr_db=(snr,), **SMALL_COMPARE)
+            rates = _throughput_trial((cfg, 20, 10.0, 0))["rates"]
+            assert len(rates) == 4 and all(map(math.isfinite, rates.values())), (p0, rates)
+
+
+@pytest.mark.parametrize("name", ["compare", "density", "scaling", "sweep-k", "sweep-r"])
+def test_shipped_configs_accept_powers_from_1e_minus_100_to_1e100(name):
+    mapping = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    for p0 in (1e-100, 1e-50, 1.0, 1e50, 1e100):
+        assert config_from_mapping(name, {**mapping, "p0": p0}).p0 == p0
+
+
+def test_trial_refuses_a_non_finite_rate(monkeypatch):
+    # whatever slips past the config, no NaN reaches a CSV
+    monkeypatch.setattr(experiments_mod, "throughput_lower_bound", lambda *a: math.nan)
+    cfg = ExperimentConfig("compare", snr_db=(10.0,), **SMALL_COMPARE)
+    with pytest.raises(ConsistencyError, match=r"proposed at snr_db 10.0, K = 20, r = 10.0: the rate is nan"):
+        _throughput_trial((cfg, 20, 10.0, 0))

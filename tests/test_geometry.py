@@ -14,6 +14,7 @@ from lotrain import (
     NetworkLayout,
     ParameterError,
     PilotBook,
+    dft_rows,
     dist_linf,
     generate_layout,
     user_density,
@@ -44,7 +45,9 @@ def built_values():
     rrh_xy, user_xy = rng.uniform(0.0, 10.0, (2, 2)), rng.uniform(0.0, 10.0, (3, 2))
     rrh, user, colors = np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([0, 1, 0])
     src, dst = np.array([0, 1]), np.array([1, 0])
-    pilots, beta = rng.standard_normal((3, 2)) + 0j, np.ones(3)
+    # a colored book's rows keep the color contract: a complex scale per user
+    # times its color's DFT row
+    pilots, beta = (rng.standard_normal(3) + 1j)[:, None] * dft_rows(2)[colors], np.ones(3)
     small, large = rng.standard_normal((2, 3)) + 0j, rng.uniform(0.1, 1.0, (2, 3))
     return [
         (NetworkLayout(10.0, rrh_xy, user_xy), {"rrh_xy": rrh_xy, "user_xy": user_xy}),

@@ -180,3 +180,30 @@ def test_size_mismatch():
     book = build_pilot_book(Coloring(np.array([0, 1]), 2))
     with pytest.raises(ConsistencyError):
         check_local_orthogonality(book, assoc)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_color_contract_names_the_user_off_its_row_or_the_colors_that_correlate(factor):
+    # users 0 and 1 share color 0, user 2 has color 1; user 1, the strongest,
+    # gives color 0 its row and the limit, and a perturbation at 0.5x the
+    # limit passes while 2x raises
+    rows = dft_rows(2)
+    limit = pilots_mod._ORTHOGONALITY_TOL * 4.0
+    x = np.array([rows[0], 2j * rows[0], rows[1]])
+    colors = np.array([0, 0, 1])
+    book = PilotBook(x, np.ones(3), 1.0, colors)
+    assert np.allclose(book.rows, [1j * rows[0], rows[1]]) and np.allclose(book.coef, [-1j, 2.0, 1.0])
+    off, crossed = x.copy(), x.copy()
+    off[0] += np.sqrt(factor * limit) * rows[1]  # energy factor * limit off color 0's row
+    crossed[2] += factor * limit / 2 * rows[0]  # correlates with user 1's row at factor * limit
+    for pilots, named in ((off, "user 0's pilot"), (crossed, "the rows of colors 0 and 1 correlate")):
+        if factor < 1:
+            PilotBook(pilots, np.ones(3), 1.0, colors)
+        else:
+            with pytest.raises(ConsistencyError, match=named):
+                PilotBook(pilots, np.ones(3), 1.0, colors)
+    # a free-form book of the same rows is not checked
+    assert PilotBook(off, np.ones(3), 1.0).rows is None
+    for bad in (np.array([0, 1]), np.array([0, -1, 1])):
+        with pytest.raises(ConsistencyError, match="color_of"):
+            PilotBook(x, np.ones(3), 1.0, bad)
