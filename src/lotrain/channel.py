@@ -338,10 +338,10 @@ def throughput_lower_bound(
     diagonal of data powers beta'_k * p0, and R_v the diagonal of
     interference-plus-noise variances. Nonnegative by construction.
 
-    Only the pairs of the estimate's plan enter, scaled into S, and the
-    plan's level plan (``_level_plan``) gives log det(I + S^H S); the plan
-    makes it once, so a scheme's SNR grid pays for it once. An estimate
-    built by hand gets a plan of the nonzeros of its h_hat on each call.
+    Only the pairs of the estimate's plan enter, scaled into S; its level
+    plan (``_level_plan``, made once per plan) sums their pair products into
+    I + S^H S and factors it window by window, two BFS levels at a time. An
+    estimate built by hand gets a plan of the nonzeros of its h_hat per call.
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -359,56 +359,56 @@ def _level_plan(shape: tuple, flat: np.ndarray):
 
     Users are ordered by their BFS level in the co-service graph, where users
     estimated by one RRH are adjacent. An RRH's users form a clique, on one
-    level or two adjacent ones, and the RRH is grouped at the lower. S is
-    scattered into one zeroed matrix whose rows are the RRHs with pairs, by
-    (group, index), and whose columns are the users with pairs, by (level,
-    index); window l is the slice of group l's rows and levels l and l + 1's
-    columns. Its Gram [[A, C], [C^H, F]] adds A to diagonal block l, C to
-    block (l, l + 1) and F to block l + 1, so I + S^H S is block tridiagonal.
-    With Z_l the Schur complement reached at level l (Z_0 = I + A_0), the
-    Cholesky factor of [[Z_l, C], [C^H, I + F]] has Z_l's factor on top and,
-    bottom right, a factor R of I + F - C^H Z_l^-1 C, so Z_{l+1} =
-    A_{l+1} + R R^H; the log-det sums those of the Z_l (George & Liu 1981).
-    A last level with no RRH of its own is covered by the window before it.
+    level or two adjacent ones, so G = I + S^H S is block tridiagonal. The
+    plan keeps every two pairs p, q of one RRH and the cell of G's lower
+    triangle that conj(s_p) s_q adds to; a call sums them into one G with
+    one np.add.at. A complete pattern (global-orthogonal's: every RRH with
+    pairs serves every user with pairs) has at most two levels, so one
+    window, and its G is one matrix product in index order. Window l holds
+    levels l and l + 1; its Cholesky factor [[L11, 0], [L21, L22]], which
+    reads G's lower triangle only, gives level l's pivots, and the Schur
+    complement is carried in place, G_{l+1,l+1} -= L21 L21^H. The log-det
+    sums the logs of the pivots (George & Liu 1981).
     """
-    n_rrh, n_user = shape
-    rows, cols = np.divmod(flat, n_user)
-    level = _bfs_levels(rows, cols, n_rrh, n_user)
+    rows, cols = np.divmod(flat, shape[1])
+    level = _bfs_levels(rows, cols, *shape)
     first = np.flatnonzero(np.diff(rows, prepend=-1))  # pairs come sorted by RRH
-    group = np.minimum.reduceat(level[cols], first)
     users = np.flatnonzero(level >= 0)
-    size = np.bincount(level[users])
-    # each user's column and each RRH's row; stable sorts keep index order
-    col_of = np.empty(n_user, dtype=np.intp)
-    col_of[users[np.argsort(level[users], kind="stable")]] = np.arange(users.size)
-    row_of = np.empty(n_rrh, dtype=np.intp)
-    row_of[rows[first][np.argsort(group, kind="stable")]] = np.arange(first.size)
-    # each call overwrites the same cells, so one matrix serves every call;
-    # a fresh one per call had the heap re-fault megabytes
-    mat = np.zeros((first.size, users.size), dtype=complex)
-    index = row_of[rows] * users.size + col_of[cols]
-    col = np.append(0, np.cumsum(size)).tolist()  # level l's columns: col[l]:col[l + 1]
-    row = np.append(0, np.cumsum(np.bincount(group, minlength=size.size))).tolist()
-    windows = [(mat[row[l]:row[l + 1], col[l]:col[min(l + 2, size.size)]], col[l], m)
-               for l, m in enumerate(size.tolist())]
-    if len(windows) > 1 and row[-2] == row[-1]:
-        windows.pop()
-    eye = np.eye(size[:1].sum())  # Z_0 = I + A_0
+    w = users.size
+    col = np.append(0, np.cumsum(np.bincount(level[users]))).tolist()  # level l: col[l]:col[l + 1]
+    windows = [(col[l], col[l + 1], col[l + 2]) for l in range(len(col) - 2)] or [(0, w, w)]
+    # each call refills the same G; a fresh one per call had the heap re-fault megabytes
+    gram = np.zeros((w, w), dtype=complex)
+    if flat.size == first.size * w:
+        def fill(s):
+            np.matmul(s.reshape(first.size, w).conj().T, s.reshape(first.size, w), out=gram)
+    else:
+        col_of = np.empty(shape[1], dtype=np.intp)  # stable: index order within a level
+        col_of[users[np.argsort(level[users], kind="stable")]] = np.arange(w)
+        # pair k meets each pair of its RRH from the first to itself
+        start = np.repeat(first, np.diff(first, append=rows.size))
+        rep = np.arange(rows.size) - start + 1
+        p = np.repeat(np.arange(rows.size), rep)
+        q = np.repeat(start, rep) + np.arange(p.size) - np.repeat(np.cumsum(rep) - rep, rep)
+        a, b = col_of[cols[p]], col_of[cols[q]]
+        p, q = np.where(a < b, q, p), np.where(a < b, p, q)
+        target = np.maximum(a, b) * w + np.minimum(a, b)
+
+        def fill(s):
+            gram.fill(0.0)
+            np.add.at(gram.ravel(), target, s[p].conj() * s[q])
 
     def logdet(s: np.ndarray) -> float:
-        mat.ravel()[index] = s
-        diag = np.empty(users.size)
-        r = eye
-        for b, start, m in windows:
-            width = b.shape[1]
-            window = b.conj().T @ b
-            window[:m, :m] += r @ r.conj().T
-            window.flat[m * (width + 1)::width + 1] += 1.0
-            chol = np.linalg.cholesky(window)
-            # past m the diagonal is Z_{l+1}'s only in the last window;
-            # otherwise the next window overwrites it
-            diag[start:start + width] = chol.diagonal().real
-            r = chol[m:, m:]
+        fill(s)
+        gram.flat[::w + 1] += 1.0
+        diag = np.empty(w)
+        for c0, c1, c2 in windows:
+            chol = np.linalg.cholesky(gram[c0:c2, c0:c2])
+            # level l + 1's pivots are final in the last window alone
+            diag[c0:c2] = chol.diagonal().real
+            if c2 < w:
+                l21 = chol[c1 - c0:, :c1 - c0]
+                gram[c1:c2, c1:c2] -= l21 @ l21.conj().T
         return 2.0 * float(np.sum(np.log(diag)))
 
     return logdet

@@ -980,12 +980,13 @@ def test_rate_matches_dense_cholesky_on_a_chain(band):
         assert_rate_matches_dense(est, chan, bp)
 
 
-def test_rate_matches_dense_cholesky_on_groups_against_index_order():
+def test_rate_matches_dense_cholesky_on_levels_against_index_order():
     # RRH 2 serves users 0, 3 and 5, RRH 0 users 1 and 3, RRH 1 users 1, 2
-    # and 4: the levels are {0}, {3, 5}, {1} and {2, 4}, and the groups, each
-    # RRH at the lower of its levels, hold RRHs 2, 0 and 1. Neither the
-    # groups nor the levels follow index order, and the last level has no
-    # RRH of its own, so the window of level 2 covers it
+    # and 4: the levels are {0}, {3, 5}, {1} and {2, 4}, so G's columns run
+    # 0, 3, 5, 1, 2, 4, and RRH 0's product of users 1 and 3 falls above the
+    # diagonal in index order and must be turned into the lower triangle.
+    # The three windows overlap in levels 1 and 2, whose Schur complements
+    # are carried in place, and the last window holds levels 2 and 3
     mask = np.zeros((3, 6), dtype=bool)
     for rrh, users in ((2, [0, 3, 5]), (0, [1, 3]), (1, [1, 2, 4])):
         mask[rrh, users] = True
@@ -1021,6 +1022,106 @@ def test_rate_matches_dense_cholesky_on_each_scheme(scheme):
         n0 = snr_db_to_noise_power(snr)
         est = mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0)
         assert_rate_matches_dense(est, ch, bp, alpha)
+
+
+def gram_fills(monkeypatch):
+    """The Gram fill of every log-det call, in call order: ("pairs",) where
+    it summed pair products with np.add.at, ("product",) where it took one
+    np.matmul. Channel's numpy is replaced by a recording stand-in."""
+    fills, calls = [], []
+    real = channel_mod._level_plan
+
+    class Add:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def at(self, *args):
+            calls.append("pairs")
+            return np.add.at(*args)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, *args, **kwargs):
+            calls.append("product")
+            return np.matmul(*args, **kwargs)
+
+    def plan(shape, flat):
+        logdet = real(shape, flat)
+
+        def spied(s):
+            calls.clear()  # the plan's own np.add.at, in _bfs_levels, is not a fill
+            value = logdet(s)
+            fills.append(tuple(calls))
+            return value
+
+        return spied
+
+    monkeypatch.setattr(channel_mod, "np", Numpy())
+    monkeypatch.setattr(channel_mod, "_level_plan", plan)
+    return fills
+
+
+def planned_est(rng, mask, n0=1e-5):
+    """pattern_instance's estimate, carrying a plan of its mask as an
+    estimator's plan would, so values of one pattern share one level plan."""
+    est, chan, bp = pattern_instance(rng, mask, n0)
+    return dataclasses.replace(est, plan=channel_mod._Plan(None, mask.shape, *np.nonzero(mask))), chan, bp
+
+
+@pytest.mark.parametrize("complete", [False, True])
+def test_level_plan_called_again_gives_the_same_bits(complete):
+    # s1, s2, s1 on one plan: the third value equals the first bit for bit,
+    # so no Schur update and no product of s2 stays in the plan's G. The
+    # chain's windows carry Schur complements through many levels
+    rng = np.random.default_rng(38)
+    if complete:
+        mask = np.ones((12, 9), dtype=bool)
+    else:
+        mask = np.zeros((40, 42), dtype=bool)
+        for i in range(40):
+            mask[i, i:i + 3] = True
+        mask = mask[:, rng.permutation(42)]
+    est, chan, bp = planned_est(rng, mask)
+    other = dataclasses.replace(est, h_hat=est.h_hat * rng.uniform(0.1, 10.0, mask.shape))
+    first = assert_rate_matches_dense(est, chan, bp)
+    assert assert_rate_matches_dense(other, chan, bp) != first
+    assert assert_rate_matches_dense(est, chan, bp) == first
+
+
+def test_rate_takes_one_product_on_complete_patterns_only(monkeypatch):
+    # one RRH serves every user beside RRHs that serve a few: one window,
+    # but not complete, so its G sums pair products. Every RRH with pairs
+    # serving every user with pairs, here beside an idle RRH and an unserved
+    # user, makes it complete: its G is one product
+    fills = gram_fills(monkeypatch)
+    rng = np.random.default_rng(39)
+    hub = rng.random((30, 25)) < 0.08
+    hub[7] = True
+    complete = np.ones((30, 25), dtype=bool)
+    complete[4] = False
+    complete[:, 11] = False
+    for mask, path in ((hub, "pairs"), (complete, "product")):
+        for n0 in (1e-5, 1.0):
+            fills.clear()
+            est, chan, bp = planned_est(rng, mask, n0)
+            for _ in range(2):
+                assert_rate_matches_dense(est, chan, bp)
+            assert fills == [(path,), (path,)]
+
+
+def test_trial_takes_one_product_for_global_orthogonal_alone(monkeypatch):
+    # refined's co-service graph is nearly complete at full size, yet only
+    # global-orthogonal's pattern (every RRH serves every active user) is
+    cfg = ExperimentConfig("compare", n_rrh=300, n_user=300, side=100.0, threshold=10.0,
+                           snr_db=(0.0, 50.0), schemes=SCHEMES, t_coherence=100)
+    fills = gram_fills(monkeypatch)
+    _throughput_trial((cfg, 300, 10.0, 0))
+    paths = [("product",) if s == "global-orthogonal" else ("pairs",) for s in SCHEMES for _ in cfg.snr_db]
+    assert fills == paths
 
 
 def test_bfs_levels_root_each_component_at_a_peripheral_user():
