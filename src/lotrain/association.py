@@ -75,6 +75,18 @@ def color_slots(assoc: AssociationMap, colors: np.ndarray, n_colors: int) -> np.
     return at
 
 
+def _same_rrh_pairs(rrh: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every two served pairs at one RRH, as index arrays p < q (p <= q
+    with the diagonal) ordered by (p, q); ``rrh`` is sorted."""
+    sizes = np.bincount(rrh)
+    ends = np.repeat(np.cumsum(sizes), sizes)  # one past each pair's RRH
+    start = np.arange(rrh.size) + (not diagonal)  # pair p meets q = start[p]..ends[p] - 1
+    count = ends - start
+    p = np.repeat(np.arange(rrh.size), count)
+    q = np.arange(p.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    return p, q
+
+
 def refine(assoc: AssociationMap, layout: NetworkLayout, coloring: "Coloring") -> AssociationMap:
     """Extend each RRH's set with its nearest user of every missing color.
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .association import color_slots
+from .association import _same_rrh_pairs, color_slots
 from .errors import ConsistencyError, DegenerateGeometryError, ParameterError
 from .geometry import NetworkLayout, abs_offsets, _frozen, _rng
 from .pilots import PilotBook, _beta_array
@@ -51,7 +51,6 @@ class ChannelRealization:
 
     small_scale: np.ndarray
     large_scale: np.ndarray
-    pathloss_exponent: float
     seed: object = None
     _last_plan: tuple | None = field(default=None, init=False, repr=False)
 
@@ -88,7 +87,7 @@ def generate_channel(layout: NetworkLayout, eta: float, seed, min_distance: floa
         raise DegenerateGeometryError("a user coincides exactly with an RRH")
     gains = np.maximum(d, min_distance) ** (-eta / 2.0)
     h = complex_gaussian(_rng(seed), (layout.n_rrh, layout.n_user))
-    return ChannelRealization(h, gains, float(eta), seed)
+    return ChannelRealization(h, gains, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,11 +384,7 @@ def _level_plan(shape: tuple, flat: np.ndarray):
     else:
         col_of = np.empty(shape[1], dtype=np.intp)  # stable: index order within a level
         col_of[users[np.argsort(level[users], kind="stable")]] = np.arange(w)
-        # pair k meets each pair of its RRH from the first to itself
-        start = np.repeat(first, np.diff(first, append=rows.size))
-        rep = np.arange(rows.size) - start + 1
-        p = np.repeat(np.arange(rows.size), rep)
-        q = np.repeat(start, rep) + np.arange(p.size) - np.repeat(np.cumsum(rep) - rep, rep)
+        p, q = _same_rrh_pairs(rows, diagonal=True)
         a, b = col_of[cols[p]], col_of[cols[q]]
         p, q = np.where(a < b, q, p), np.where(a < b, p, q)
         target = np.maximum(a, b) * w + np.minimum(a, b)

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .association import AssociationMap
+from .association import AssociationMap, _same_rrh_pairs
 from .errors import ConsistencyError, GraphSizeError, ParameterError
 from .geometry import NetworkLayout, _frozen, _index_pairs, pairs_within
 
@@ -51,17 +51,6 @@ class ConflictGraph:
         self.src, self.dst = _index_pairs(src, dst, self.n_vertices, self.n_vertices)
         self.kind = kind
 
-    @classmethod
-    def from_edges(cls, n_vertices: int, edges) -> "ConflictGraph":
-        """Build from an iterable of (k, m) pairs; duplicates are merged."""
-        e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        if e.size:
-            if e.min() < 0 or e.max() >= n_vertices:
-                raise ConsistencyError("edge endpoint out of range")
-            if np.any(e[:, 0] == e[:, 1]):
-                raise ConsistencyError("self loops are not allowed")
-        return cls(n_vertices, *_adjacency(n_vertices, e[:, 0], e[:, 1]), "custom")
-
     @cached_property
     def neighbors(self) -> tuple[np.ndarray, ...]:
         """Per vertex, its neighbors ascending: read-only slices of ``dst``."""
@@ -81,14 +70,8 @@ class ConflictGraph:
 
 def build_conflict_graph(assoc: AssociationMap) -> ConflictGraph:
     """Edge between two users iff some RRH serves both."""
-    sizes = np.bincount(assoc.rrh, minlength=assoc.n_rrh)
-    users = assoc.user
-    # the user at pair p pairs with every later user of its RRH
-    ends = np.repeat(np.cumsum(sizes), sizes)
-    later = ends - np.arange(users.size) - 1
-    first = np.repeat(np.arange(users.size), later)
-    second = np.arange(first.size) + np.repeat(np.arange(users.size) + 1 - (np.cumsum(later) - later), later)
-    return ConflictGraph(assoc.n_user, *_adjacency(assoc.n_user, users[first], users[second]), "shared-rrh")
+    p, q = _same_rrh_pairs(assoc.rrh, diagonal=False)
+    return ConflictGraph(assoc.n_user, *_adjacency(assoc.n_user, assoc.user[p], assoc.user[q]), "shared-rrh")
 
 
 def build_proximity_graph(layout: NetworkLayout, threshold: float) -> ConflictGraph:
@@ -121,17 +104,20 @@ def is_subgraph(sub: ConflictGraph, sup: ConflictGraph) -> bool:
     return bool(np.all(pos < have.size)) and np.array_equal(have[pos], want)
 
 
-def find_coloring(g: ConflictGraph, n_colors: int, vertex_limit: int = 16):
+_VERTEX_LIMIT = 16
+
+
+def find_coloring(g: ConflictGraph, n_colors: int):
     """Proper coloring with at most n_colors colors, or None if impossible.
 
     Complete backtracking search over canonical assignments (each new vertex
     may open at most one fresh color), so a None result is a proof of
-    non-colorability, not a heuristic failure. Exponential time: guarded by
-    vertex_limit.
+    non-colorability, not a heuristic failure. Exponential time: graphs of
+    more than 16 vertices raise GraphSizeError.
     """
-    if g.n_vertices > vertex_limit:
+    if g.n_vertices > _VERTEX_LIMIT:
         raise GraphSizeError(
-            f"exact search on {g.n_vertices} vertices exceeds the limit {vertex_limit}"
+            f"exact search on {g.n_vertices} vertices exceeds the limit {_VERTEX_LIMIT}"
         )
     if n_colors < 0:
         raise ParameterError("n_colors must be nonnegative")
@@ -161,11 +147,11 @@ def find_coloring(g: ConflictGraph, n_colors: int, vertex_limit: int = 16):
     return colors if assign(0, 0) else None
 
 
-def exact_chromatic_number(g: ConflictGraph, vertex_limit: int = 16) -> int:
+def exact_chromatic_number(g: ConflictGraph) -> int:
     """Minimum number of colors of any proper coloring, by exhaustive search."""
     if g.n_vertices == 0:
         return 0
     for m in range(1, g.n_vertices + 1):
-        if find_coloring(g, m, vertex_limit=vertex_limit) is not None:
+        if find_coloring(g, m) is not None:
             return m
     raise AssertionError("unreachable: n colors always suffice")

@@ -16,6 +16,7 @@ from lotrain import (
     refine,
     sparsify,
 )
+from lotrain.association import _same_rrh_pairs
 from lotrain.geometry import abs_offsets
 
 
@@ -256,3 +257,17 @@ def test_refine_matches_the_loop_on_edge_cases():
     with pytest.raises(ConsistencyError, match="RRH 1 serves two users"):
         refine(two, lay3, Coloring(np.array([0, 1, 1]), 2))
     assert_refine_matches_loop(two, lay3, Coloring(np.array([0, 1, 1]), 2))
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_same_rrh_pairs_match_a_per_rrh_loop(diagonal):
+    # the set sizes of the batched estimator's set-size test (0, 1, 2, 3, 4,
+    # 6 and 8), RRHs with no pairs at either end, and no pairs at all
+    for sizes in ([0, 1, 2, 3, 4, 6, 0, 8, 1, 3, 0], [5], [1, 1, 1], [0, 0], []):
+        rrh = np.repeat(np.arange(len(sizes)), sizes).astype(np.intp)
+        want = []
+        for i in range(len(sizes)):
+            at = np.flatnonzero(rrh == i).tolist()
+            want += [(p, q) for p in at for q in at if p < q or (diagonal and p == q)]
+        p, q = _same_rrh_pairs(rrh, diagonal)
+        assert list(zip(p.tolist(), q.tolist())) == want

@@ -221,7 +221,7 @@ def test_analytic_mse_matches_empirical():
     analytic = None
     for _ in range(trials):
         h = channel_mod.complex_gaussian(rng, (4, 7))
-        ch = ChannelRealization(h, gamma, 3.5, None)
+        ch = ChannelRealization(h, gamma, None)
         noise = np.sqrt(n0) * channel_mod.complex_gaussian(rng, (4, book.training_length))
         est = mmse_estimate(ch, book, assoc, n0, noise=noise)
         acc += np.abs(h - est.h_hat) ** 2
@@ -242,7 +242,7 @@ def test_estimation_validation_errors():
     bad = np.zeros((2, book.training_length + 1), complex)
     with pytest.raises(ConsistencyError):
         mmse_estimate(ch, book, assoc, 0.1, noise=bad)
-    unseeded = ChannelRealization(ch.small_scale, ch.large_scale, 3.5, None)
+    unseeded = ChannelRealization(ch.small_scale, ch.large_scale, None)
     with pytest.raises(ParameterError):
         mmse_estimate(unseeded, book, assoc, 0.1)
     short = generate_layout(2, 2, 20.0, seed=0)
@@ -445,7 +445,7 @@ def test_batched_estimate_matches_per_rrh_solve(case, per_user_beta):
     assert np.all(est.mse[served] > 0.0)
 
 
-def test_colored_book_with_shared_color_at_an_rrh_takes_the_solve():
+def test_colored_book_with_shared_color_at_an_rrh_raises():
     # two users of one color served by one RRH: the closed form would be
     # wrong, so the colored book is refused with refine's error and the
     # channel keeps no plan; the same rows without colors take the batched
@@ -497,7 +497,7 @@ def contract_breaking_book(case, col, rng):
 
 
 @pytest.mark.parametrize("case", ["random", "off-row", "crossed"])
-def test_colored_book_that_breaks_the_color_contract_takes_the_solve(monkeypatch, case):
+def test_colored_book_that_breaks_the_color_contract_raises(monkeypatch, case):
     # the closed form would be wrong for these rows, so a colored book of
     # them is refused where it is built, naming the user or the colors; the
     # rows take the batched solve as a free-form book and agree with the
@@ -773,7 +773,7 @@ def test_memo_sees_arrays_changed_in_place(changed, book_kind):
         arrays[key].flags.writeable = False
 
     def build():
-        return (ChannelRealization(arrays["small_scale"], arrays["large_scale"], 3.5, None),
+        return (ChannelRealization(arrays["small_scale"], arrays["large_scale"], None),
                 dataclasses.replace(book, pilots=arrays["pilots"]))
 
     old = build()
@@ -804,7 +804,7 @@ def test_memo_holds_values_whose_source_arrays_change(source, book_kind):
     given = {"small_scale": ch.small_scale, "large_scale": ch.large_scale, "pilots": book.pilots,
              "beta": book.beta, "color_of": book.color_of, "rrh": assoc.rrh, "user": assoc.user}
     given = {name: a.copy() for name, a in given.items() if a is not None}
-    ch = ChannelRealization(given["small_scale"], given["large_scale"], 3.5)
+    ch = ChannelRealization(given["small_scale"], given["large_scale"])
     book = PilotBook(given["pilots"], given["beta"], book.p0, given.get("color_of"))
     assoc = AssociationMap(given["rrh"], given["user"], assoc.n_rrh, assoc.n_user, assoc.threshold)
     owner = {"small_scale": ch, "large_scale": ch, "rrh": assoc, "user": assoc}.get(source, book)
@@ -828,7 +828,7 @@ def manual_est(h_hat, mse, n0):
 
 def manual_chan(gamma):
     g = np.asarray(gamma, float)
-    return ChannelRealization(np.zeros_like(g, dtype=complex), g, 3.5, None)
+    return ChannelRealization(np.zeros_like(g, dtype=complex), g, None)
 
 
 def test_interference_variance_hand_example():

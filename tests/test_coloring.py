@@ -7,7 +7,6 @@ import pytest
 
 from lotrain import (
     Coloring,
-    ConflictGraph,
     ConsistencyError,
     build_conflict_graph,
     build_proximity_graph,
@@ -18,6 +17,8 @@ from lotrain import (
     radius_for_rho,
     sparsify,
 )
+
+from graph_helpers import from_edges
 
 
 def validate_coloring(g, coloring):
@@ -53,11 +54,11 @@ def dsatur_reference(g):
 
 
 def cycle(n):
-    return ConflictGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n):
-    return ConflictGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    return from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 def disjoint_union(*graphs):
@@ -65,13 +66,13 @@ def disjoint_union(*graphs):
     for g in graphs:
         edges += (g.edge_array + offset).tolist()
         offset += g.n_vertices
-    return ConflictGraph.from_edges(offset, edges)
+    return from_edges(offset, edges)
 
 
 def random_graph(rng, n_max=14):
     n = int(rng.integers(1, n_max))
     mask = rng.random((n, n)) < rng.uniform(0.05, 0.8)
-    return ConflictGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if mask[a, b]])
+    return from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if mask[a, b]])
 
 
 def test_contiguity_enforced():
@@ -92,22 +93,22 @@ def test_contiguity_enforced():
 
 
 def test_dsatur_examples():
-    tri = ConflictGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    tri = from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert dsatur(tri).num_colors == 3
-    edgeless = ConflictGraph.from_edges(5, [])
+    edgeless = from_edges(5, [])
     col = dsatur(edgeless)
     assert col.num_colors == 1 and np.all(col.colors == 0)
     assert dsatur(cycle(5)).num_colors == 3 == exact_chromatic_number(cycle(5))
-    star = ConflictGraph.from_edges(6, [(0, j) for j in range(1, 6)])
+    star = from_edges(6, [(0, j) for j in range(1, 6)])
     assert dsatur(star).num_colors == 2
 
 
 def test_dsatur_selection_order_pinned():
     # path 0-1-2: vertex 1 wins on degree, then 0 beats 2 on index
-    path = ConflictGraph.from_edges(3, [(0, 1), (1, 2)])
+    path = from_edges(3, [(0, 1), (1, 2)])
     assert list(dsatur(path).colors) == [1, 0, 1]
     # four isolated vertices: pure index order, single color
-    iso = ConflictGraph.from_edges(4, [])
+    iso = from_edges(4, [])
     assert list(dsatur(iso).colors) == [0, 0, 0, 0]
 
 
@@ -124,7 +125,7 @@ def test_dsatur_exact_on_bipartite():
         ]
         if not edges:
             continue
-        g = ConflictGraph.from_edges(left + right, edges)
+        g = from_edges(left + right, edges)
         assert dsatur(g).num_colors == 2
 
 
@@ -153,7 +154,7 @@ def test_dsatur_on_geometric_instances():
 def test_dsatur_matches_reference():
     rng = np.random.default_rng(41)
     graphs = [random_graph(rng, n_max=60) for _ in range(150)]
-    graphs.append(ConflictGraph.from_edges(0, []))
+    graphs.append(from_edges(0, []))
     for _ in range(12):
         k = int(rng.integers(2, 400))
         lay = generate_layout(int(rng.integers(1, 200)), k, 100.0, seed=int(rng.integers(1 << 31)))
@@ -189,7 +190,7 @@ def test_dsatur_cross_checked_against_networkx():
 
 
 def test_validate_coloring():
-    tri = ConflictGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    tri = from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert validate_coloring(tri, Coloring(np.array([0, 1, 2]), 3))
     assert not validate_coloring(tri, Coloring(np.array([0, 0, 1]), 2))
     with pytest.raises(ConsistencyError):
@@ -215,11 +216,11 @@ def test_dsatur_on_odd_cycles_unions_and_empty_graphs():
     col = dsatur(g)
     assert col.num_colors == 20 and validate_coloring(g, col)
     assert np.array_equal(col.colors, dsatur_reference(g))
-    empty = dsatur(ConflictGraph.from_edges(0, []))
+    empty = dsatur(from_edges(0, []))
     assert empty.num_colors == 0 and empty.colors.shape == (0,)
-    single = dsatur(ConflictGraph.from_edges(1, []))
+    single = dsatur(from_edges(1, []))
     assert single.num_colors == 1 and list(single.colors) == [0]
-    isolated = dsatur(ConflictGraph.from_edges(40, []))
+    isolated = dsatur(from_edges(40, []))
     assert isolated.num_colors == 1 and not isolated.colors.any()
 
 
@@ -237,7 +238,7 @@ def test_dsatur_memory_grows_with_colors_used_not_max_degree():
     # a star with 20,000 leaves has max degree 20,000 but needs 2 colors; a
     # (max_degree + 1)-wide table would take 400 MB
     leaves = 20_000
-    star = ConflictGraph.from_edges(leaves + 1, [(0, j) for j in range(1, leaves + 1)])
+    star = from_edges(leaves + 1, [(0, j) for j in range(1, leaves + 1)])
     tracemalloc.start()
     try:
         col = dsatur(star)

@@ -55,7 +55,7 @@ def built_values():
         (ConflictGraph(2, src, dst, "custom"), {"src": src, "dst": dst}),
         (Coloring(colors, 2), {"colors": colors}),
         (PilotBook(pilots, beta, 1.0, colors), {"pilots": pilots, "beta": beta, "color_of": colors}),
-        (ChannelRealization(small, large, 3.5), {"small_scale": small, "large_scale": large}),
+        (ChannelRealization(small, large), {"small_scale": small, "large_scale": large}),
     ]
 
 

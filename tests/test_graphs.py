@@ -8,7 +8,6 @@ import pytest
 import lotrain.geometry as geometry
 from lotrain import (
     AssociationMap,
-    ConflictGraph,
     ConsistencyError,
     GraphSizeError,
     NetworkLayout,
@@ -25,6 +24,8 @@ from lotrain import (
 )
 from lotrain.graphs import _adjacency
 from lotrain.scaling import radius_for_rho
+
+from graph_helpers import from_edges
 
 
 def assoc_of(served, n_user):
@@ -109,54 +110,55 @@ def test_conflict_subset_of_proximity():
 
 
 def test_is_subgraph_examples():
-    tri = ConflictGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    path = ConflictGraph.from_edges(3, [(0, 1), (1, 2)])
+    tri = from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    path = from_edges(3, [(0, 1), (1, 2)])
     assert is_subgraph(path, tri) and is_subgraph(tri, tri)
     assert not is_subgraph(tri, path)
     # sub's arcs past sup's last, or sup with no arcs at all
-    empty = ConflictGraph.from_edges(3, [])
-    assert not is_subgraph(ConflictGraph.from_edges(3, [(1, 2)]), ConflictGraph.from_edges(3, [(0, 1)]))
+    empty = from_edges(3, [])
+    assert not is_subgraph(from_edges(3, [(1, 2)]), from_edges(3, [(0, 1)]))
     assert is_subgraph(empty, path) and is_subgraph(empty, empty) and not is_subgraph(path, empty)
     with pytest.raises(ConsistencyError):
-        is_subgraph(path, ConflictGraph.from_edges(4, [(0, 1)]))
+        is_subgraph(path, from_edges(4, [(0, 1)]))
 
 
 def test_max_degree_examples():
-    assert max_degree(ConflictGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])) == 2
-    star = ConflictGraph.from_edges(6, [(0, j) for j in range(1, 6)])
+    assert max_degree(from_edges(3, [(0, 1), (1, 2), (0, 2)])) == 2
+    star = from_edges(6, [(0, j) for j in range(1, 6)])
     assert max_degree(star) == 5
-    assert max_degree(ConflictGraph.from_edges(4, [])) == 0
+    assert max_degree(from_edges(4, [])) == 0
 
 
 def test_from_edges_validation():
     with pytest.raises(ConsistencyError):
-        ConflictGraph.from_edges(3, [(0, 0)])
+        from_edges(3, [(0, 0)])
     with pytest.raises(ConsistencyError):
-        ConflictGraph.from_edges(3, [(0, 3)])
+        from_edges(3, [(0, 3)])
 
 
 def test_exact_chromatic_number_examples():
-    assert exact_chromatic_number(ConflictGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])) == 3
-    five_cycle = ConflictGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert exact_chromatic_number(from_edges(3, [(0, 1), (1, 2), (0, 2)])) == 3
+    five_cycle = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert exact_chromatic_number(five_cycle) == 3
-    assert exact_chromatic_number(ConflictGraph.from_edges(7, [])) == 1
-    k4 = ConflictGraph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    assert exact_chromatic_number(from_edges(7, [])) == 1
+    k4 = from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     assert exact_chromatic_number(k4) == 4
-    k33 = ConflictGraph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    k33 = from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
     assert exact_chromatic_number(k33) == 2
 
 
 def test_exact_oracle_size_guard():
-    big = ConflictGraph.from_edges(17, [(0, 1)])
+    big = from_edges(17, [(0, 1)])
     with pytest.raises(GraphSizeError):
         exact_chromatic_number(big)
-    assert exact_chromatic_number(big, vertex_limit=17) == 2
+    # 16 vertices is the limit: a five-cycle and eleven isolated vertices
+    assert exact_chromatic_number(from_edges(16, [(i, (i + 1) % 5) for i in range(5)])) == 3
 
 
 def test_find_coloring_is_decision_procedure():
-    k4 = ConflictGraph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    k4 = from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     assert find_coloring(k4, 3) is None
-    five_cycle = ConflictGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    five_cycle = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     witness = find_coloring(five_cycle, 3)
     assert witness is not None
     for a, b in five_cycle.edge_array:
@@ -170,7 +172,7 @@ def test_exact_chromatic_at_most_max_degree_plus_one():
         n = int(rng.integers(1, 10))
         mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if mask[a, b]]
-        g = ConflictGraph.from_edges(n, edges)
+        g = from_edges(n, edges)
         chi = exact_chromatic_number(g)
         assert 1 <= chi <= max_degree(g) + 1
 
@@ -267,7 +269,7 @@ def test_boundary_layout_edges_are_pinned():
 
 
 def test_from_edges_merges_reversed_and_repeated_edges():
-    g = ConflictGraph.from_edges(4, [(2, 0), (0, 2), (3, 1), (0, 2), (1, 3)])
+    g = from_edges(4, [(2, 0), (0, 2), (3, 1), (0, 2), (1, 3)])
     assert edge_set(g) == {(0, 2), (1, 3)}
     assert [nb.tolist() for nb in g.neighbors] == [[2], [3], [0], [1]]
 
