@@ -98,7 +98,7 @@ class EstimationResult:
     (the prior): nothing about them was learned during training.
 
     ``mmse_estimate`` also records its plan, which the rate takes the
-    pattern and the level plan from, and makes ``h_hat`` and ``mse``
+    pattern and the Gram plan from, and makes ``h_hat`` and ``mse``
     read-only. An estimate built by hand has no plan, so the rate plans the
     nonzeros of its ``h_hat`` on each call, whatever was written into it.
     """
@@ -183,7 +183,7 @@ def _scatter(out: np.ndarray, flat: np.ndarray, values: np.ndarray) -> np.ndarra
 class _Plan:
     """The noise-independent work on one (channel, book, association):
     ``estimate(noise, n0)`` gives the values on the served pairs ``rrh``,
-    ``user`` (flat indices ``flat``), and ``logdet`` is the rate's level
+    ``user`` (flat indices ``flat``), and ``logdet`` is the rate's Gram
     plan of that pattern, made on first use. It refers to none of the three
     objects, so the channel that keeps it forms no reference cycle."""
 
@@ -196,7 +196,7 @@ class _Plan:
 
     @cached_property
     def logdet(self):
-        return _level_plan(self.shape, self.flat)
+        return _gram_plan(self.shape, self.flat)
 
 
 def _plan(chan, book, assoc) -> _Plan:
@@ -337,10 +337,10 @@ def throughput_lower_bound(
     diagonal of data powers beta'_k * p0, and R_v the diagonal of
     interference-plus-noise variances. Nonnegative by construction.
 
-    Only the pairs of the estimate's plan enter, scaled into S; its level
-    plan (``_level_plan``, made once per plan) sums their pair products into
-    I + S^H S and factors it window by window, two BFS levels at a time. An
-    estimate built by hand gets a plan of the nonzeros of its h_hat per call.
+    Only the pairs of the estimate's plan enter, scaled into S; its Gram
+    plan (``_gram_plan``, made once per plan) sums their pair products into
+    I + S^H S and factors it with one Cholesky. An estimate built by hand
+    gets a plan of the nonzeros of its h_hat per call.
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -352,124 +352,43 @@ def throughput_lower_bound(
     return (1.0 - alpha) * plan.logdet(s)
 
 
-def _level_plan(shape: tuple, flat: np.ndarray):
+def _gram_plan(shape: tuple, flat: np.ndarray):
     """log det(I + S^H S) as a function of the values S takes on one
     sparsity pattern: ascending flat indices into an (n_rrh, n_user) array.
 
-    Users are ordered by their BFS level in the co-service graph, where users
-    estimated by one RRH are adjacent. An RRH's users form a clique, on one
-    level or two adjacent ones, so G = I + S^H S is block tridiagonal. The
-    plan keeps every two pairs p, q of one RRH and the cell of G's lower
-    triangle that conj(s_p) s_q adds to; a call sums them into one G with
+    G = I + S^H S has one column per user in a pair, in index order. The
+    plan keeps every two pairs p <= q of one RRH and the cell of G's lower
+    triangle that conj(s_q) s_p adds to; a call sums them into one G with
     one np.add.at. A complete pattern (global-orthogonal's: every RRH with
-    pairs serves every user with pairs) has at most two levels, so one
-    window, and its G is one matrix product in index order. Window l holds
-    levels l and l + 1; its Cholesky factor [[L11, 0], [L21, L22]], which
-    reads G's lower triangle only, gives level l's pivots, and the Schur
-    complement is carried in place, G_{l+1,l+1} -= L21 L21^H. The log-det
-    sums the logs of the pivots (George & Liu 1981).
+    pairs serves every user with pairs) fills G with one matrix product
+    instead. The log-det sums the logs of the pivots of one Cholesky
+    factor, which reads G's lower triangle only.
     """
     rows, cols = np.divmod(flat, shape[1])
-    level = _bfs_levels(rows, cols, *shape)
     first = np.flatnonzero(np.diff(rows, prepend=-1))  # pairs come sorted by RRH
-    users = np.flatnonzero(level >= 0)
+    users = np.flatnonzero(np.bincount(cols, minlength=shape[1]))
     w = users.size
-    col = np.append(0, np.cumsum(np.bincount(level[users]))).tolist()  # level l: col[l]:col[l + 1]
-    windows = [(col[l], col[l + 1], col[l + 2]) for l in range(len(col) - 2)] or [(0, w, w)]
     # each call refills the same G; a fresh one per call had the heap re-fault megabytes
     gram = np.zeros((w, w), dtype=complex)
     if flat.size == first.size * w:
         def fill(s):
             np.matmul(s.reshape(first.size, w).conj().T, s.reshape(first.size, w), out=gram)
     else:
-        col_of = np.empty(shape[1], dtype=np.intp)  # stable: index order within a level
-        col_of[users[np.argsort(level[users], kind="stable")]] = np.arange(w)
-        p, q = _same_rrh_pairs(rows, diagonal=True)
-        a, b = col_of[cols[p]], col_of[cols[q]]
-        p, q = np.where(a < b, q, p), np.where(a < b, p, q)
-        target = np.maximum(a, b) * w + np.minimum(a, b)
+        col_of = np.empty(shape[1], dtype=np.intp)
+        col_of[users] = np.arange(w)
+        p, q = _same_rrh_pairs(rows, diagonal=True)  # within an RRH, cols[p] <= cols[q]
+        target = col_of[cols[q]] * w + col_of[cols[p]]
 
         def fill(s):
             gram.fill(0.0)
-            np.add.at(gram.ravel(), target, s[p].conj() * s[q])
+            np.add.at(gram.ravel(), target, s[q].conj() * s[p])
 
     def logdet(s: np.ndarray) -> float:
         fill(s)
         gram.flat[::w + 1] += 1.0
-        diag = np.empty(w)
-        for c0, c1, c2 in windows:
-            chol = np.linalg.cholesky(gram[c0:c2, c0:c2])
-            # level l + 1's pivots are final in the last window alone
-            diag[c0:c2] = chol.diagonal().real
-            if c2 < w:
-                l21 = chol[c1 - c0:, :c1 - c0]
-                gram[c1:c2, c1:c2] -= l21 @ l21.conj().T
-        return 2.0 * float(np.sum(np.log(diag)))
+        return 2.0 * float(np.sum(np.log(np.linalg.cholesky(gram).diagonal().real)))
 
     return logdet
-
-
-def _bfs_levels(rows: np.ndarray, cols: np.ndarray, n_rrh: int, n_user: int) -> np.ndarray:
-    """Level of every user in a BFS of the co-service graph of the (RRH,
-    user) pairs, -1 for users in no pair.
-
-    Each connected component is rooted at a peripheral-leaning user: root
-    the BFS at the component's lowest index, then move the root once, to
-    the user of the last level with the fewest co-served users (pairs at its
-    RRHs; ties to the lower index), and keep the moved BFS where it is
-    deeper. Deep, narrow levels keep the blocks small; on the shipped
-    configs, repeating the move while the BFS deepens (George and Liu 1981)
-    changed the total window cost by under 0.1 %. Each BFS is one
-    multi-source BFS over all components at once.
-    """
-    first = np.flatnonzero(np.diff(rows, prepend=-1))  # pairs come sorted by RRH
-    counts = np.diff(first, append=rows.size)
-    users = np.flatnonzero(np.bincount(cols, minlength=n_user))
-    # components: each user takes the least index it reaches
-    label = np.arange(n_user)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, cols, np.repeat(np.minimum.reduceat(label[cols], first), counts))
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    comp = label[users]
-    heads = users[comp == users]  # one per component, which it names
-    degree = np.zeros(n_user, dtype=np.intp)
-    np.add.at(degree, cols, np.repeat(counts, counts))
-
-    def bfs(roots):
-        level = np.full(n_user, -1, dtype=np.intp)
-        level[roots] = 0
-        front = level == 0
-        done = np.zeros(n_rrh, dtype=bool)
-        depth = 0
-        while True:
-            hit = np.zeros(n_rrh, dtype=bool)
-            hit[rows[front[cols]]] = True
-            hit &= ~done
-            done |= hit
-            front = np.zeros(n_user, dtype=bool)
-            front[cols[hit[rows]]] = True
-            front &= level < 0
-            if not front.any():
-                return level
-            depth += 1
-            level[front] = depth
-
-    def depths(level):  # indexed by component
-        out = np.zeros(n_user, dtype=np.intp)
-        np.maximum.at(out, comp, level[users])
-        return out
-
-    level = bfs(heads)
-    depth = depths(level)
-    last = users[level[users] == depth[comp]]
-    key = np.full(n_user, np.iinfo(np.intp).max)
-    np.minimum.at(key, label[last], degree[last] * n_user + last)
-    moved = bfs(key[heads] % n_user)
-    return np.where((depths(moved) > depth)[label], moved, level)
 
 
 def data_power_coefficients(beta, alpha: float, n_user: int) -> np.ndarray:

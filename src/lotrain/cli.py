@@ -6,6 +6,7 @@ training length (the coloring needs at least the whole coherence time);
 """
 
 import argparse
+import os
 import sys
 
 from .errors import TrainingLengthError
@@ -39,6 +40,7 @@ def main(argv=None) -> int:
             if value is not None:
                 mapping[key] = value
         cfg = config_from_mapping(args.experiment, mapping)
+        _check_writable(args.out)
         rows = run_experiment(cfg)
         emit_csv(rows, args.out)
     except TrainingLengthError as exc:
@@ -51,3 +53,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before any trial runs:
+    an existing directory, or a file in a directory that does not exist."""
+    if os.path.isdir(path):
+        raise OSError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise OSError(f"--out {path}: directory {parent} does not exist")

@@ -618,10 +618,10 @@ def test_decoupled_plan_on_phased_and_silent_users(monkeypatch):
     bp = data_power_coefficients(book.beta, 0.2, k)
     rate = assert_rate_matches_dense(est, ch, bp, 0.2)
     assert np.array_equal(est.plan.flat, assoc.rrh * k + assoc.user)
-    levels = spy(monkeypatch, channel_mod, "_level_plan")
+    grams = spy(monkeypatch, channel_mod, "_gram_plan")
     by_hand = manual_est(est.h_hat.copy(), est.mse.copy(), 1e-3)
     assert abs(throughput_lower_bound(by_hand, ch, 0.2, bp, 1.0) - rate) <= 1e-12 * rate
-    ((_, flat),) = levels
+    ((_, flat),) = grams
     assert flat.size == assoc.rrh.size - np.isin(assoc.user, silent).sum()
 
 
@@ -939,7 +939,7 @@ def components_mask(rng, n, k, n_parts):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (1, 9), (20, 35), (35, 20), (60, 60)])
-@pytest.mark.parametrize("density", [0.02, 0.08, 0.3, 1.0])  # 1.0: a dense book, one window
+@pytest.mark.parametrize("density", [0.02, 0.08, 0.3, 1.0])  # 1.0: a dense book, one product
 def test_rate_matches_dense_cholesky_on_random_patterns(shape, density):
     rng = np.random.default_rng(hash((shape, density)) % 2**32)
     for n0 in (1e-5, 1.0):
@@ -969,7 +969,7 @@ def test_rate_matches_dense_cholesky_with_empty_rows_and_columns():
 @pytest.mark.parametrize("band", [2, 3, 5])
 def test_rate_matches_dense_cholesky_on_a_chain(band):
     # RRH i serves users i .. i + band - 1: the co-service graph is a path of
-    # cliques, so the Schur complement is carried through many levels
+    # cliques, and shuffled columns scatter each RRH's products across G
     n, k = 60, 60 + band - 1
     mask = np.zeros((n, k), dtype=bool)
     for i in range(n):
@@ -980,18 +980,14 @@ def test_rate_matches_dense_cholesky_on_a_chain(band):
         assert_rate_matches_dense(est, chan, bp)
 
 
-def test_rate_matches_dense_cholesky_on_levels_against_index_order():
+def test_rate_matches_dense_cholesky_with_products_in_the_lower_triangle():
     # RRH 2 serves users 0, 3 and 5, RRH 0 users 1 and 3, RRH 1 users 1, 2
-    # and 4: the levels are {0}, {3, 5}, {1} and {2, 4}, so G's columns run
-    # 0, 3, 5, 1, 2, 4, and RRH 0's product of users 1 and 3 falls above the
-    # diagonal in index order and must be turned into the lower triangle.
-    # The three windows overlap in levels 1 and 2, whose Schur complements
-    # are carried in place, and the last window holds levels 2 and 3
+    # and 4: every product of two users of one RRH must land in G's lower
+    # triangle, the only one the Cholesky factor reads, and users 1 and 3,
+    # served twice, sum two products on the diagonal
     mask = np.zeros((3, 6), dtype=bool)
     for rrh, users in ((2, [0, 3, 5]), (0, [1, 3]), (1, [1, 2, 4])):
         mask[rrh, users] = True
-    rows, cols = np.nonzero(mask)
-    assert channel_mod._bfs_levels(rows, cols, 3, 6).tolist() == [0, 2, 3, 1, 3, 1]
     rng = np.random.default_rng(37)
     for n0 in (1e-5, 1.0):
         for _ in range(5):
@@ -1029,7 +1025,7 @@ def gram_fills(monkeypatch):
     it summed pair products with np.add.at, ("product",) where it took one
     np.matmul. Channel's numpy is replaced by a recording stand-in."""
     fills, calls = [], []
-    real = channel_mod._level_plan
+    real = channel_mod._gram_plan
 
     class Add:
         def __getattr__(self, name):
@@ -1053,7 +1049,7 @@ def gram_fills(monkeypatch):
         logdet = real(shape, flat)
 
         def spied(s):
-            calls.clear()  # the plan's own np.add.at, in _bfs_levels, is not a fill
+            calls.clear()  # only the calls of this log-det count
             value = logdet(s)
             fills.append(tuple(calls))
             return value
@@ -1061,22 +1057,21 @@ def gram_fills(monkeypatch):
         return spied
 
     monkeypatch.setattr(channel_mod, "np", Numpy())
-    monkeypatch.setattr(channel_mod, "_level_plan", plan)
+    monkeypatch.setattr(channel_mod, "_gram_plan", plan)
     return fills
 
 
 def planned_est(rng, mask, n0=1e-5):
     """pattern_instance's estimate, carrying a plan of its mask as an
-    estimator's plan would, so values of one pattern share one level plan."""
+    estimator's plan would, so values of one pattern share one Gram plan."""
     est, chan, bp = pattern_instance(rng, mask, n0)
     return dataclasses.replace(est, plan=channel_mod._Plan(None, mask.shape, *np.nonzero(mask))), chan, bp
 
 
 @pytest.mark.parametrize("complete", [False, True])
-def test_level_plan_called_again_gives_the_same_bits(complete):
+def test_gram_plan_called_again_gives_the_same_bits(complete):
     # s1, s2, s1 on one plan: the third value equals the first bit for bit,
-    # so no Schur update and no product of s2 stays in the plan's G. The
-    # chain's windows carry Schur complements through many levels
+    # so no product of s2 and no factor stays in the plan's reused G
     rng = np.random.default_rng(38)
     if complete:
         mask = np.ones((12, 9), dtype=bool)
@@ -1093,11 +1088,12 @@ def test_level_plan_called_again_gives_the_same_bits(complete):
 
 
 def test_rate_takes_one_product_on_complete_patterns_only(monkeypatch):
-    # one RRH serves every user beside RRHs that serve a few: one window,
-    # but not complete, so its G sums pair products. Every RRH with pairs
-    # serving every user with pairs, here beside an idle RRH and an unserved
-    # user, makes it complete: its G is one product
+    # one RRH serves every user beside RRHs that serve a few: not complete,
+    # so its G sums pair products. Every RRH with pairs serving every user
+    # with pairs, here beside an idle RRH and an unserved user, makes it
+    # complete: its G is one product. Either way each call factors G once
     fills = gram_fills(monkeypatch)
+    factors = spy(monkeypatch, np.linalg, "cholesky")
     rng = np.random.default_rng(39)
     hub = rng.random((30, 25)) < 0.08
     hub[7] = True
@@ -1109,7 +1105,9 @@ def test_rate_takes_one_product_on_complete_patterns_only(monkeypatch):
             fills.clear()
             est, chan, bp = planned_est(rng, mask, n0)
             for _ in range(2):
+                factors.clear()
                 assert_rate_matches_dense(est, chan, bp)
+                assert len(factors) == 2  # the rate's and the dense oracle's
             assert fills == [(path,), (path,)]
 
 
@@ -1124,22 +1122,11 @@ def test_trial_takes_one_product_for_global_orthogonal_alone(monkeypatch):
     assert fills == paths
 
 
-def test_bfs_levels_root_each_component_at_a_peripheral_user():
-    # a path 3 - 1 - 0 - 2 - 4 (one RRH per edge) beside a lone pair 5 - 6
-    # and an unserved user 7; the search moves the path's root from user 0
-    # to the end with the lower index
-    edges = [(3, 1), (1, 0), (0, 2), (2, 4), (5, 6)]
-    rows = np.repeat(np.arange(len(edges)), 2)
-    cols = np.array([u for e in edges for u in sorted(e)])
-    level = channel_mod._bfs_levels(rows, cols, len(edges), 8)
-    assert level.tolist() == [2, 1, 3, 0, 4, 0, 1, -1]
-
-
-def test_level_plan_belongs_to_the_estimator_plan(monkeypatch):
-    # the estimator's plan makes the level plan of its pairs on first use and
+def test_gram_plan_belongs_to_the_estimator_plan(monkeypatch):
+    # the estimator's plan makes the Gram plan of its pairs on first use and
     # keeps it for every SNR; an estimate built by hand has no plan, so its
     # nonzeros are planned on each call
-    planned = spy(monkeypatch, channel_mod, "_level_plan")
+    planned = spy(monkeypatch, channel_mod, "_gram_plan")
     ch, cases, z0 = memo_instance()
     book, assoc = cases["proposed"]
     bp = data_power_coefficients(book.beta, 0.25, book.n_user)
@@ -1149,13 +1136,13 @@ def test_level_plan_belongs_to_the_estimator_plan(monkeypatch):
         assert_rate_matches_dense(est, ch, bp, 0.25)
     ((_, flat),) = planned
     assert flat is ests[0].plan.flat
-    # new values on the same plan keep its level plan
+    # new values on the same plan keep its Gram plan
     assert_rate_matches_dense(dataclasses.replace(ests[0], h_hat=2.0 * ests[0].h_hat), ch, bp, 0.25)
     by_hand = manual_est(ests[0].h_hat.copy(), ests[0].mse.copy(), 0.1)
     assert_rate_matches_dense(by_hand, ch, bp, 0.25)
     assert_rate_matches_dense(by_hand, ch, bp, 0.25)
     assert len(planned) == 3
-    # the level plan lives as long as its estimator plan: once the channel
+    # the Gram plan lives as long as its estimator plan: once the channel
     # moves to another plan, only the estimates hold it
     held = weakref.ref(ests[0].plan.logdet)
     mmse_estimate(ch, *cases["refined"], 0.1, noise=np.sqrt(0.1) * z0)
@@ -1164,7 +1151,7 @@ def test_level_plan_belongs_to_the_estimator_plan(monkeypatch):
     assert held() is None
 
 
-def test_level_plan_sees_h_hat_changed_in_place():
+def test_gram_plan_sees_h_hat_changed_in_place():
     rng = np.random.default_rng(35)
     est, chan, bp = pattern_instance(rng, rng.random((30, 40)) < 0.1)
     assert_rate_matches_dense(est, chan, bp)
@@ -1177,7 +1164,7 @@ def test_level_plan_sees_h_hat_changed_in_place():
 
 
 def test_trial_plans_the_rate_once_per_scheme(monkeypatch):
-    planned = spy(monkeypatch, channel_mod, "_level_plan")
+    planned = spy(monkeypatch, channel_mod, "_gram_plan")
     cfg = ExperimentConfig("compare", n_rrh=20, n_user=30, side=40.0, threshold=10.0,
                            snr_db=(0.0, 20.0, 40.0), schemes=SCHEMES, t_coherence=60)
     _throughput_trial((cfg, 30, 10.0, 0))
@@ -1190,7 +1177,7 @@ def test_trial_plans_the_rate_once_per_scheme(monkeypatch):
 
 def test_channel_plan_dies_with_the_channel():
     # a plan refers to neither the channel nor the book nor the association,
-    # so it and its level plan die with the last channel or estimate that
+    # so it and its Gram plan die with the last channel or estimate that
     # holds them, without the cycle collector
     ch, cases, z0 = memo_instance()
     for book, assoc in cases.values():

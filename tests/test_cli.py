@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from lotrain import cli as cli_mod
 from lotrain.experiments import CSV_HEADER
 
 COMPARE_CFG = """\
@@ -178,11 +179,18 @@ def test_missing_config_file_exits_three(tmp_path):
     assert proc.returncode == 3
 
 
-def test_unwritable_output_exits_three(tmp_path):
+def test_unwritable_output_exits_three(tmp_path, monkeypatch, capsys):
+    # a missing directory or a directory as --out fails before any trial
+    # runs, names the path and creates nothing
     cfg = write(tmp_path, COMPARE_CFG)
-    proc = run_cli("compare", "--config", cfg,
-                   "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv"))
-    assert proc.returncode == 3
+    monkeypatch.setattr(cli_mod, "run_experiment", lambda cfg: pytest.fail("a trial ran"))
+    for path in (str(tmp_path / "no" / "such" / "dir" / "x.csv"), str(tmp_path)):
+        assert cli_mod.main(["compare", "--config", cfg, "--out", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+        proc = run_cli("compare", "--config", cfg, "--out", path)
+        assert proc.returncode == 3 and path in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize("name,cfg_text", [
