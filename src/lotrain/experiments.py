@@ -61,9 +61,10 @@ class ExperimentConfig:
     """Fully resolved parameters of one experiment run.
 
     Defaults follow the reference simulation setup: a 100 m square, path-loss
-    exponent 3.5, coherence time 100, unit powers, load factor rho = 0.5.
-    Fields irrelevant to a given experiment may stay None; the runner
-    validates what each experiment needs.
+    exponent 3.5, coherence time 100, load factor rho = 0.5. Trials run at
+    unit power p0 = 1, so snr_db alone sets the noise power. Fields irrelevant
+    to a given experiment may stay None; the runner validates what each
+    experiment needs.
     """
 
     experiment: str
@@ -77,12 +78,10 @@ class ExperimentConfig:
     t_coherence: int = 100
     eta: float = 3.5
     beta: float = 1.0
-    p0: float = 1.0
     snr_db: tuple[float, ...] = (20.0,)
     schemes: tuple[str, ...] = ("proposed",)
     trials: int = 100
     seed: int = 0
-    resample_layout: str = "per-trial"
     min_distance: float = 1.0
     workers: int = 1
 
@@ -94,7 +93,7 @@ class ExperimentConfig:
             _check_int("n_user", self.n_user, 1)
         for k in self.k_grid or ():
             _check_int("k_grid entry", k, 1)
-        for key in ("side", "eta", "p0", "min_distance"):
+        for key in ("side", "eta", "min_distance"):
             _check_real(key, getattr(self, key))
         _check_real("beta", self.beta, inclusive=True)
         for key in ("threshold", "rho"):
@@ -105,24 +104,21 @@ class ExperimentConfig:
         if not self.snr_db:
             raise ParameterError("snr_db grid must be nonempty")
         # the estimator squares den = gamma^2 E + n0, whose training energy E
-        # reaches T beta p0 and gain gamma^2 min_distance^-eta
+        # reaches T beta (at p0 = 1) and gain gamma^2 min_distance^-eta
         try:
-            peak = self.t_coherence * self.beta * self.p0 * self.min_distance ** -self.eta
+            peak = self.t_coherence * self.beta * self.min_distance ** -self.eta
         except OverflowError:
             peak = math.inf
         for snr in self.snr_db:
             _check_real("snr_db entry", snr, floor=-math.inf)
             try:
-                n0 = snr_db_to_noise_power(snr, self.p0)
+                n0 = snr_db_to_noise_power(snr)
             except OverflowError:
                 n0 = math.inf
             if not (n0 * n0 >= sys.float_info.min and (peak + n0) * (peak + n0) < math.inf):
-                raise ParameterError(f"snr_db entry {snr!r} and p0 = {self.p0!r} put the noise power at "
-                                     f"{n0:.3g} and the received training energy at up to {peak:.3g}; "
-                                     "the estimator squares both, and each square must stay a normal double")
-        if self.resample_layout not in ("per-trial", "fixed"):
-            raise ParameterError(
-                f"resample_layout must be 'per-trial' or 'fixed', got {self.resample_layout!r}")
+                raise ParameterError(f"snr_db entry {snr!r} puts the noise power at {n0:.3g} and the "
+                                     f"received training energy at up to {peak:.3g}; the estimator "
+                                     "squares both, and each square must stay a normal double")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ParameterError(f"schemes: unknown scheme {s!r}; choose from {SCHEMES}")
@@ -170,10 +166,11 @@ def load_config(path) -> dict:
 
     A ``#`` starts a comment only on a line of its own or after the complete
     JSON value, so it may appear inside a JSON string. A key may appear once.
+    A UTF-8 byte-order mark at the start of the file is skipped.
     """
     mapping = {}
     decoder = json.JSONDecoder()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -216,6 +213,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
     payload = asdict(cfg)
     # worker count never changes the numbers, so it must not change the hash
     payload.pop("workers")
+    # the retired keys' one value each, so every digest made before they went stays
+    payload.update(p0=1.0, resample_layout="per-trial")
     blob = json.dumps({**payload, "rng": RNG_ALGORITHM}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -319,10 +318,9 @@ def _global_orthogonal_assoc(n_rrh: int, n_user: int) -> AssociationMap:
 # from (cfg.seed, trial), so items are independent and order-free.
 
 def _draw(cfg: ExperimentConfig, k: int, r: float, trial: int) -> tuple:
-    """The trial's layout of K users (one layout for every trial when
-    cfg.resample_layout is 'fixed') and its association at radius r."""
-    key = (LAYOUT_SALT, trial) if cfg.resample_layout == "per-trial" else (LAYOUT_SALT,)
-    layout = generate_layout(cfg.n_rrh, k, cfg.side, np.random.SeedSequence(cfg.seed, spawn_key=key))
+    """The trial's layout of K users and its association at radius r."""
+    layout = generate_layout(cfg.n_rrh, k, cfg.side,
+                             np.random.SeedSequence(cfg.seed, spawn_key=(LAYOUT_SALT, trial)))
     return layout, sparsify(layout, r)
 
 
@@ -351,10 +349,10 @@ def _density_trial(item) -> dict:
 def _throughput_trial(item) -> dict:
     """All configured schemes at all SNRs on shared random draws. Each scheme
     resolves to one (channel, association, pilot book) triple, and
-    global-orthogonal's holds its active users alone. Only sweep-r returns an
-    infeasible coloring instead of raising."""
+    global-orthogonal's holds its active users alone. Every scheme runs at
+    unit power. Only sweep-r returns an infeasible coloring instead of raising."""
     cfg, n_user, r, trial = item
-    seed, t_coh, p0 = cfg.seed, cfg.t_coherence, cfg.p0
+    seed, t_coh = cfg.seed, cfg.t_coherence
     layout, assoc = _draw(*item)
     col = dsatur(build_conflict_graph(assoc))
     chi = col.num_colors
@@ -373,7 +371,7 @@ def _throughput_trial(item) -> dict:
     z0 = complex_gaussian(_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_SALT, trial))),
                           (cfg.n_rrh, t_coh))
     # proposed and refined differ only in association: they share one book
-    colored = (build_pilot_book(col, cfg.beta, p0)
+    colored = (build_pilot_book(col, cfg.beta)
                if {"proposed", "refined"} & set(cfg.schemes) else None)
     rates: dict = {}
     lengths: dict = {}
@@ -384,9 +382,9 @@ def _throughput_trial(item) -> dict:
         if scheme == "refined":
             a_s = refine(assoc, layout, col)
         elif scheme == "random-pilot":
-            book = baseline_random_pilots(chi, n_user, rng_s, cfg.beta, p0)
+            book = baseline_random_pilots(chi, n_user, rng_s, cfg.beta)
         elif scheme == "global-orthogonal":
-            active, book = baseline_global_orthogonal(t_coh, n_user, rng_s, cfg.beta, p0)
+            active, book = baseline_global_orthogonal(t_coh, n_user, rng_s, cfg.beta)
             chan_s = replace(chan, small_scale=chan.small_scale[:, active],
                              large_scale=chan.large_scale[:, active])
             a_s = _global_orthogonal_assoc(cfg.n_rrh, active.size)
@@ -395,12 +393,12 @@ def _throughput_trial(item) -> dict:
         bp = data_power_coefficients(cfg.beta, alpha, book.n_user)
         lengths[scheme] = length
         for snr in cfg.snr_db:
-            n0 = snr_db_to_noise_power(snr, p0)
+            n0 = snr_db_to_noise_power(snr)
             est = mmse_estimate(chan_s, book, a_s, n0, noise=np.sqrt(n0) * z0[:, :length])
-            rate = rates[(scheme, snr)] = throughput_lower_bound(est, chan_s, alpha, bp, p0)
+            # p0 = 1 stays positional: bench/run.py reads the rate call's fifth argument
+            rate = rates[(scheme, snr)] = throughput_lower_bound(est, chan_s, alpha, bp, 1.0)
             if not math.isfinite(rate):  # no NaN may reach a CSV
-                raise ConsistencyError(f"{scheme} at snr_db {snr!r}, K = {n_user}, r = {r!r}: "
-                                       f"the rate is {rate} at p0 = {p0!r}")
+                raise ConsistencyError(f"{scheme} at snr_db {snr!r}, K = {n_user}, r = {r!r}: the rate is {rate}")
     return {"rates": rates, "lengths": lengths}
 
 

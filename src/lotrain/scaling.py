@@ -26,10 +26,9 @@ def poisson_rate_inverse(y: float) -> float:
     """The unique x >= 1 with f(x) = y, by bisection to |f(x) - y| <= 1e-12."""
     if y < 0:
         raise ParameterError(f"argument must be >= 0, got {y}")
+    # f(y + 2) - y is least at y = e - 2, where it is 3 - e > 0, and f(e) = 1:
+    # so f(hi) >= y and [1, hi] brackets the root for every y >= 0
     lo, hi = 1.0, max(math.e, y + 2.0)
-    while poisson_rate_function(hi) < y:
-        hi *= 2.0
-    mid = hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = poisson_rate_function(mid)

@@ -1233,18 +1233,19 @@ def test_throughput_runner_deterministic_and_sane():
 
 
 def test_throughput_point_mass_hook(monkeypatch):
-    # force every Gaussian draw to a point mass: with a fixed layout all
-    # trials coincide and the standard error collapses to exactly zero. The
-    # kernel draws noise through the experiments module's name and fading
-    # through the channel module's.
+    # force every Gaussian draw to a point mass and every trial onto one
+    # layout: all trials coincide and the standard error collapses to
+    # exactly zero. The kernel draws noise through the experiments module's
+    # name and fading through the channel module's.
     def point(rng, shape):
         return np.full(shape, (1.0 + 1.0j) / np.sqrt(2))
 
     monkeypatch.setattr(channel_mod, "complex_gaussian", point)
     monkeypatch.setattr(experiments_mod, "complex_gaussian", point)
+    monkeypatch.setattr(experiments_mod, "generate_layout",
+                        lambda n_rrh, n_user, side, seed: generate_layout(n_rrh, n_user, side, 0))
     cfg = ExperimentConfig("compare", n_rrh=5, n_user=6, side=40.0, threshold=10.0,
-                           trials=4, seed=0, snr_db=(10.0,), t_coherence=30,
-                           resample_layout="fixed")
+                           trials=4, seed=0, snr_db=(10.0,), t_coherence=30)
     (row,) = rate_rows(run_experiment(cfg))
     assert row.stderr == 0.0 and row.value > 0.0
     rates = kernel_rates(cfg, "proposed", 10.0)

@@ -108,8 +108,8 @@ def test_malformed_value_exits_one(tmp_path):
     ("snr_db = [NaN]", "snr_db"),
     ("snr_db = [4000.0]", "snr_db"),  # the noise power underflows to 0
     ("snr_db = [-4000.0]", "snr_db"),  # and here overflows
-    ("p0 = 1e-300", "p0"),  # the square of the noise power underflows
-    ("p0 = 1e300", "p0"),  # the square of the training energy overflows
+    ("p0 = 1.0", "p0"),  # retired: trials run at unit power, and snr_db sets the noise
+    ('resample_layout = "fixed"', "resample_layout"),  # retired: every trial draws its layout
     ('schemes = ["proposed", 3]', "schemes"),
     ('schemes = ["proposed", "proposed"]', "schemes"),
     ("seed = 2", "seed"),  # appended to COMPARE_CFG's own seed line: a repeated key

@@ -56,7 +56,6 @@ BAD = {
     "t_coherence": bad_int(2),
     "eta": bad_real(),
     "beta": bad_real(inclusive=True),
-    "p0": bad_real(),
     "snr_db": bad_grid(st.floats(-10.0, 60.0),
                        st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
                                  st.none(), NOT_A_NUMBER)),
@@ -65,9 +64,6 @@ BAD = {
                                   st.none(), st.integers(), st.lists(st.sampled_from(SCHEMES)))),
     "trials": bad_int(1),
     "seed": bad_int(0),
-    "resample_layout": st.one_of(
-        st.text(max_size=10).filter(lambda s: s not in ("per-trial", "fixed")),
-        st.none(), st.integers(), st.floats(), st.lists(st.just("fixed"), max_size=1)),
     "min_distance": bad_real(),
     "workers": bad_int(1),
 }

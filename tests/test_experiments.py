@@ -62,21 +62,19 @@ n_rrh = 30           # comment after a value
 n_user = 300
 snr_db = [10.0, 20.0]
 schemes = ["proposed", "random-pilot"]
-resample_layout = "fixed"
 threshold = 12.5
 """)
     m = load_config(p)
     assert m["n_rrh"] == 30 and m["threshold"] == 12.5
     assert m["snr_db"] == [10.0, 20.0]
-    assert m["resample_layout"] == "fixed"
     cfg = config_from_mapping("compare", m)
     assert cfg.snr_db == (10.0, 20.0) and cfg.schemes == ("proposed", "random-pilot")
 
 
 def test_load_config_keeps_hash_inside_strings(tmp_path):
-    p = write_cfg(tmp_path, 'resample_layout = "per#trial"  # a comment\n'
-                            'schemes = ["proposed"]# no space before it\n')
-    assert load_config(p) == {"resample_layout": "per#trial", "schemes": ["proposed"]}
+    p = write_cfg(tmp_path, 'schemes = ["pro#posed"]  # a comment\n'
+                            'seed = 3# no space before it\n')
+    assert load_config(p) == {"schemes": ["pro#posed"], "seed": 3}
     bad = write_cfg(tmp_path, "n_rrh = 5 trailing words\n", name="bad.cfg")
     with pytest.raises(ParameterError, match=":1:"):
         load_config(bad)
@@ -106,10 +104,10 @@ def test_config_from_mapping_rejects_unknown_and_bad_grids():
 
 def test_config_defaults():
     cfg = ExperimentConfig("compare", n_rrh=4, n_user=8)
-    assert (cfg.side, cfg.t_coherence, cfg.eta, cfg.beta, cfg.p0) == (100.0, 100, 3.5, 1.0, 1.0)
+    assert (cfg.side, cfg.t_coherence, cfg.eta, cfg.beta) == (100.0, 100, 3.5, 1.0)
     assert cfg.snr_db == (20.0,) and cfg.schemes == ("proposed",)
     assert cfg.trials == 100 and cfg.seed == 0 and cfg.workers == 1
-    assert cfg.resample_layout == "per-trial" and cfg.min_distance == 1.0
+    assert cfg.min_distance == 1.0
 
 
 @pytest.mark.parametrize("kw", [
@@ -117,7 +115,7 @@ def test_config_defaults():
     dict(seed=-1),
     dict(n_rrh=0),
     dict(workers=0),
-    dict(resample_layout="sometimes"),
+    dict(snr_db=(1600.0,)),  # the square of the noise power underflows
     dict(schemes=("proposed", "genie")),
     dict(snr_db=()),
     dict(t_coherence=0),
@@ -131,7 +129,7 @@ def test_config_defaults():
     dict(side=-1.0),
     dict(side=float("inf")),
     dict(eta=0.0),
-    dict(p0=0.0),
+    dict(min_distance=1e-100),  # the peak training energy overflows
     dict(beta=-0.5),
     dict(min_distance=0.0),
     dict(threshold=0.0),
@@ -464,56 +462,72 @@ def test_a_trial_leaves_no_module_state():
     assert [key for key, value in after.items() if value is not before[key]] == []
 
 
-# ---------------------------------------------------------- power range
+# ------------------------------------------------------------- SNR range
 
-# the p0 repro: all four schemes, where a p0 of 1e-300 once wrote NaN rows
+# the power repro: all four schemes, where a noise power whose square left
+# the double range once wrote NaN rows
 SMALL_COMPARE = dict(n_rrh=20, n_user=20, side=50.0, threshold=10.0, t_coherence=40,
                      schemes=SCHEMES, trials=2, seed=0)
 
 
-def accepted_p0_range(**kw) -> tuple[float, float]:
-    """The smallest and largest p0 the config accepts, bisected in log p0."""
-    def accepted(p0):
+def accepted_snr_edge(bad: float) -> tuple[float, float]:
+    """The accepted snr_db nearest to bad, and the next double past it,
+    bisected from 0 dB down to adjacent doubles."""
+    def accepted(snr):
         try:
-            ExperimentConfig("compare", p0=p0, **kw)
+            ExperimentConfig("compare", snr_db=(snr,), **SMALL_COMPARE)
         except ParameterError:
             return False
         return True
 
-    edges = []
-    for bad in (1e-320, 1e308):
-        good = 1.0
-        for _ in range(60):
-            mid = math.sqrt(good) * math.sqrt(bad)
-            good, bad = (mid, bad) if accepted(mid) else (good, mid)
-        edges.append(good)
-    return edges[0], edges[1]
+    good = 0.0
+    while True:
+        mid = 0.5 * (good + bad)
+        if mid in (good, bad):
+            return good, bad
+        good, bad = (mid, bad) if accepted(mid) else (good, mid)
 
 
-@pytest.mark.parametrize("snr", [-20.0, 10.0, 60.0])
-def test_accepted_powers_give_finite_rates(snr):
-    # the config bounds p0 where the estimator's squares leave the double
-    # range; every power inside, up to the edges, builds its pilot books and
-    # runs every scheme without a warning
-    low, high = accepted_p0_range(snr_db=(snr,), **SMALL_COMPARE)
-    assert low < 1e-100 and high > 1e100
-    with pytest.raises(ParameterError, match="p0"):
-        ExperimentConfig("compare", p0=low / 2, snr_db=(snr,), **SMALL_COMPARE)
-    with pytest.raises(ParameterError, match="p0"):
-        ExperimentConfig("compare", p0=high * 2, snr_db=(snr,), **SMALL_COMPARE)
+def test_accepted_snr_range_gives_finite_rates():
+    # the config bounds snr_db where the estimator's squares leave the double
+    # range: N0 = 10^(-snr/10) squared must stay normal, and N0 plus the peak
+    # training energy T beta min_distance^-eta = 40 squared must stay finite
+    (low, below), (high, above) = accepted_snr_edge(-1e4), accepted_snr_edge(1e4)
+    assert -1542.0 < low < -1541.0 and 1538.0 < high < 1539.0
+    assert below == math.nextafter(low, -math.inf) and above == math.nextafter(high, math.inf)
+    for snr in (below, above):
+        with pytest.raises(ParameterError, match="snr_db"):
+            ExperimentConfig("compare", snr_db=(snr,), **SMALL_COMPARE)
+    # every SNR inside, up to the edges, runs every scheme without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p0 in (low, 1e-100, 1.0, 1e100, high):
-            cfg = ExperimentConfig("compare", p0=p0, snr_db=(snr,), **SMALL_COMPARE)
+        for snr in (low, -20.0, 10.0, 60.0, high):
+            cfg = ExperimentConfig("compare", snr_db=(snr,), **SMALL_COMPARE)
             rates = _throughput_trial((cfg, 20, 10.0, 0))["rates"]
-            assert len(rates) == 4 and all(map(math.isfinite, rates.values())), (p0, rates)
+            assert len(rates) == 4 and all(map(math.isfinite, rates.values())), (snr, rates)
 
 
-@pytest.mark.parametrize("name", ["compare", "density", "scaling", "sweep-k", "sweep-r"])
-def test_shipped_configs_accept_powers_from_1e_minus_100_to_1e100(name):
-    mapping = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
-    for p0 in (1e-100, 1e-50, 1.0, 1e50, 1e100):
-        assert config_from_mapping(name, {**mapping, "p0": p0}).p0 == p0
+SHIPPED_HASHES = {"scaling": "9a01bb71e99d", "density": "bcf1298c118d", "compare": "ed9ca154bc76",
+                  "sweep-k": "1e40d17d3c2e", "sweep-r": "87fb97ebfb3a"}
+
+
+def shipped_config(name: str) -> Path:
+    return Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_HASHES))
+def test_shipped_config_hash_is_pinned(name):
+    # the digest every CSV row carries; retiring a config key must not move it
+    assert config_hash(config_from_mapping(name, load_config(shipped_config(name)))) == SHIPPED_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_HASHES))
+def test_shipped_config_saved_with_a_byte_order_mark_loads_the_same(name, tmp_path):
+    # some editors save UTF-8 with a BOM, which would stick to the first line
+    path = shipped_config(name)
+    bom = tmp_path / path.name
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_config(bom) == load_config(path)
 
 
 def test_trial_refuses_a_non_finite_rate(monkeypatch):

@@ -62,6 +62,14 @@ def test_inverse_roundtrip():
         assert poisson_rate_function(x) == pytest.approx(float(y), abs=1e-10)
 
 
+def test_inverse_start_brackets_the_root():
+    # the bisection starts at hi = max(e, y + 2) and never widens it, so
+    # f(hi) >= y must hold for every y >= 0
+    ys = [0.0, *np.logspace(-12, 300, 1000), *np.linspace(0.0, 10.0, 10001)]
+    for y in map(float, ys):
+        assert poisson_rate_function(max(math.e, y + 2.0)) >= y, y
+
+
 def test_inverse_increasing():
     ys = np.linspace(0.0, 50.0, 500)
     xs = [poisson_rate_inverse(float(y)) for y in ys]
