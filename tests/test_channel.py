@@ -543,7 +543,7 @@ def contract_keeping_book(case):
 
 
 # books from build_pilot_book at the edges of the accepted powers build in
-# test_experiments.py::test_accepted_powers_give_finite_rates
+# test_experiments.py::test_accepted_snr_range_gives_finite_rates
 CONTRACT_CASES = ["beta-zero", "global-orthogonal", "phased-and-silent", "padded-oracle", "shorter-dft"]
 
 
