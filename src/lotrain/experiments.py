@@ -17,6 +17,7 @@ not independent ones.
 """
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -55,16 +56,19 @@ _SCHEME_STREAM = {"random-pilot": 1, "global-orthogonal": 2}
 
 CSV_HEADER = "experiment,scheme,K,N,r0,r,T,eta,snr_db,trials,metric,value,stderr,seed,config_hash"
 
+# every trial's path-loss exponent; beta = 1 and min_distance = 1 are the library defaults
+ETA = 3.5
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved parameters of one experiment run.
 
-    Defaults follow the reference simulation setup: a 100 m square, path-loss
-    exponent 3.5, coherence time 100, load factor rho = 0.5. Trials run at
-    unit power p0 = 1, so snr_db alone sets the noise power. Fields irrelevant
-    to a given experiment may stay None; the runner validates what each
-    experiment needs.
+    Defaults follow the reference simulation setup: a 100 m square, coherence
+    time 100, load factor rho = 0.5. Trials run at path-loss exponent ETA =
+    3.5, beta = 1, min_distance = 1 and unit power p0 = 1, so snr_db alone
+    sets the noise power. Fields irrelevant to a given experiment may stay
+    None; the runner validates what each experiment needs.
     """
 
     experiment: str
@@ -76,13 +80,10 @@ class ExperimentConfig:
     r_grid: tuple[float, ...] | None = None
     rho: float | None = None
     t_coherence: int = 100
-    eta: float = 3.5
-    beta: float = 1.0
     snr_db: tuple[float, ...] = (20.0,)
     schemes: tuple[str, ...] = ("proposed",)
     trials: int = 100
     seed: int = 0
-    min_distance: float = 1.0
     workers: int = 1
 
     def __post_init__(self):
@@ -93,9 +94,7 @@ class ExperimentConfig:
             _check_int("n_user", self.n_user, 1)
         for k in self.k_grid or ():
             _check_int("k_grid entry", k, 1)
-        for key in ("side", "eta", "min_distance"):
-            _check_real(key, getattr(self, key))
-        _check_real("beta", self.beta, inclusive=True)
+        _check_real("side", self.side)
         for key in ("threshold", "rho"):
             if getattr(self, key) is not None:
                 _check_real(key, getattr(self, key))
@@ -104,11 +103,15 @@ class ExperimentConfig:
         if not self.snr_db:
             raise ParameterError("snr_db grid must be nonempty")
         # the estimator squares den = gamma^2 E + n0, whose training energy E
-        # reaches T beta (at p0 = 1) and gain gamma^2 min_distance^-eta
+        # reaches T (at unit power, beta and gain)
         try:
-            peak = self.t_coherence * self.beta * self.min_distance ** -self.eta
+            peak = float(self.t_coherence)
         except OverflowError:
             peak = math.inf
+        if not peak * peak < math.inf:
+            got = f"{peak:.3g}" if peak < math.inf else "more than 1.8e308"
+            raise ParameterError(f"t_coherence must stay below about 1.34e154, got {got}: it is the "
+                                 "peak training energy, whose square the estimator must keep finite")
         for snr in self.snr_db:
             _check_real("snr_db entry", snr, floor=-math.inf)
             try:
@@ -130,10 +133,6 @@ class ExperimentConfig:
             raise ParameterError(
                 f"t_coherence must be even for global-orthogonal (half the frame trains), "
                 f"got {self.t_coherence}")
-        k = max(self.k_grid) if self.experiment == "sweep-k" and self.k_grid else self.n_user
-        if "global-orthogonal" in self.schemes and k is not None:  # it trains min(K, T/2) uses
-            _check_beta(self.beta, min(k, self.t_coherence // 2), self.t_coherence,
-                        f"for global-orthogonal at K = {k}")
 
 
 def _check_int(key: str, value, low: int) -> None:
@@ -142,19 +141,11 @@ def _check_int(key: str, value, low: int) -> None:
         raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
-def _check_beta(beta: float, length: int, t_coh: int, where: str) -> None:
-    """Reject beta above 1/alpha = T / length, which leaves negative data power."""
-    if length / t_coh * beta > 1.0:  # data_power_coefficients' test, term for term
-        raise ParameterError(f"beta = {beta!r} exceeds 1/alpha = {t_coh}/{length} {where}: "
-                             "training overdraws the energy")
-
-
-def _check_real(key: str, value, floor: float = 0.0, inclusive: bool = False) -> None:
-    """Reject anything but a finite number above floor (or at it, if inclusive)."""
+def _check_real(key: str, value, floor: float = 0.0) -> None:
+    """Reject anything but a finite number above floor."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value < floor
-            or (value == floor and not inclusive)):
-        bound = f" {'>=' if inclusive else '>'} {floor}" if math.isfinite(floor) else ""
+            or not math.isfinite(value) or value <= floor):
+        bound = f" > {floor}" if math.isfinite(floor) else ""
         raise ParameterError(f"{key} must be a finite number{bound}, got {value!r}")
 
 
@@ -166,30 +157,40 @@ def load_config(path) -> dict:
 
     A ``#`` starts a comment only on a line of its own or after the complete
     JSON value, so it may appear inside a JSON string. A key may appear once.
-    A UTF-8 byte-order mark at the start of the file is skipped.
+    A UTF-8 byte-order mark at the start of the file is skipped; a file that
+    is not UTF-8 is refused, naming the line of its first bad byte.
     """
     mapping = {}
     decoder = json.JSONDecoder()
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-            val = val.strip()
-            try:
-                value, end = decoder.raw_decode(val)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"{path}:{lineno}: bad value: {exc}") from exc
-            rest = val[end:].strip()
-            if rest and not rest.startswith("#"):
-                raise ParameterError(f"{path}:{lineno}: unexpected text after the value: {rest!r}")
-            key = key.strip()
-            if key in mapping:
-                raise ParameterError(f"{path}:{lineno}: repeated key {key!r}")
-            mapping[key] = value
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the text after any byte-order mark, and exc.start indexes it
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParameterError(f"{path}:{lineno}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                             f"({exc.reason})") from exc
+    # newline=None reads the line ends a text-mode file would
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+        val = val.strip()
+        try:
+            value, end = decoder.raw_decode(val)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{path}:{lineno}: bad value: {exc}") from exc
+        rest = val[end:].strip()
+        if rest and not rest.startswith("#"):
+            raise ParameterError(f"{path}:{lineno}: unexpected text after the value: {rest!r}")
+        key = key.strip()
+        if key in mapping:
+            raise ParameterError(f"{path}:{lineno}: repeated key {key!r}")
+        mapping[key] = value
     return mapping
 
 
@@ -214,7 +215,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     # worker count never changes the numbers, so it must not change the hash
     payload.pop("workers")
     # the retired keys' one value each, so every digest made before they went stays
-    payload.update(p0=1.0, resample_layout="per-trial")
+    payload.update(eta=ETA, beta=1.0, min_distance=1.0, p0=1.0, resample_layout="per-trial")
     blob = json.dumps({**payload, "rng": RNG_ALGORITHM}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -361,17 +362,13 @@ def _throughput_trial(item) -> dict:
         if cfg.experiment == "sweep-r":
             return {"infeasible": chi}
         raise TrainingLengthError(f"training length {chi} reaches the coherence time {t_coh}")
-    if needs_coloring:
-        _check_beta(cfg.beta, chi, t_coh, f"at K = {n_user}, r = {r!r}, where chi = {chi}")
-    chan = generate_channel(layout, cfg.eta,
-                            np.random.SeedSequence(seed, spawn_key=(FADING_SALT, trial)),
-                            cfg.min_distance)
+    chan = generate_channel(layout, ETA, np.random.SeedSequence(seed, spawn_key=(FADING_SALT, trial)))
     # one standard-normal noise block per trial; schemes slice their training
     # length and scale by sqrt(n0), so comparisons are paired
     z0 = complex_gaussian(_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_SALT, trial))),
                           (cfg.n_rrh, t_coh))
     # proposed and refined differ only in association: they share one book
-    colored = (build_pilot_book(col, cfg.beta)
+    colored = (build_pilot_book(col)
                if {"proposed", "refined"} & set(cfg.schemes) else None)
     rates: dict = {}
     lengths: dict = {}
@@ -382,15 +379,15 @@ def _throughput_trial(item) -> dict:
         if scheme == "refined":
             a_s = refine(assoc, layout, col)
         elif scheme == "random-pilot":
-            book = baseline_random_pilots(chi, n_user, rng_s, cfg.beta)
+            book = baseline_random_pilots(chi, n_user, rng_s)
         elif scheme == "global-orthogonal":
-            active, book = baseline_global_orthogonal(t_coh, n_user, rng_s, cfg.beta)
+            active, book = baseline_global_orthogonal(t_coh, n_user, rng_s)
             chan_s = replace(chan, small_scale=chan.small_scale[:, active],
                              large_scale=chan.large_scale[:, active])
             a_s = _global_orthogonal_assoc(cfg.n_rrh, active.size)
         length = book.training_length
         alpha = length / t_coh
-        bp = data_power_coefficients(cfg.beta, alpha, book.n_user)
+        bp = data_power_coefficients(1.0, alpha, book.n_user)
         lengths[scheme] = length
         for snr in cfg.snr_db:
             n0 = snr_db_to_noise_power(snr)
@@ -430,7 +427,7 @@ def _grid(cfg: ExperimentConfig) -> list:
 def _row(cfg: ExperimentConfig, digest: str, k: int, r: float, scheme: str,
          metric: str, value: float, stderr: float | None, snr: float | None = None) -> ResultRow:
     return ResultRow(cfg.experiment, scheme, k, cfg.n_rrh, cfg.side, r, cfg.t_coherence,
-                     cfg.eta, snr, cfg.trials, metric, value, stderr, cfg.seed, digest)
+                     ETA, snr, cfg.trials, metric, value, stderr, cfg.seed, digest)
 
 
 def _scaling_rows(cfg: ExperimentConfig, k: int, r: float, results: list, row) -> list:

@@ -110,6 +110,11 @@ def test_malformed_value_exits_one(tmp_path):
     ("snr_db = [-4000.0]", "snr_db"),  # and here overflows
     ("p0 = 1.0", "p0"),  # retired: trials run at unit power, and snr_db sets the noise
     ('resample_layout = "fixed"', "resample_layout"),  # retired: every trial draws its layout
+    ("eta = 3.5", "eta"),  # retired, like beta and min_distance: the reference value is refused too
+    ("beta = 1.0", "beta"),
+    ("min_distance = 1.0", "min_distance"),
+    pytest.param("t_coherence = 1" + "0" * 400, "t_coherence",  # no double holds it
+                 id="t_coherence = 1e400-t_coherence"),
     ('schemes = ["proposed", 3]', "schemes"),
     ('schemes = ["proposed", "proposed"]', "schemes"),
     ("seed = 2", "seed"),  # appended to COMPARE_CFG's own seed line: a repeated key
@@ -129,19 +134,23 @@ def test_bad_value_exits_one_naming_the_key(tmp_path, line, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("scheme,named", [
-    ("global-orthogonal", "1/alpha = 24/8 for global-orthogonal at K = 8"),  # known to the config
-    ("proposed", "at K = 8, r = 10.0, where chi = "),  # chi is known in the trial
-], ids=["global-orthogonal", "proposed"])
-def test_beta_above_one_over_alpha_exits_one_naming_beta(tmp_path, scheme, named, workers):
-    # beta above 1/alpha would leave a negative data power; the message names
-    # beta and what bounds it, also when a worker process raises it
-    text = COMPARE_CFG.replace('["proposed", "global-orthogonal"]', f'["{scheme}"]') + "beta = 30.0\n"
+def test_retired_keys_exit_one_naming_each_at_two_workers(tmp_path):
+    # the config is refused before any worker process starts
+    text = COMPARE_CFG + "eta = 3.5\nbeta = 1.0\nmin_distance = 1.0\n"
     out = tmp_path / "x.csv"
-    proc = run_cli("compare", "--config", write(tmp_path, text), "--out", str(out), "--workers", workers)
+    proc = run_cli("compare", "--config", write(tmp_path, text), "--out", str(out), "--workers", "2")
     assert proc.returncode == 1, proc.stderr
-    assert "beta = 30.0" in proc.stderr and named in proc.stderr, proc.stderr
+    assert "['beta', 'eta', 'min_distance']" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_one_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(COMPARE_CFG.encode() + 'side = "café"\n'.encode("latin-1"))
+    out = tmp_path / "x.csv"
+    proc = run_cli("compare", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert f"{path}:10: not UTF-8 text: byte 0xe9" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr and not out.exists()
 
 
@@ -158,7 +167,9 @@ def test_rho_matched_radius_for_one_user_exits_one_naming_the_key(tmp_path, name
     assert not out.exists()
 
 
-def test_infeasible_training_length_exits_two(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_infeasible_training_length_exits_two(tmp_path, workers):
+    # at two workers the error is raised in a spawn worker and must reach the exit code
     cfg = write(tmp_path, """\
 n_rrh = 4
 n_user = 10
@@ -168,9 +179,10 @@ t_coherence = 6
 trials = 2
 seed = 0
 """)
-    proc = run_cli("compare", "--config", cfg, "--out", str(tmp_path / "x.csv"))
-    assert proc.returncode == 2
-    assert "coherence" in proc.stderr
+    out = tmp_path / "x.csv"
+    proc = run_cli("compare", "--config", cfg, "--out", str(out), "--workers", workers)
+    assert proc.returncode == 2, proc.stderr
+    assert "coherence" in proc.stderr and "Traceback" not in proc.stderr and not out.exists()
 
 
 def test_missing_config_file_exits_three(tmp_path):

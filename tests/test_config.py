@@ -1,6 +1,7 @@
 """Property tests of the config boundary: every field of ExperimentConfig
 refuses each JSON value outside its domain with a ParameterError that names
-the field. The CLI turns that error into exit code 1 (see test_cli.py)."""
+the field, and a retired key is refused whatever its value. The CLI turns
+that error into exit code 1 (see test_cli.py)."""
 
 import math
 from dataclasses import fields
@@ -27,11 +28,9 @@ def bad_int(low: int, optional: bool = False):
     return bad if optional else st.one_of(bad, st.none())
 
 
-def bad_real(floor: float = 0.0, inclusive: bool = False, optional: bool = False):
-    """Anything but a finite number above floor (or at it, if inclusive)."""
+def bad_real(floor: float = 0.0, optional: bool = False):
+    """Anything but a finite number above floor."""
     below = st.one_of(st.floats(max_value=floor), st.integers(max_value=math.floor(floor)))
-    if inclusive:
-        below = below.filter(lambda v: v < floor)
     bad = st.one_of(below, st.sampled_from([math.nan, math.inf, -math.inf]), NOT_A_NUMBER)
     return bad if optional else st.one_of(bad, st.none())
 
@@ -53,9 +52,7 @@ BAD = {
     "threshold": bad_real(optional=True),
     "r_grid": bad_grid(st.floats(0.5, 50.0), bad_real()),
     "rho": bad_real(optional=True),
-    "t_coherence": bad_int(2),
-    "eta": bad_real(),
-    "beta": bad_real(inclusive=True),
+    "t_coherence": st.one_of(bad_int(2), st.integers(min_value=2**512)),  # its square overflows
     "snr_db": bad_grid(st.floats(-10.0, 60.0),
                        st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
                                  st.none(), NOT_A_NUMBER)),
@@ -64,13 +61,17 @@ BAD = {
                                   st.none(), st.integers(), st.lists(st.sampled_from(SCHEMES)))),
     "trials": bad_int(1),
     "seed": bad_int(0),
-    "min_distance": bad_real(),
     "workers": bad_int(1),
 }
 
+# retired keys: trials run at eta = 3.5, beta = 1 and min_distance = 1, so any
+# value of them, the reference one too, is refused
+RETIRED = ("eta", "beta", "min_distance")
+BAD.update(dict.fromkeys(RETIRED, st.one_of(st.floats(), st.integers(), st.none(), NOT_A_NUMBER)))
+
 
 def test_every_field_has_a_bad_value_strategy():
-    assert set(BAD) == {f.name for f in fields(ExperimentConfig)} - {"experiment"}
+    assert set(BAD) - set(RETIRED) == {f.name for f in fields(ExperimentConfig)} - {"experiment"}
 
 
 @pytest.mark.parametrize("key", sorted(BAD))
@@ -85,13 +86,15 @@ def test_bad_value_of_any_field_raises_naming_the_key(key, data):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n_rrh=st.integers(1, 500), trials=st.integers(1, 10**6), seed=st.integers(0, 2**63),
-       side=st.floats(1e-3, 1e6), beta=st.floats(0.0, 10.0),
+       side=st.floats(1e-3, 1e6), t_half=st.integers(1, 2**510),
        snr_db=st.lists(st.floats(-50.0, 80.0), min_size=1, max_size=4, unique=True),
        schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=4, unique=True))
-def test_values_inside_every_domain_are_accepted(n_rrh, trials, seed, side, beta, snr_db, schemes):
+def test_values_inside_every_domain_are_accepted(n_rrh, trials, seed, side, t_half, snr_db, schemes):
+    # an even t_coherence suits every scheme, up to just below the square's overflow
     cfg = config_from_mapping("compare", dict(n_rrh=n_rrh, trials=trials, seed=seed, side=side,
-                                              beta=beta, snr_db=snr_db, schemes=schemes))
-    assert (cfg.n_rrh, cfg.snr_db, cfg.schemes) == (n_rrh, tuple(snr_db), tuple(schemes))
+                                              t_coherence=2 * t_half, snr_db=snr_db, schemes=schemes))
+    assert (cfg.n_rrh, cfg.t_coherence, cfg.snr_db, cfg.schemes) == (
+        n_rrh, 2 * t_half, tuple(snr_db), tuple(schemes))
 
 
 GOOD_GRID = {
@@ -117,18 +120,3 @@ def test_repeated_grid_entry_raises_naming_the_key(key, data):
     if key == "snr_db" and float(twice).is_integer():
         with pytest.raises(ParameterError, match=key):
             config_from_mapping("compare", {"n_rrh": 4, key: [twice, int(twice)]})
-
-
-def test_beta_above_the_global_orthogonal_bound_raises_naming_beta():
-    # global-orthogonal trains min(K, T/2) users for as many uses, so beta may
-    # reach T / min(K, T/2); sweep-k's largest K sets the bound
-    base = {"n_rrh": 6, "t_coherence": 24, "schemes": ["global-orthogonal"]}
-    for experiment, extra, length in (("compare", {"n_user": 8}, 8),
-                                      ("sweep-r", {"n_user": 30}, 12),
-                                      ("sweep-k", {"k_grid": [8, 4]}, 8)):
-        bound = 24 / length
-        assert config_from_mapping(experiment, {**base, **extra, "beta": bound}).beta == bound
-        with pytest.raises(ParameterError, match=rf"^beta = .* exceeds 1/alpha = 24/{length} "):
-            config_from_mapping(experiment, {**base, **extra, "beta": bound * 1.001})
-    # the colored schemes' bound, T / chi, waits for each trial's coloring
-    config_from_mapping("compare", {**base, "n_user": 8, "beta": 30.0, "schemes": ["proposed"]})

@@ -104,10 +104,13 @@ def test_config_from_mapping_rejects_unknown_and_bad_grids():
 
 def test_config_defaults():
     cfg = ExperimentConfig("compare", n_rrh=4, n_user=8)
-    assert (cfg.side, cfg.t_coherence, cfg.eta, cfg.beta) == (100.0, 100, 3.5, 1.0)
+    assert (cfg.side, cfg.t_coherence) == (100.0, 100)
     assert cfg.snr_db == (20.0,) and cfg.schemes == ("proposed",)
     assert cfg.trials == 100 and cfg.seed == 0 and cfg.workers == 1
-    assert cfg.min_distance == 1.0
+    # the retired keys are no fields: trials run at eta = 3.5, beta = 1 and min_distance = 1
+    for key in ("eta", "beta", "min_distance"):
+        with pytest.raises(TypeError, match=key):
+            ExperimentConfig("compare", n_rrh=4, n_user=8, **{key: 1.0})
 
 
 @pytest.mark.parametrize("kw", [
@@ -128,10 +131,10 @@ def test_config_defaults():
     dict(seed="0"),
     dict(side=-1.0),
     dict(side=float("inf")),
-    dict(eta=0.0),
-    dict(min_distance=1e-100),  # the peak training energy overflows
-    dict(beta=-0.5),
-    dict(min_distance=0.0),
+    dict(t_coherence=10**300),  # the square of the peak training energy overflows
+    dict(t_coherence=2**512),  # the smallest such power of two
+    dict(t_coherence=10**400),  # too large for a double
+    dict(rho=float("nan")),
     dict(threshold=0.0),
     dict(rho=-0.5),
     dict(r_grid=(5.0, float("nan"))),
@@ -142,7 +145,7 @@ def test_config_defaults():
 def test_config_validation(kw):
     base = dict(experiment="compare", n_rrh=4, n_user=8)
     base.update(kw)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=next(iter(kw))):
         ExperimentConfig(**base)
 
 
