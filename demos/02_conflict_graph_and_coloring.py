@@ -39,7 +39,7 @@ book = build_pilot_book(coloring)
 print(f"\npilot book: {book.n_user} sequences of length {book.training_length}")
 print(f"locally orthogonal at every RRH: {check_local_orthogonality(book, assoc)}")
 energies = np.sum(np.abs(book.pilots) ** 2, axis=1)
-print(f"per-user training energy (length * beta * p0): {energies[0]:.6f}, "
+print(f"per-user training energy (length): {energies[0]:.6f}, "
       f"spread {energies.max() - energies.min():.2e}")
 
 # reusing a color between two conflicting users must break the check
@@ -49,7 +49,7 @@ bad[m] = bad[k]
 from lotrain import PilotBook, dft_rows  # noqa: E402
 
 rows = dft_rows(book.training_length)
-clash = PilotBook(np.sqrt(book.training_length) * rows[bad], book.beta, 1.0, bad)
+clash = PilotBook(np.sqrt(book.training_length) * rows[bad], bad)
 print(f"same color on conflict edge ({k},{m}) passes the check: "
       f"{check_local_orthogonality(clash, assoc)}")
 

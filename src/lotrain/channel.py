@@ -19,7 +19,7 @@ import numpy as np
 from .association import _same_rrh_pairs, color_slots
 from .errors import ConsistencyError, DegenerateGeometryError, ParameterError
 from .geometry import NetworkLayout, abs_offsets, _frozen, _rng
-from .pilots import PilotBook, _beta_array
+from .pilots import PilotBook
 
 # SeedSequence spawn-key salts; shared with the experiment harness so every
 # consumer of a master seed draws from disjoint streams.
@@ -35,9 +35,9 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
-def snr_db_to_noise_power(snr_db: float, p0: float = 1.0) -> float:
-    """Noise power N0 with SNR defined as p0 / N0."""
-    return p0 * 10.0 ** (-snr_db / 10.0)
+def snr_db_to_noise_power(snr_db: float) -> float:
+    """Noise power N0 with SNR defined as 1 / N0, at unit power."""
+    return 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,22 +70,20 @@ class ChannelRealization:
         return self.small_scale.shape[1]
 
 
-def generate_channel(layout: NetworkLayout, eta: float, seed, min_distance: float = 1.0) -> ChannelRealization:
+def generate_channel(layout: NetworkLayout, eta: float, seed) -> ChannelRealization:
     """Draw small-scale fading and compute large-scale gains for a layout.
 
-    Path loss uses the Euclidean distance, floored at ``min_distance`` so a
-    user standing almost on top of an RRH cannot produce an unbounded gain.
-    Exactly co-located pairs are rejected.
+    Path loss uses the Euclidean distance, floored at 1 so a user standing
+    almost on top of an RRH cannot produce an unbounded gain. Exactly
+    co-located pairs are rejected.
     """
     if not eta > 0:
         raise ParameterError(f"pathloss exponent must be positive, got {eta}")
-    if not min_distance > 0:
-        raise ParameterError(f"min_distance must be positive, got {min_distance}")
     dx, dy = abs_offsets(layout.rrh_xy, layout.user_xy)
     d = np.sqrt(dx * dx + dy * dy)
     if np.any(d == 0.0):
         raise DegenerateGeometryError("a user coincides exactly with an RRH")
-    gains = np.maximum(d, min_distance) ** (-eta / 2.0)
+    gains = np.maximum(d, 1.0) ** (-eta / 2.0)
     h = complex_gaussian(_rng(seed), (layout.n_rrh, layout.n_user))
     return ChannelRealization(h, gains, seed)
 
@@ -129,8 +127,10 @@ def mmse_estimate(
     are orthogonal, and all RRHs are estimated at once in closed form from
     one correlation per color. A free-form book (``color_of`` None) takes a
     dual-form LMMSE that assumes nothing about the pilots: RRHs with equally
-    many served users share one stacked SVD. The tests check both paths
-    against a per-RRH regularized solve.
+    many served users share one stacked SVD. It needs a training length of
+    at least every RRH's served-set size, and raises ParameterError naming
+    an RRH that serves more users. The tests check both paths against a
+    per-RRH regularized solve.
 
     The work that does not depend on the noise is planned once per book and
     association: the channel keeps its last plan and reuses it while the
@@ -245,13 +245,13 @@ def _batched_plan(chan, book, assoc, clean):
     A = U diag(s) W^H, its weights (A^H A + n0 I)^-1 A^H are B D U^H with
     B = W diag(s) and D = diag(1 / (s^2 + n0)), so h_hat = conj(U D) (y B).
     The error variance is 1 - aligned + leak. Its first part equals
-    |U|^2 (n0 d), plus, where the served pilots are dependent, the weight
-    of the columns of U that have no singular value; this form does not
-    cancel digits the way 1 - |U|^2 (s^2 d) does. A set of m users on L < m
-    pilot dimensions therefore takes the full SVD, whose last m - L columns
-    of U are those columns; a set of m <= L takes the thin one, which has
-    none. Out-of-set users leak diag(U D P D U^H) with P = B^H Q B and
-    Q = sum_{k not served} gamma_k^2 x_k^H x_k. Only d depends on n0.
+    |U|^2 (n0 d), a form that does not cancel digits the way
+    1 - |U|^2 (s^2 d) does. An RRH serving m users needs m <= L pilot
+    dimensions, or ParameterError names it: then the thin SVD gives U one
+    column per served user, and served pilots that are dependent show as
+    zero singular values. Out-of-set users leak diag(U D P D U^H) with
+    P = B^H Q B and Q = sum_{k not served} gamma_k^2 x_k^H x_k. Only d
+    depends on n0.
     Taking B from the SVD, not from an eigendecomposition of A A^H, keeps
     exact zeros where A A^H is singular, so those directions add nothing
     instead of rounding residue times 1 / n0.
@@ -260,6 +260,10 @@ def _batched_plan(chan, book, assoc, clean):
     x = book.pilots
     length = x.shape[1]
     sizes = np.bincount(rows, minlength=chan.n_rrh)
+    if sizes.max(initial=0) > length:
+        i = int(np.argmax(sizes))
+        raise ParameterError(f"RRH {i} serves {sizes[i]} users but the free-form book has training "
+                             f"length {length}: the estimator needs one pilot dimension per served user")
     first = np.cumsum(sizes) - sizes  # each RRH's first pair
     q = _out_of_set_covariance(chan, x, rows, cols)
     groups = []
@@ -267,27 +271,24 @@ def _batched_plan(chan, book, assoc, clean):
         rrh = np.flatnonzero(sizes == m)
         pair = (first[rrh, None] + np.arange(m)).ravel()  # pairs come sorted by RRH
         a = (chan.large_scale[rows[pair], cols[pair], None] * x[cols[pair]]).reshape(rrh.size, m, length)
-        u, s, wh = np.linalg.svd(a, full_matrices=m > length)
-        rank = s.shape[1]  # min(m, length)
-        rest = np.sum(np.abs(u[:, :, rank:]) ** 2, axis=2)
-        u = np.ascontiguousarray(u[:, :, :rank])
-        b = _herm(wh) * s[:, None, :]  # wh has rank rows either way
+        u, s, wh = np.linalg.svd(a, full_matrices=False)
+        b = _herm(wh) * s[:, None, :]
         p = _herm(b) @ (q[rrh] @ b)
-        groups.append((rrh, pair, u, np.abs(u) ** 2, s * s, b, rest, p))
+        groups.append((rrh, pair, u, np.abs(u) ** 2, s * s, b, p))
     n_pairs = rows.size
 
     def estimate(noise, n0):
         y = clean + noise
         h = np.empty(n_pairs, dtype=complex)
         e = np.empty(n_pairs)
-        for rrh, pair, u, u_abs2, s2, b, rest, p in groups:
+        for rrh, pair, u, u_abs2, s2, b, p in groups:
             d = 1.0 / (s2 + n0)
             ud = u * d[:, None, :]
             ud_conj = ud.conj()
             yb = (y[rrh, None, :] @ b).swapaxes(1, 2)
             h[pair] = (ud_conj @ yb).ravel()
             leak = np.real(np.sum((ud @ p) * ud_conj, axis=2))
-            e[pair] = (rest + (u_abs2 @ (n0 * d)[:, :, None])[:, :, 0] + leak).ravel()
+            e[pair] = ((u_abs2 @ (n0 * d)[:, :, None])[:, :, 0] + leak).ravel()
         return h, e
 
     return estimate
@@ -312,6 +313,18 @@ def _herm(a: np.ndarray) -> np.ndarray:
     multiplied a stack of 300 matrices of about 20 x 20 2.4 to 3.4 times
     faster that way than through the strided view."""
     return np.ascontiguousarray(a.conj().swapaxes(-1, -2))
+
+
+def _beta_array(beta, n_user: int, name: str = "beta") -> np.ndarray:
+    """Per-user power coefficients from a scalar or a length-n_user vector."""
+    b = np.asarray(beta, dtype=float)
+    if b.ndim == 0:
+        b = np.full(n_user, float(b))
+    if b.shape != (n_user,):
+        raise ConsistencyError(f"{name} must be scalar or length {n_user}")
+    if np.any(b < 0):
+        raise ParameterError(f"{name} coefficients must be nonnegative")
+    return b
 
 
 def interference_variance(est: EstimationResult, chan: ChannelRealization, beta_prime, p0: float) -> np.ndarray:

@@ -46,7 +46,7 @@ from .coloring import Coloring, dsatur
 from .errors import ConsistencyError, ParameterError, TrainingLengthError
 from .geometry import RNG_ALGORITHM, _rng, generate_layout
 from .graphs import build_conflict_graph, build_proximity_graph, max_degree
-from .pilots import PilotBook, _beta_array, build_pilot_book
+from .pilots import PilotBook, build_pilot_book
 from .scaling import chromatic_scaling_bound, degree_scaling_bound, radius_for_rho
 
 NATS_TO_BITS = 1.0 / np.log(2.0)
@@ -56,7 +56,7 @@ _SCHEME_STREAM = {"random-pilot": 1, "global-orthogonal": 2}
 
 CSV_HEADER = "experiment,scheme,K,N,r0,r,T,eta,snr_db,trials,metric,value,stderr,seed,config_hash"
 
-# every trial's path-loss exponent; beta = 1 and min_distance = 1 are the library defaults
+# every trial's path-loss exponent; pilots have unit power, and path loss floors the distance at 1
 ETA = 3.5
 
 
@@ -66,8 +66,8 @@ class ExperimentConfig:
 
     Defaults follow the reference simulation setup: a 100 m square, coherence
     time 100, load factor rho = 0.5. Trials run at path-loss exponent ETA =
-    3.5, beta = 1, min_distance = 1 and unit power p0 = 1, so snr_db alone
-    sets the noise power. Fields irrelevant to a given experiment may stay
+    3.5 and at unit power, in training and data alike, so snr_db alone sets
+    the noise power. Fields irrelevant to a given experiment may stay
     None; the runner validates what each experiment needs.
     """
 
@@ -103,7 +103,7 @@ class ExperimentConfig:
         if not self.snr_db:
             raise ParameterError("snr_db grid must be nonempty")
         # the estimator squares den = gamma^2 E + n0, whose training energy E
-        # reaches T (at unit power, beta and gain)
+        # reaches T (at unit power and gain)
         try:
             peak = float(self.t_coherence)
         except OverflowError:
@@ -179,15 +179,14 @@ def load_config(path) -> dict:
         key, sep, val = line.partition("=")
         if not sep:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-        val = val.strip()
+        key, val = key.strip(), val.strip()
         try:
             value, end = decoder.raw_decode(val)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}:{lineno}: bad value: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+            raise ParameterError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         rest = val[end:].strip()
         if rest and not rest.startswith("#"):
             raise ParameterError(f"{path}:{lineno}: unexpected text after the value: {rest!r}")
-        key = key.strip()
         if key in mapping:
             raise ParameterError(f"{path}:{lineno}: repeated key {key!r}")
         mapping[key] = value
@@ -269,25 +268,19 @@ def _mean_se(values) -> tuple[float, float]:
 
 # ---------------------------------------------------------------- baselines
 
-def baseline_random_pilots(length: int, n_user: int, rng: np.random.Generator,
-                           beta=1.0, p0: float = 1.0) -> PilotBook:
+def baseline_random_pilots(length: int, n_user: int, rng: np.random.Generator) -> PilotBook:
     """Independent CSCG pilot per user, matched in length and training power.
 
-    Each row is normalized so the power constraint is met with equality, like
-    the structured pilots; only the (local) orthogonality is given up.
+    Each row is normalized to energy length, like the structured pilots;
+    only the (local) orthogonality is given up.
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
-    if not p0 > 0:
-        raise ParameterError(f"p0 must be positive, got {p0}")
-    b = _beta_array(beta, n_user)
     g = complex_gaussian(rng, (n_user, length))
-    pilots = g * (np.sqrt(length * b * p0) / np.linalg.norm(g, axis=1))[:, None]
-    return PilotBook(pilots, b, float(p0), None)
+    return PilotBook(g * (np.sqrt(length) / np.linalg.norm(g, axis=1))[:, None])
 
 
-def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Generator,
-                               beta: float = 1.0, p0: float = 1.0):
+def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Generator):
     """Classical network-wide orthogonal training.
 
     Half the frame is training, so at most t_coherence/2 users can be active:
@@ -304,7 +297,7 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Gen
     active = (np.arange(n_user) if n_user <= cap
               else np.sort(rng.choice(n_user, size=cap, replace=False))).astype(np.intp)
     # through its module: the kernels' own build_pilot_book is the shared colored book
-    return active, pilots.build_pilot_book(Coloring(np.arange(active.size), active.size), beta, p0)
+    return active, pilots.build_pilot_book(Coloring(np.arange(active.size), active.size))
 
 
 def _global_orthogonal_assoc(n_rrh: int, n_user: int) -> AssociationMap:

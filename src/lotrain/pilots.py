@@ -12,7 +12,7 @@ import numpy as np
 
 from .association import AssociationMap
 from .coloring import Coloring
-from .errors import ConsistencyError, ParameterError
+from .errors import ConsistencyError
 from .geometry import _frozen
 from .graphs import build_conflict_graph
 
@@ -30,11 +30,9 @@ class PilotBook:
     """Per-user training sequences.
 
     Attributes:
-        pilots: (n_user, length) complex rows, one per user; row k carries
-            energy length * beta[k] * p0 (training power constraint met with
-            equality over the training phase).
-        beta: per-user training power coefficients.
-        p0: power budget per channel use.
+        pilots: (n_user, length) complex rows, one per user. A book from
+            ``build_pilot_book`` gives every row energy length: unit power
+            over the whole training phase.
         color_of: pilot color per user for books built from a coloring,
             None for free-form books (e.g. the random baseline).
         rows, coef: a colored book's color contract (None if free-form):
@@ -46,15 +44,12 @@ class PilotBook:
     """
 
     pilots: np.ndarray
-    beta: np.ndarray
-    p0: float
     color_of: np.ndarray | None = None
     rows: np.ndarray | None = field(default=None, init=False, repr=False)
     coef: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pilots", _frozen(self.pilots))
-        object.__setattr__(self, "beta", _frozen(self.beta))
         if self.color_of is None:
             return
         x, colors = self.pilots, _frozen(self.color_of, np.intp)
@@ -86,27 +81,11 @@ class PilotBook:
         return self.pilots.shape[1]
 
 
-def _beta_array(beta, n_user: int, name: str = "beta") -> np.ndarray:
-    """Per-user power coefficients from a scalar or a length-n_user vector."""
-    b = np.asarray(beta, dtype=float)
-    if b.ndim == 0:
-        b = np.full(n_user, float(b))
-    if b.shape != (n_user,):
-        raise ConsistencyError(f"{name} must be scalar or length {n_user}")
-    if np.any(b < 0):
-        raise ParameterError(f"{name} coefficients must be nonnegative")
-    return b
-
-
-def build_pilot_book(coloring: Coloring, beta=1.0, p0: float = 1.0) -> PilotBook:
-    """Scaled orthonormal pilots: user k sends sqrt(length * beta_k * p0)
-    times the DFT row of its color."""
-    if not p0 > 0:
-        raise ParameterError(f"p0 must be positive, got {p0}")
-    b = _beta_array(beta, coloring.colors.shape[0])
+def build_pilot_book(coloring: Coloring) -> PilotBook:
+    """Scaled orthonormal pilots: user k sends sqrt(length) times the DFT
+    row of its color."""
     length = coloring.num_colors
-    pilots = np.sqrt(length * b * p0)[:, None] * dft_rows(length)[coloring.colors]
-    return PilotBook(pilots, b, float(p0), coloring.colors)
+    return PilotBook(np.sqrt(length) * dft_rows(length)[coloring.colors], coloring.colors)
 
 
 def check_local_orthogonality(book: PilotBook, assoc: AssociationMap) -> bool:

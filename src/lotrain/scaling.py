@@ -1,10 +1,10 @@
 """Asymptotic scaling laws for the training length.
 
 For K users at density delta with sparsification radius
-r = sqrt(rho * ln(K) / delta), the expected Chebyshev-ball occupancy is
-rho * ln(K) / 4, and Chernoff-style concentration drives both the chromatic
-number and the maximum degree of the conflict graph to Theta(ln K). The
-constants involve the inverse of the unit-rate Poisson rate function
+r = sqrt(rho * ln(K) / delta), a Chebyshev ball of side 2r has area 4r^2,
+so its expected occupancy is 4 * rho * ln(K), and Chernoff-style
+concentration drives both the chromatic number and the maximum degree of
+the conflict graph to Theta(ln K). The constants involve the inverse of the unit-rate Poisson rate function
 f(x) = 1 - x + x*ln(x) on [1, inf).
 """
 

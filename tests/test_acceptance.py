@@ -66,8 +66,7 @@ def test_criterion_01_minimum_training_length_is_exact():
             rows = dft_rows(chi - 1)
             for _ in range(8):
                 assign = rng.integers(0, chi - 1, size=k)
-                shorter = PilotBook(np.sqrt(chi - 1.0) * rows[assign],
-                                    np.ones(k), 1.0, assign)
+                shorter = PilotBook(np.sqrt(chi - 1.0) * rows[assign], assign)
                 assert not check_local_orthogonality(shorter, assoc)
         total += 1
     assert total >= 200 and nontrivial >= 100
@@ -140,8 +139,7 @@ def test_criterion_05_single_user_estimator_matches_scalar_oracle():
             base = dft_rows(length)[:1]
             for beta in (0.5, 1.0):
                 for p0 in (1.0, 2.0):
-                    book = PilotBook(np.sqrt(length * beta * p0) * base,
-                                     np.array([beta]), p0, np.array([0]))
+                    book = PilotBook(np.sqrt(length * beta * p0) * base, np.array([0]))
                     for n0 in (1e-3, 0.1, 1.0, 10.0):
                         est = mmse_estimate(chan, book, assoc, n0,
                                             noise=np.zeros((1, length), complex))

@@ -88,10 +88,9 @@ def test_distance_floor_and_degenerate():
 
 def test_channel_parameter_domains():
     lay = generate_layout(2, 2, 10.0, seed=0)
-    with pytest.raises(ParameterError):
-        generate_channel(lay, 0.0, seed=0)
-    with pytest.raises(ParameterError):
-        generate_channel(lay, 3.5, seed=0, min_distance=0.0)
+    for eta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ParameterError):
+            generate_channel(lay, eta, seed=0)
 
 
 def test_small_scale_unit_variance_and_determinism():
@@ -109,7 +108,7 @@ def test_small_scale_unit_variance_and_determinism():
 def single_user_setup(d, n0, beta, p0):
     lay = layout_from([[0.0, 0.0]], [[d, 0.0]])
     assoc = sparsify(lay, d + 1.0)
-    book = build_pilot_book(Coloring(np.array([0]), 1), beta, p0)
+    book = scaled(build_pilot_book(Coloring(np.array([0]), 1)), beta * p0)
     ch = generate_channel(lay, 3.5, seed=5)
     est = mmse_estimate(ch, book, assoc, n0, rng=np.random.default_rng(0))
     return ch, est
@@ -184,7 +183,7 @@ def test_orthogonal_pilots_decouple_served_users():
             for m in assoc.served_users[i]:
                 if m != k:
                     pilots[m] = 0.0
-            alone = type(book)(pilots, book.beta, book.p0, book.color_of)
+            alone = type(book)(pilots, book.color_of)
             est_alone = mmse_estimate(ch, alone, assoc, n0, noise=noise)
             assert abs(est.h_hat[i, k] - est_alone.h_hat[i, k]) < 1e-10
 
@@ -283,12 +282,24 @@ def per_rrh_solve(chan, book, assoc, n0, noise):
 COMPARE_SNR_DB = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)  # configs/compare.cfg's grid
 
 
+def scaled(book, beta):
+    """The book with user k's pilot scaled to energy beta_k times its own: a
+    per-user training power, by hand. Scalar beta scales every user."""
+    return PilotBook(np.sqrt(np.broadcast_to(beta, (book.n_user,)))[:, None] * book.pilots, book.color_of)
+
+
+def training_beta(book):
+    """Each user's pilot energy over the training length: the per-user
+    training power of a hand-scaled book."""
+    return np.sum(np.abs(book.pilots) ** 2, axis=1) / book.training_length
+
+
 def assert_matches_per_rrh_solve(ch, book, assoc, z0, t_coh=100):
     """mmse_estimate against the per-RRH solve over 0-50 dB, on the same
     noise: 1e-8 relative in mse, 1e-9 of the largest |h_hat|, 1e-12
-    relative in the rate."""
+    relative in the rate, whose data powers spend what training leaves."""
     alpha = book.training_length / t_coh
-    bp = data_power_coefficients(book.beta, alpha, book.n_user)
+    bp = data_power_coefficients(training_beta(book), alpha, book.n_user)
     for snr in COMPARE_SNR_DB:
         n0 = snr_db_to_noise_power(snr)
         fast = mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0)
@@ -312,14 +323,13 @@ def test_closed_form_matches_per_rrh_solve(scheme, per_user_beta):
     ch = generate_channel(lay, 3.5, seed=9)
     if scheme == "global-orthogonal":
         active, book = baseline_global_orthogonal(t_coh, k, rng)
-        b = np.broadcast_to(beta, (k,))[active]
-        book = dataclasses.replace(book, pilots=np.sqrt(b)[:, None] * book.pilots, beta=b)
+        book = scaled(book, np.broadcast_to(beta, (k,))[active])
         z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
         # the padded oracle's inactive users are silent: zero pilots, zero beta
         assert_matches_per_rrh_solve(ch, *padded_global_orthogonal(book, active, n, k), z0, t_coh)
         ch, assoc = active_columns(ch, active), _global_orthogonal_assoc(n, active.size)
     else:
-        book = build_pilot_book(col, beta)
+        book = scaled(build_pilot_book(col), beta)
         if scheme == "refined":
             assoc = refine(assoc, lay, col)
         z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
@@ -335,17 +345,15 @@ def active_columns(chan, active):
 def padded_global_orthogonal(book, active, n_rrh, n_user):
     """The zero-padded formulation of global-orthogonal training: the book
     and association over all n_user users, where the users outside
-    ``active`` are silent (zero pilot, zero beta, color 0) and every RRH
-    estimates every active user. The oracle of the active users' problem."""
+    ``active`` are silent (zero pilot, color 0) and every RRH estimates
+    every active user. The oracle of the active users' problem."""
     pilots = np.zeros((n_user, book.training_length), dtype=complex)
     pilots[active] = book.pilots
-    beta = np.zeros(n_user)
-    beta[active] = book.beta
     colors = np.zeros(n_user, dtype=np.intp)
     colors[active] = book.color_of
     assoc = AssociationMap(np.repeat(np.arange(n_rrh), active.size), np.tile(active, n_rrh),
                            n_rrh, n_user, float("inf"))
-    return PilotBook(pilots, beta, book.p0, colors), assoc
+    return PilotBook(pilots, colors), assoc
 
 
 def padded_rate(chan, book, active, n0, noise, alpha, p0=1.0):
@@ -353,7 +361,7 @@ def padded_rate(chan, book, active, n0, noise, alpha, p0=1.0):
     data powers zeroed off the active set."""
     padded, assoc = padded_global_orthogonal(book, active, chan.n_rrh, chan.n_user)
     bp = np.zeros(chan.n_user)
-    bp[active] = data_power_coefficients(book.beta, alpha, book.n_user)
+    bp[active] = data_power_coefficients(1.0, alpha, book.n_user)
     est = mmse_estimate(chan, padded, assoc, n0, noise=noise)
     return throughput_lower_bound(est, chan, alpha, bp, p0)
 
@@ -368,7 +376,7 @@ def test_global_orthogonal_matches_the_padded_book(seed):
     assert active.size == t_coh // 2
     sub, assoc = active_columns(ch, active), _global_orthogonal_assoc(n, active.size)
     alpha = book.training_length / t_coh
-    bp = data_power_coefficients(book.beta, alpha, book.n_user)
+    bp = data_power_coefficients(1.0, alpha, book.n_user)
     z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
     for snr in COMPARE_SNR_DB:
         n0 = snr_db_to_noise_power(snr)
@@ -404,15 +412,15 @@ def test_trial_global_orthogonal_matches_the_padded_book(monkeypatch, seed):
 
 
 def overloaded_instance():
-    # RRH 0 serves 8 users on 3 pilot dimensions, so its Gram matrix is rank
-    # deficient; RRH 1 serves 2, RRH 2 nobody, and user 10 no RRH at all
+    # RRH 0 serves 8 users, RRH 1 serves 2, RRH 2 nobody, and user 10 no RRH
+    # at all
     rng = np.random.default_rng(12)
     users = np.vstack([rng.uniform(2.0, 8.0, size=(8, 2)), [[43.0, 4.0], [47.0, 6.0], [40.0, 40.0]]])
     lay = layout_from([[5.0, 5.0], [45.0, 5.0], [25.0, 45.0]], users, side=50.0)
     assoc = sparsify(lay, 6.0)
     assert assoc.served_users == (tuple(range(8)), (8, 9), ())
     assert 10 not in assoc.user
-    return lay, assoc, 3
+    return lay, assoc
 
 
 @pytest.mark.parametrize("per_user_beta", [False, True])
@@ -425,7 +433,8 @@ def test_batched_estimate_matches_per_rrh_solve(case, per_user_beta):
         assoc = sparsify(lay, 10.0)
         length = dsatur(build_conflict_graph(assoc)).num_colors
     elif case == "overloaded":
-        lay, assoc, length = overloaded_instance()
+        lay, assoc = overloaded_instance()
+        length = 8
     else:
         lay = layout_from([[0.0, 0.0], [30.0, 30.0]], [[3.0, 4.0]])
         assoc = sparsify(lay, 10.0)
@@ -433,7 +442,14 @@ def test_batched_estimate_matches_per_rrh_solve(case, per_user_beta):
     k = lay.n_user
     rng = np.random.default_rng(8)
     beta = rng.uniform(0.5, 1.5, k) if per_user_beta else 1.0
-    book = baseline_random_pilots(length, k, rng, beta, 1.0)
+    book = baseline_random_pilots(length, k, rng)
+    if case == "overloaded":
+        # RRH 0's 8 users send on 3 of the 8 pilot dimensions, so its Gram
+        # matrix is rank deficient
+        x = book.pilots.copy()
+        x[:8, 3:] = 0.0
+        book = PilotBook(x)
+    book = scaled(book, beta)
     ch = generate_channel(lay, 3.5, seed=9)
     z0 = channel_mod.complex_gaussian(rng, (lay.n_rrh, length))
     assert_matches_per_rrh_solve(ch, book, assoc, z0)
@@ -493,7 +509,7 @@ def contract_breaking_book(case, col, rng):
     x = x / np.linalg.norm(x, axis=1)[:, None]
     error = (r"the rows of colors \d+ and \d+ correlate" if case == "crossed"
              else r"user \d+'s pilot has energy off its color's row \(\d+\)")
-    return PilotBook(x, np.full(k, 1.0 / length), 1.0), error
+    return PilotBook(x), error
 
 
 @pytest.mark.parametrize("case", ["random", "off-row", "crossed"])
@@ -510,7 +526,7 @@ def test_colored_book_that_breaks_the_color_contract_raises(monkeypatch, case):
     rng = np.random.default_rng(13)
     book, error = contract_breaking_book(case, col, rng)
     with pytest.raises(ConsistencyError, match=error):
-        PilotBook(book.pilots, book.beta, book.p0, col.colors)
+        PilotBook(book.pilots, col.colors)
     ch = generate_channel(lay, 3.5, seed=14)
     noise = np.sqrt(0.01) * channel_mod.complex_gaussian(rng, (20, col.num_colors))
     batched = spy(monkeypatch, channel_mod, "_batched_plan")
@@ -526,20 +542,20 @@ def contract_keeping_book(case):
     rng = np.random.default_rng(71)
     col = dsatur(build_conflict_graph(sparsify(generate_layout(20, 30, 50.0, seed=3), 10.0)))
     if case == "beta-zero":
-        return build_pilot_book(col, 0.0)
+        return scaled(build_pilot_book(col), 0.0)
     if case == "global-orthogonal":
         return baseline_global_orthogonal(100, 300, rng)[1]
     if case == "phased-and-silent":
         scale = rng.uniform(0.3, 1.7, 30) * np.exp(2j * np.pi * rng.random(30))
         scale[np.flatnonzero(col.colors == 1)] = 0.0  # every user of one color
         scale[np.flatnonzero(col.colors == 0)[0]] = 0.0  # and the first of another
-        return PilotBook(scale[:, None] * build_pilot_book(col).pilots, np.abs(scale) ** 2, 1.0, col.colors)
+        return PilotBook(scale[:, None] * build_pilot_book(col).pilots, col.colors)
     if case == "padded-oracle":
         active, book = baseline_global_orthogonal(100, 300, rng)
         return padded_global_orthogonal(book, active, 300, 300)[0]
     # criterion 01's shorter DFT books: any colors, some rows unused
     assign = rng.integers(0, 6, size=30)
-    return PilotBook(np.sqrt(6.0) * dft_rows(6)[assign], np.ones(30), 1.0, assign)
+    return PilotBook(np.sqrt(6.0) * dft_rows(6)[assign], assign)
 
 
 # books from build_pilot_book at the edges of the accepted powers build in
@@ -562,10 +578,10 @@ def test_books_at_the_edges_of_the_color_contract_construct(case):
 def test_global_orthogonal_book_keeps_its_rows_bit_for_bit():
     # built from the coloring that gives active user j color j, the book
     # holds the rows the scheme was defined with
-    for beta, p0 in ((1.0, 1.0), (0.7, 3.0), (2.0, 1e-3)):
-        active, book = baseline_global_orthogonal(100, 300, np.random.default_rng(5), beta, p0)
+    for t_coh, n_user in ((100, 300), (20, 6), (2, 1)):
+        active, book = baseline_global_orthogonal(t_coh, n_user, np.random.default_rng(5))
         length = active.size
-        assert np.array_equal(book.pilots, np.sqrt(length * beta * p0) * dft_rows(length))
+        assert np.array_equal(book.pilots, np.sqrt(length) * dft_rows(length))
         assert np.array_equal(book.color_of, np.arange(length))
 
 
@@ -604,7 +620,7 @@ def test_decoupled_plan_on_phased_and_silent_users(monkeypatch):
     scale[silent] = 0.0
     assert set(silent) <= set(assoc.user.tolist()) and col.num_colors > 2
     base = build_pilot_book(col)
-    book = PilotBook(scale[:, None] * base.pilots, np.abs(scale) ** 2, 1.0, col.colors)
+    book = PilotBook(scale[:, None] * base.pilots, col.colors)
     ch = generate_channel(lay, 3.5, seed=53)
     z0 = channel_mod.complex_gaussian(rng, (n, col.num_colors))
     plans = spy(monkeypatch, channel_mod, "_decoupled_plan")
@@ -615,7 +631,7 @@ def test_decoupled_plan_on_phased_and_silent_users(monkeypatch):
     assert np.all(est.h_hat[:, silent] == 0.0) and np.all(est.mse[:, silent] == 1.0)
     # the silent users' pairs stay in the plan's pattern, with zero values; a
     # hand-built copy's pattern, its nonzeros, leaves them out
-    bp = data_power_coefficients(book.beta, 0.2, k)
+    bp = data_power_coefficients(np.abs(scale) ** 2, 0.2, k)
     rate = assert_rate_matches_dense(est, ch, bp, 0.2)
     assert np.array_equal(est.plan.flat, assoc.rrh * k + assoc.user)
     grams = spy(monkeypatch, channel_mod, "_gram_plan")
@@ -626,21 +642,21 @@ def test_decoupled_plan_on_phased_and_silent_users(monkeypatch):
 
 
 def set_size_instance():
-    """Ten RRHs on L = 4 pilot dimensions whose served sets hold 0, 1, 2, 3,
-    4, 6 and 8 users, with repeated pilots inside sets of 2 and 3 (m <= L,
-    rank deficient) and of 6 and 8 (m > L), and one user who sends nothing."""
-    served = [[], [0], [1, 2], [3, 4, 5, 6], list(range(8)), list(range(8, 14)), [],
+    """Ten RRHs on L = 4 pilot dimensions whose served sets hold 0, 1, 2, 3
+    and 4 users, with repeated pilots inside sets of 2, 3 and 4 (rank
+    deficient), one user who sends nothing and one no RRH serves."""
+    served = [[], [0], [1, 2], [3, 4, 5, 6], [8, 9, 10, 11], [12, 13, 14], [],
               [14], [2, 9, 15], [1, 2, 3]]
     rrh = np.repeat(np.arange(len(served)), [len(s) for s in served])
     assoc = AssociationMap(rrh, np.concatenate([np.array(s, np.intp) for s in served]),
                            len(served), 16, 1.0)
     rng = np.random.default_rng(61)
     x = baseline_random_pilots(4, 16, rng).pilots.copy()
-    x[2] = np.exp(0.7j) * x[1]  # one direction at RRHs 2, 4 and 9
-    x[9] = 0.5 * x[8]  # two pairs of one direction at RRH 5
+    x[2] = np.exp(0.7j) * x[1]  # one direction at RRHs 2, 8 and 9
+    x[9] = 0.5 * x[8]  # two pairs of one direction at RRH 4
     x[11] = x[10]
-    x[12] = 0.0  # silent, also at RRH 5
-    book = PilotBook(x, np.ones(16), 1.0)
+    x[12] = 0.0  # silent, at RRH 5; user 7 is served by nobody
+    book = PilotBook(x)
     ch = generate_channel(generate_layout(10, 16, 30.0, seed=62), 3.5, seed=63)
     return ch, book, assoc, channel_mod.complex_gaussian(rng, (10, 4))
 
@@ -650,11 +666,41 @@ def test_batched_plan_on_every_set_size(monkeypatch):
     svds = spy(monkeypatch, np.linalg, "svd")
     assert_matches_per_rrh_solve(ch, book, assoc, z0)
     # one SVD per set size that occurs, each on the true size: (size, RRHs)
-    assert sorted(a[0].shape[1::-1] for a in svds) == [(1, 2), (2, 1), (3, 2), (4, 1), (6, 1), (8, 1)]
+    assert sorted(a[0].shape[1::-1] for a in svds) == [(1, 2), (2, 1), (3, 3), (4, 2)]
     est = mmse_estimate(ch, book, assoc, 1e-4, noise=1e-2 * z0)
     assert np.all(est.mse[[0, 6]] == 1.0) and np.all(est.h_hat[[0, 6]] == 0.0)
-    assert np.all(est.h_hat[:, 12] == 0.0) and np.all(est.mse[:, 12] == 1.0)
+    for user in (7, 12):
+        assert np.all(est.h_hat[:, user] == 0.0) and np.all(est.mse[:, user] == 1.0)
     assert np.all(est.mse[assoc.rrh, assoc.user] > 0.0)
+
+
+@pytest.mark.parametrize("case", ["overloaded", "set-sizes-6-and-8", "set-size-6"])
+def test_batched_plan_refuses_more_users_than_pilot_dimensions(monkeypatch, case):
+    # an RRH that serves m users on L < m pilot dimensions is refused before
+    # any SVD, naming the largest such RRH, m and L. A trial never gets
+    # here: random-pilot's length is DSATUR's color count, and each served
+    # set is a clique of the conflict graph, so m <= chi <= L
+    if case == "overloaded":
+        lay, assoc = overloaded_instance()
+        ch = generate_channel(lay, 3.5, seed=9)
+        book = baseline_random_pilots(3, lay.n_user, np.random.default_rng(8))
+        want = "RRH 0 serves 8 users but the free-form book has training length 3"
+    else:
+        ch, book, _, _ = set_size_instance()
+        served = [[], [0], list(range(8)), list(range(8, 14)), [1, 2, 3]]
+        want = "RRH 2 serves 8 users but the free-form book has training length 4"
+        if case == "set-size-6":
+            served[2] = [14, 15]
+            want = "RRH 3 serves 6 users but the free-form book has training length 4"
+        served += [[]] * (ch.n_rrh - len(served))
+        rrh = np.repeat(np.arange(ch.n_rrh), [len(u) for u in served])
+        assoc = AssociationMap(rrh, np.concatenate([np.array(u, np.intp) for u in served]),
+                               ch.n_rrh, ch.n_user, 1.0)
+    svds = spy(monkeypatch, np.linalg, "svd")
+    noise = np.zeros((ch.n_rrh, book.training_length), complex)
+    with pytest.raises(ParameterError, match=want):
+        mmse_estimate(ch, book, assoc, 0.1, noise=noise)
+    assert svds == [] and ch._last_plan is None
 
 
 def test_estimate_records_its_pairs_and_is_read_only():
@@ -666,7 +712,7 @@ def test_estimate_records_its_pairs_and_is_read_only():
             with pytest.raises(ValueError):
                 a[0, 0] = 0.5
         # the rate reads the plan's pairs; a hand-built copy, the nonzeros
-        bp = data_power_coefficients(book.beta, 0.25, book.n_user)
+        bp = data_power_coefficients(1.0, 0.25, book.n_user)
         rate = assert_rate_matches_dense(est, ch, bp, 0.25)
         by_hand = manual_est(est.h_hat.copy(), est.mse.copy(), 0.01)
         assert by_hand.plan is None
@@ -788,8 +834,8 @@ def test_memo_sees_arrays_changed_in_place(changed, book_kind):
     assert np.array_equal(again.h_hat, before.h_hat) and np.array_equal(again.mse, before.mse)
 
 
-SOURCE_CASES = [(source, kind) for source in ("small_scale", "large_scale", "pilots", "beta",
-                                              "color_of", "rrh", "user")
+SOURCE_CASES = [(source, kind) for source in ("small_scale", "large_scale", "pilots", "color_of",
+                                              "rrh", "user")
                 for kind in ("proposed", "random") if (source, kind) != ("color_of", "random")]
 
 
@@ -802,10 +848,10 @@ def test_memo_holds_values_whose_source_arrays_change(source, book_kind):
     ch, cases, z0 = memo_instance()
     book, assoc = cases[book_kind]
     given = {"small_scale": ch.small_scale, "large_scale": ch.large_scale, "pilots": book.pilots,
-             "beta": book.beta, "color_of": book.color_of, "rrh": assoc.rrh, "user": assoc.user}
+             "color_of": book.color_of, "rrh": assoc.rrh, "user": assoc.user}
     given = {name: a.copy() for name, a in given.items() if a is not None}
     ch = ChannelRealization(given["small_scale"], given["large_scale"])
-    book = PilotBook(given["pilots"], given["beta"], book.p0, given.get("color_of"))
+    book = PilotBook(given["pilots"], given.get("color_of"))
     assoc = AssociationMap(given["rrh"], given["user"], assoc.n_rrh, assoc.n_user, assoc.threshold)
     owner = {"small_scale": ch, "large_scale": ch, "rrh": assoc, "user": assoc}.get(source, book)
     held = getattr(owner, source)
@@ -1012,7 +1058,7 @@ def test_rate_matches_dense_cholesky_on_each_scheme(scheme):
         if scheme == "refined":
             assoc = refine(assoc, lay, col)
     alpha = book.training_length / t_coh
-    bp = data_power_coefficients(book.beta, alpha, book.n_user)
+    bp = data_power_coefficients(1.0, alpha, book.n_user)
     z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
     for snr in (0.0, 50.0):
         n0 = snr_db_to_noise_power(snr)
@@ -1129,7 +1175,7 @@ def test_gram_plan_belongs_to_the_estimator_plan(monkeypatch):
     planned = spy(monkeypatch, channel_mod, "_gram_plan")
     ch, cases, z0 = memo_instance()
     book, assoc = cases["proposed"]
-    bp = data_power_coefficients(book.beta, 0.25, book.n_user)
+    bp = data_power_coefficients(1.0, 0.25, book.n_user)
     ests = [mmse_estimate(ch, book, assoc, n0, noise=np.sqrt(n0) * z0) for n0 in (0.1, 0.01)]
     assert planned == []
     for est in ests + ests:

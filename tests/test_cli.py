@@ -134,6 +134,17 @@ def test_bad_value_exits_one_naming_the_key(tmp_path, line, key):
     assert not out.exists()
 
 
+def test_integer_past_the_digit_limit_exits_one_naming_the_file_and_line(tmp_path):
+    # json parses integers with int(), which refuses more than 4,300 digits
+    # with a ValueError that is not a JSONDecodeError
+    kept = [l for l in COMPARE_CFG.splitlines() if not l.startswith("t_coherence")]
+    cfg = write(tmp_path, "\n".join(kept + ["t_coherence = 1" + "0" * 5000]) + "\n")
+    proc = run_cli("compare", "--config", cfg, "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 1, proc.stderr
+    assert f"{cfg}:{len(kept) + 1}: bad value for 't_coherence'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_retired_keys_exit_one_naming_each_at_two_workers(tmp_path):
     # the config is refused before any worker process starts
     text = COMPARE_CFG + "eta = 3.5\nbeta = 1.0\nmin_distance = 1.0\n"

@@ -193,21 +193,18 @@ def test_emit_csv_refuses_empty(tmp_path):
 # --------------------------------------------------------------- baselines
 
 def test_random_pilot_baseline_energy_and_determinism():
-    beta = np.array([1.0, 0.5, 2.0])
-    a = baseline_random_pilots(7, 3, np.random.default_rng(5), beta, 2.0)
-    b = baseline_random_pilots(7, 3, np.random.default_rng(5), beta, 2.0)
+    a = baseline_random_pilots(7, 3, np.random.default_rng(5))
+    b = baseline_random_pilots(7, 3, np.random.default_rng(5))
     assert np.array_equal(a.pilots, b.pilots)
     energies = np.sum(np.abs(a.pilots) ** 2, axis=1)
-    assert np.allclose(energies, 7 * beta * 2.0, rtol=1e-12)
+    assert np.allclose(energies, 7, rtol=1e-12)  # length, as the colored books
     assert a.training_length == 7 and a.color_of is None
     with pytest.raises(ParameterError):
         baseline_random_pilots(0, 3, np.random.default_rng(5))
-    with pytest.raises(ParameterError):
-        baseline_random_pilots(4, 3, np.random.default_rng(5), p0=0.0)
 
 
 def test_global_orthogonal_all_users_active_when_frame_allows():
-    active, book = baseline_global_orthogonal(20, 6, np.random.default_rng(0), 1.0, 1.0)
+    active, book = baseline_global_orthogonal(20, 6, np.random.default_rng(0))
     assert np.array_equal(active, np.arange(6))
     assert book.training_length == 6
     gram = book.pilots @ book.pilots.conj().T
@@ -216,12 +213,11 @@ def test_global_orthogonal_all_users_active_when_frame_allows():
 
 def test_global_orthogonal_selects_half_frame_subset():
     rng = np.random.default_rng(9)
-    active, book = baseline_global_orthogonal(10, 12, rng, beta=1.0, p0=2.0)
+    active, book = baseline_global_orthogonal(10, 12, rng)
     assert active.size == 5 and book.training_length == 5 and book.n_user == 5
     assert np.all(np.diff(active) > 0) and active.min() >= 0 and active.max() < 12
-    assert np.all(book.beta == 1.0)
-    assert np.allclose(book.pilots @ book.pilots.conj().T, 5 * 1.0 * 2.0 * np.eye(5), atol=1e-10)
-    again, _ = baseline_global_orthogonal(10, 12, np.random.default_rng(9), 1.0, 2.0)
+    assert np.allclose(book.pilots @ book.pilots.conj().T, 5 * np.eye(5), atol=1e-10)
+    again, _ = baseline_global_orthogonal(10, 12, np.random.default_rng(9))
     assert np.array_equal(active, again)
 
 
@@ -494,7 +490,7 @@ def accepted_snr_edge(bad: float) -> tuple[float, float]:
 def test_accepted_snr_range_gives_finite_rates():
     # the config bounds snr_db where the estimator's squares leave the double
     # range: N0 = 10^(-snr/10) squared must stay normal, and N0 plus the peak
-    # training energy T beta min_distance^-eta = 40 squared must stay finite
+    # training energy T = 40 (at unit power and gain) squared must stay finite
     (low, below), (high, above) = accepted_snr_edge(-1e4), accepted_snr_edge(1e4)
     assert -1542.0 < low < -1541.0 and 1538.0 < high < 1539.0
     assert below == math.nextafter(low, -math.inf) and above == math.nextafter(high, math.inf)

@@ -47,14 +47,14 @@ def built_values():
     src, dst = np.array([0, 1]), np.array([1, 0])
     # a colored book's rows keep the color contract: a complex scale per user
     # times its color's DFT row
-    pilots, beta = (rng.standard_normal(3) + 1j)[:, None] * dft_rows(2)[colors], np.ones(3)
+    pilots = (rng.standard_normal(3) + 1j)[:, None] * dft_rows(2)[colors]
     small, large = rng.standard_normal((2, 3)) + 0j, rng.uniform(0.1, 1.0, (2, 3))
     return [
         (NetworkLayout(10.0, rrh_xy, user_xy), {"rrh_xy": rrh_xy, "user_xy": user_xy}),
         (AssociationMap(rrh, user, 2, 3, 5.0), {"rrh": rrh, "user": user}),
         (ConflictGraph(2, src, dst, "custom"), {"src": src, "dst": dst}),
         (Coloring(colors, 2), {"colors": colors}),
-        (PilotBook(pilots, beta, 1.0, colors), {"pilots": pilots, "beta": beta, "color_of": colors}),
+        (PilotBook(pilots, colors), {"pilots": pilots, "color_of": colors}),
         (ChannelRealization(small, large), {"small_scale": small, "large_scale": large}),
     ]
 

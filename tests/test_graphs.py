@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lotrain.geometry as geometry
 from lotrain import (
@@ -15,6 +17,7 @@ from lotrain import (
     build_conflict_graph,
     build_proximity_graph,
     dist_linf,
+    dsatur,
     exact_chromatic_number,
     find_coloring,
     generate_layout,
@@ -175,6 +178,19 @@ def test_exact_chromatic_at_most_max_degree_plus_one():
         g = from_edges(n, edges)
         chi = exact_chromatic_number(g)
         assert 1 <= chi <= max_degree(g) + 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_rrh=st.integers(1, 8), n_user=st.integers(2, 16), seed=st.integers(0, 2**31 - 1),
+       threshold=st.floats(5.0, 15.0))
+def test_largest_served_set_is_at_most_chi_at_most_dsatur(n_rrh, n_user, seed, threshold):
+    # each RRH's served set is a clique of the conflict graph, so no RRH
+    # serves more users than a random-pilot book, DSATUR's length, has
+    # pilot dimensions; the batched estimator refuses the books that do
+    assoc = sparsify(generate_layout(n_rrh, n_user, 30.0, seed=seed), threshold)
+    g = build_conflict_graph(assoc)
+    largest = np.bincount(assoc.rrh, minlength=n_rrh).max()
+    assert largest <= exact_chromatic_number(g) <= dsatur(g).num_colors
 
 
 # ------------------------------------------- differential against brute force

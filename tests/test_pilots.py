@@ -1,4 +1,8 @@
-"""Pilot books: power constraint, local orthogonality, base structure."""
+"""Pilot books: training energy, local orthogonality, base structure.
+
+``build_pilot_book`` gives every user energy length. Per-user energies are
+tested on hand-scaled books, PilotBook(scale[:, None] * base.pilots, colors),
+which keep the color contract for any complex scale per user."""
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from lotrain import (
     build_conflict_graph,
     build_pilot_book,
     check_local_orthogonality,
+    data_power_coefficients,
     dft_rows,
     dsatur,
     generate_layout,
@@ -29,10 +34,10 @@ def test_dft_rows_orthonormal():
 
 def test_book_energy_and_cross_color():
     col = Coloring(np.array([0, 1, 2, 1]), 3)
-    book = build_pilot_book(col, beta=1.0, p0=1.0)
+    book = build_pilot_book(col)
     assert book.training_length == 3 and book.n_user == 4
     energies = np.sum(np.abs(book.pilots) ** 2, axis=1)
-    assert np.allclose(energies, 3.0, rtol=1e-12)  # length * beta * p0
+    assert np.allclose(energies, 3.0, rtol=1e-12)  # length
     # different colors orthogonal, same color identical
     assert abs(np.vdot(book.pilots[0], book.pilots[1])) < 1e-10
     assert abs(np.vdot(book.pilots[0], book.pilots[2])) < 1e-10
@@ -40,7 +45,8 @@ def test_book_energy_and_cross_color():
 
 
 def test_single_color_book():
-    book = build_pilot_book(Coloring(np.array([0, 0]), 1), beta=np.array([1.0, 4.0]), p0=2.0)
+    base = build_pilot_book(Coloring(np.array([0, 0]), 1))
+    book = PilotBook(np.sqrt([2.0, 8.0])[:, None] * base.pilots, base.color_of)
     assert book.training_length == 1
     assert np.sum(np.abs(book.pilots[0]) ** 2) == pytest.approx(2.0, rel=1e-12)
     assert np.sum(np.abs(book.pilots[1]) ** 2) == pytest.approx(8.0, rel=1e-12)
@@ -49,18 +55,20 @@ def test_single_color_book():
 
 
 def test_zero_beta_silences_user():
-    book = build_pilot_book(Coloring(np.array([0, 1]), 2), beta=np.array([0.0, 1.0]))
+    base = build_pilot_book(Coloring(np.array([0, 1]), 2))
+    book = PilotBook(np.array([0.0, 1.0])[:, None] * base.pilots, base.color_of)
     assert np.all(book.pilots[0] == 0)
+    # the silent user keeps its color; its color's row is zero, its peer's intact
+    assert np.all(book.rows[0] == 0) and np.allclose(book.rows[1], dft_rows(2)[1], rtol=1e-12)
 
 
 def test_parameter_validation():
-    col = Coloring(np.array([0, 1]), 2)
+    # the data-phase coefficients beta' are the only per-user powers a caller
+    # passes; a negative one, or a vector of the wrong length, is refused
     with pytest.raises(ParameterError):
-        build_pilot_book(col, beta=-0.5)
-    with pytest.raises(ParameterError):
-        build_pilot_book(col, p0=0.0)
+        data_power_coefficients(-0.5, 0.5, 2)
     with pytest.raises(ConsistencyError):
-        build_pilot_book(col, beta=np.array([1.0, 1.0, 1.0]))
+        data_power_coefficients(np.array([1.0, 1.0, 1.0]), 0.5, 2)
 
 
 def test_energy_property_random_instances():
@@ -73,7 +81,9 @@ def test_energy_property_random_instances():
         col = Coloring(rng.permutation(colors), num)
         beta = rng.uniform(0.0, 2.0, size=k)
         p0 = float(rng.uniform(0.1, 3.0))
-        book = build_pilot_book(col, beta, p0)
+        base = build_pilot_book(col)
+        assert np.allclose(np.sum(np.abs(base.pilots) ** 2, axis=1), num, rtol=1e-12)
+        book = PilotBook(np.sqrt(beta * p0)[:, None] * base.pilots, col.colors)
         want = num * beta * p0
         got = np.sum(np.abs(book.pilots) ** 2, axis=1)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -86,7 +96,7 @@ def test_local_orthogonality_end_to_end():
                               seed=int(rng.integers(1 << 31)))
         assoc = sparsify(lay, float(rng.uniform(3, 25)))
         col = dsatur(build_conflict_graph(assoc))
-        book = build_pilot_book(col, beta=float(rng.uniform(0.2, 2.0)))
+        book = PilotBook(np.sqrt(rng.uniform(0.2, 2.0)) * build_pilot_book(col).pilots, col.colors)
         assert check_local_orthogonality(book, assoc)
         # refinement keeps one user per color at each RRH, so it stays orthogonal
         assert check_local_orthogonality(book, refine(assoc, lay, col))
@@ -120,14 +130,15 @@ def test_local_orthogonality_matches_the_per_rrh_loop():
         assoc = sparsify(lay, float(rng.uniform(3, 25)))
         graph = build_conflict_graph(assoc)
         col = dsatur(graph)
-        colored = build_pilot_book(col, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.5, 100.0)))
+        power = rng.uniform(0.2, 2.0) * rng.uniform(0.5, 100.0)
+        colored = PilotBook(np.sqrt(power) * build_pilot_book(col).pilots, col.colors)
         length = col.num_colors
         free = rng.standard_normal((k, length)) + 1j * rng.standard_normal((k, length))
-        books = [(colored, None), (PilotBook(free, np.ones(k), 1.0, None), None)]
+        books = [(colored, None), (PilotBook(free), None)]
         u = int(rng.integers(k))
         others = np.flatnonzero(col.colors != col.colors[u])
         if others.size:
-            # with a scalar beta every user of m's color sends m's row
+            # at one power for all users, every user of m's color sends m's row
             m = int(rng.choice(others))
             row = colored.pilots[m]
             peers = np.flatnonzero(col.colors == col.colors[m])
@@ -137,7 +148,7 @@ def test_local_orthogonality_matches_the_per_rrh_loop():
             for factor in (0.5, 2.0):
                 x = colored.pilots.copy()
                 x[u] += factor * tol * energy / norm**2 * row
-                books.append((PilotBook(x, colored.beta, colored.p0, None), factor < 1 or not shares))
+                books.append((PilotBook(x), factor < 1 or not shares))
         for book, want in books:
             got = check_local_orthogonality(book, assoc)
             assert got == local_orthogonality_loop(book, assoc, tol)
@@ -157,12 +168,12 @@ def test_local_orthogonality_detects_conflicts():
 
 def test_tolerance_boundary():
     pilots = np.array([[1.0 + 0j, 0.0], [1e-8, 1.0]])
-    book = PilotBook(pilots, np.ones(2), 1.0, None)
+    book = PilotBook(pilots)
     lay = generate_layout(1, 2, 10.0, seed=0)
     assoc = sparsify(lay, 20.0)
     assert not check_local_orthogonality(book, assoc)  # cross 1e-8 > 1e-10
     tiny = np.array([[1.0 + 0j, 0.0], [1e-12, 1.0]])
-    assert check_local_orthogonality(PilotBook(tiny, np.ones(2), 1.0, None), assoc)
+    assert check_local_orthogonality(PilotBook(tiny), assoc)
 
 
 def test_tolerance_scales_with_pilot_energy():
@@ -170,8 +181,9 @@ def test_tolerance_scales_with_pilot_energy():
     lay = generate_layout(300, 300, 100.0, seed=0)
     assoc = sparsify(lay, 10.0)
     col = dsatur(build_conflict_graph(assoc))
+    book = build_pilot_book(col)
     for p0 in (1.0, 1e2, 1e4):
-        assert check_local_orthogonality(build_pilot_book(col, p0=p0), assoc)
+        assert check_local_orthogonality(PilotBook(np.sqrt(p0) * book.pilots, col.colors), assoc)
 
 
 def test_size_mismatch():
@@ -191,19 +203,19 @@ def test_color_contract_names_the_user_off_its_row_or_the_colors_that_correlate(
     limit = pilots_mod._ORTHOGONALITY_TOL * 4.0
     x = np.array([rows[0], 2j * rows[0], rows[1]])
     colors = np.array([0, 0, 1])
-    book = PilotBook(x, np.ones(3), 1.0, colors)
+    book = PilotBook(x, colors)
     assert np.allclose(book.rows, [1j * rows[0], rows[1]]) and np.allclose(book.coef, [-1j, 2.0, 1.0])
     off, crossed = x.copy(), x.copy()
     off[0] += np.sqrt(factor * limit) * rows[1]  # energy factor * limit off color 0's row
     crossed[2] += factor * limit / 2 * rows[0]  # correlates with user 1's row at factor * limit
     for pilots, named in ((off, "user 0's pilot"), (crossed, "the rows of colors 0 and 1 correlate")):
         if factor < 1:
-            PilotBook(pilots, np.ones(3), 1.0, colors)
+            PilotBook(pilots, colors)
         else:
             with pytest.raises(ConsistencyError, match=named):
-                PilotBook(pilots, np.ones(3), 1.0, colors)
+                PilotBook(pilots, colors)
     # a free-form book of the same rows is not checked
-    assert PilotBook(off, np.ones(3), 1.0).rows is None
+    assert PilotBook(off).rows is None
     for bad in (np.array([0, 1]), np.array([0, -1, 1])):
         with pytest.raises(ConsistencyError, match="color_of"):
-            PilotBook(x, np.ones(3), 1.0, bad)
+            PilotBook(x, bad)
