@@ -7,8 +7,7 @@
 #
 # Run: python3 demos/01_geometry_and_sparsification.py
 
-import numpy as np
-
+# lotrain first: importing it before numpy pins one BLAS thread
 from lotrain import (
     build_conflict_graph,
     dist_linf,
@@ -18,6 +17,8 @@ from lotrain import (
     sparsify,
     user_density,
 )
+
+import numpy as np
 
 side = 60.0
 n_rrh, n_user, r = 40, 120, 9.0

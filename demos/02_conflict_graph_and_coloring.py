@@ -8,8 +8,7 @@
 #
 # Run: python3 demos/02_conflict_graph_and_coloring.py
 
-import numpy as np
-
+# lotrain first: importing it before numpy pins one BLAS thread
 from lotrain import (
     build_conflict_graph,
     build_pilot_book,
@@ -22,6 +21,8 @@ from lotrain import (
     max_degree,
     sparsify,
 )
+
+import numpy as np
 
 # ------------------------------------------------ small instance, exact oracle
 layout = generate_layout(6, 12, 30.0, seed=3)

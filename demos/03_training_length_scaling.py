@@ -7,8 +7,7 @@
 #
 # Run: python3 demos/03_training_length_scaling.py   (about 1 s)
 
-import numpy as np
-
+# lotrain first: importing it before numpy pins one BLAS thread
 from lotrain import (
     ExperimentConfig,
     chromatic_scaling_bound,
@@ -18,6 +17,8 @@ from lotrain import (
     radius_for_rho,
     run_experiment,
 )
+
+import numpy as np
 
 rho = 0.5
 print(f"rho = {rho}")

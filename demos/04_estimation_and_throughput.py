@@ -7,8 +7,7 @@
 #
 # Run: python3 demos/04_estimation_and_throughput.py   (about 1 s)
 
-import numpy as np
-
+# lotrain first: importing it before numpy pins one BLAS thread
 from lotrain import (
     ExperimentConfig,
     build_conflict_graph,
@@ -25,6 +24,8 @@ from lotrain import (
     throughput_lower_bound,
 )
 
+import numpy as np
+
 n_rrh, n_user, side, r, t_coh = 60, 80, 60.0, 10.0, 100
 
 # ------------------------------------------------ a single trial, unpacked
@@ -35,7 +36,7 @@ book = build_pilot_book(coloring)
 chan = generate_channel(layout, 3.5, seed=42)
 n0 = snr_db_to_noise_power(20.0)
 
-est = mmse_estimate(chan, book, assoc, n0)
+est = mmse_estimate(chan, book, assoc, n0, rng=np.random.default_rng(42))
 served = np.array([[k in set(u) for k in range(n_user)] for u in assoc.served_users])
 print(f"training length chi = {book.training_length} of T = {t_coh} "
       f"(alpha = {book.training_length / t_coh:.2f})")

@@ -33,13 +33,7 @@ from .channel import (
     throughput_lower_bound,
 )
 from .coloring import Coloring, dsatur
-from .errors import (
-    ConsistencyError,
-    DegenerateGeometryError,
-    GraphSizeError,
-    ParameterError,
-    TrainingLengthError,
-)
+from .errors import ConsistencyError, ParameterError, TrainingLengthError
 from .experiments import (
     ExperimentConfig,
     baseline_global_orthogonal,

@@ -17,16 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .association import _same_rrh_pairs, color_slots
-from .errors import ConsistencyError, DegenerateGeometryError, ParameterError
+from .errors import ConsistencyError, ParameterError
 from .geometry import NetworkLayout, abs_offsets, _frozen, _rng
 from .pilots import PilotBook
-
-# SeedSequence spawn-key salts; shared with the experiment harness so every
-# consumer of a master seed draws from disjoint streams.
-LAYOUT_SALT = 1
-FADING_SALT = 2
-NOISE_SALT = 3
-SCHEME_SALT = 4
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -46,12 +39,12 @@ class ChannelRealization:
 
     small_scale: (n_rrh, n_user) unit-variance complex fading.
     large_scale: (n_rrh, n_user) amplitude gains distance**(-eta/2).
-    It also keeps the last plan ``mmse_estimate`` made on it.
+    It also keeps the last plan ``mmse_estimate`` made on it. It carries no
+    seed: the training noise is the estimator caller's to pass.
     """
 
     small_scale: np.ndarray
     large_scale: np.ndarray
-    seed: object = None
     _last_plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -73,19 +66,19 @@ class ChannelRealization:
 def generate_channel(layout: NetworkLayout, eta: float, seed) -> ChannelRealization:
     """Draw small-scale fading and compute large-scale gains for a layout.
 
-    Path loss uses the Euclidean distance, floored at 1 so a user standing
-    almost on top of an RRH cannot produce an unbounded gain. Exactly
-    co-located pairs are rejected.
+    ``seed`` (an int or a SeedSequence) seeds the fading draw only; the
+    channel does not keep it. Path loss uses the Euclidean distance, floored
+    at 1 so a user standing almost on top of an RRH cannot produce an
+    unbounded gain. Exactly co-located pairs raise ParameterError.
     """
     if not eta > 0:
         raise ParameterError(f"pathloss exponent must be positive, got {eta}")
     dx, dy = abs_offsets(layout.rrh_xy, layout.user_xy)
     d = np.sqrt(dx * dx + dy * dy)
     if np.any(d == 0.0):
-        raise DegenerateGeometryError("a user coincides exactly with an RRH")
+        raise ParameterError("a user coincides exactly with an RRH")
     gains = np.maximum(d, 1.0) ** (-eta / 2.0)
-    h = complex_gaussian(_rng(seed), (layout.n_rrh, layout.n_user))
-    return ChannelRealization(h, gains, seed)
+    return ChannelRealization(complex_gaussian(_rng(seed), (layout.n_rrh, layout.n_user)), gains)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +132,9 @@ def mmse_estimate(
     apart from filling the dense ``h_hat`` and ``mse``. The result carries
     the plan, and its ``h_hat`` and ``mse`` are read-only.
 
-    The training observation is synthesized internally. Pass ``noise``
-    (shape (n_rrh, training_length), entries of variance n0) to pin the noise
-    draw, or ``rng`` to control its source; otherwise a stream derived from
-    the channel's seed is used.
+    The training observation is synthesized internally, and its noise comes
+    from the caller: ``noise`` (shape (n_rrh, training_length), entries of
+    variance n0), or else a draw from ``rng``. With neither, ParameterError.
     """
     if not n0 > 0:
         raise ParameterError(f"noise power must be positive, got {n0}")
@@ -152,9 +144,7 @@ def mmse_estimate(
     length = book.training_length
     if noise is None:
         if rng is None:
-            if chan.seed is None:
-                raise ParameterError("pass rng or noise when the channel carries no seed")
-            rng = _rng(np.random.SeedSequence(chan.seed, spawn_key=(NOISE_SALT,)))
+            raise ParameterError("pass the training noise as noise= or its source as rng=")
         noise = np.sqrt(n0) * complex_gaussian(rng, (n_rrh, length))
     if noise.shape != (n_rrh, length):
         raise ConsistencyError(f"noise must have shape {(n_rrh, length)}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import _frozen
+from .geometry import _indices
 from .graphs import ConflictGraph
 
 
@@ -23,7 +23,7 @@ class Coloring:
     num_colors: int
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", _frozen(self.colors, np.intp))
+        object.__setattr__(self, "colors", _indices(self.colors, "colors"))
         # min, max and a count rather than np.unique, whose first call
         # imports numpy.ma, 10 ms or more in every CLI run
         c = self.colors

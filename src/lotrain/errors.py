@@ -13,13 +13,5 @@ class ConsistencyError(ValueError):
     """Inputs are individually valid but mutually inconsistent."""
 
 
-class DegenerateGeometryError(ValueError):
-    """A user and an RRH coincide exactly, making the path loss singular."""
-
-
-class GraphSizeError(ParameterError):
-    """A graph exceeds the size guard of an exponential-time routine."""
-
-
 class TrainingLengthError(RuntimeError):
     """The required training length reaches the coherence time."""

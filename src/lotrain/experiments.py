@@ -31,10 +31,6 @@ from . import _BLAS_PINNED, _BLAS_VARS, pilots
 from ._parallel import pool_map
 from .association import AssociationMap, refine, sparsify
 from .channel import (
-    FADING_SALT,
-    LAYOUT_SALT,
-    NOISE_SALT,
-    SCHEME_SALT,
     complex_gaussian,
     data_power_coefficients,
     generate_channel,
@@ -50,6 +46,13 @@ from .pilots import PilotBook, build_pilot_book
 from .scaling import chromatic_scaling_bound, degree_scaling_bound, radius_for_rho
 
 NATS_TO_BITS = 1.0 / np.log(2.0)
+
+# SeedSequence spawn-key salts: every draw a trial makes comes from the
+# stream (seed, salt, trial, ...), so no two consumers share a stream
+LAYOUT_SALT = 1
+FADING_SALT = 2
+NOISE_SALT = 3
+SCHEME_SALT = 4
 
 SCHEMES = ("proposed", "refined", "random-pilot", "global-orthogonal")
 _SCHEME_STREAM = {"random-pilot": 1, "global-orthogonal": 2}

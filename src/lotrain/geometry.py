@@ -33,18 +33,28 @@ def _frozen(a, dtype=None) -> np.ndarray:
     return a
 
 
+def _indices(a, name: str) -> np.ndarray:
+    """A read-only intp copy of the index array ``a``. A float or boolean
+    array raises ConsistencyError naming it rather than being truncated or
+    read as 0/1; an empty one (an empty list reads as float) is accepted."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ConsistencyError(f"{name} must hold integers, got dtype {a.dtype}")
+    return _frozen(a, np.intp)
+
+
 def _index_pairs(a, b, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only intp copies of the index pairs (a[p], b[p]), which must lie
     in range and be sorted by (a, b) with no repeats, as ``pairs_within``
     returns them."""
-    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    a, b = _indices(a, "index pairs"), _indices(b, "index pairs")
     if a.ndim != 1 or a.shape != b.shape:
         raise ConsistencyError("index pairs need two 1-D arrays of one length")
     # with b in range, keys a*n_b + b rising strictly from -1 to n_a*n_b put a in range
     keys = np.concatenate([[-1], a * n_b + b, [n_a * n_b]])
     if np.any((b < 0) | (b >= n_b)) or np.any(np.diff(keys) <= 0):
         raise ConsistencyError("index pairs must lie in range, sorted, with no repeats")
-    return _frozen(a), _frozen(b)
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .association import AssociationMap, _same_rrh_pairs
-from .errors import ConsistencyError, GraphSizeError, ParameterError
+from .errors import ConsistencyError, ParameterError
 from .geometry import NetworkLayout, _frozen, _index_pairs, pairs_within
 
 
@@ -113,12 +113,10 @@ def find_coloring(g: ConflictGraph, n_colors: int):
     Complete backtracking search over canonical assignments (each new vertex
     may open at most one fresh color), so a None result is a proof of
     non-colorability, not a heuristic failure. Exponential time: graphs of
-    more than 16 vertices raise GraphSizeError.
+    more than 16 vertices raise ParameterError.
     """
     if g.n_vertices > _VERTEX_LIMIT:
-        raise GraphSizeError(
-            f"exact search on {g.n_vertices} vertices exceeds the limit {_VERTEX_LIMIT}"
-        )
+        raise ParameterError(f"exact search on {g.n_vertices} vertices exceeds the limit {_VERTEX_LIMIT}")
     if n_colors < 0:
         raise ParameterError("n_colors must be nonnegative")
     n = g.n_vertices

@@ -13,7 +13,7 @@ import numpy as np
 from .association import AssociationMap
 from .coloring import Coloring
 from .errors import ConsistencyError
-from .geometry import _frozen
+from .geometry import _frozen, _indices
 from .graphs import build_conflict_graph
 
 _ORTHOGONALITY_TOL = 1e-10  # of the largest pilot energy: a correlation this small is zero
@@ -52,7 +52,7 @@ class PilotBook:
         object.__setattr__(self, "pilots", _frozen(self.pilots))
         if self.color_of is None:
             return
-        x, colors = self.pilots, _frozen(self.color_of, np.intp)
+        x, colors = self.pilots, _indices(self.color_of, "color_of")
         if colors.shape != x.shape[:1] or colors.min(initial=0) < 0:
             raise ConsistencyError(f"color_of must give each of the {x.shape[0]} users one nonnegative color")
         energy = np.sum(np.abs(x) ** 2, axis=1)

@@ -134,7 +134,7 @@ def test_criterion_05_single_user_estimator_matches_scalar_oracle():
     assoc = AssociationMap([0], [0], 1, 1, 1.0)
     h = np.array([[0.3 - 1.1j]])
     for gamma in (0.005, 0.1, 1.0):
-        chan = ChannelRealization(h, np.array([[gamma]]), None)
+        chan = ChannelRealization(h, np.array([[gamma]]))
         for length in (1, 4):
             base = dft_rows(length)[:1]
             for beta in (0.5, 1.0):
@@ -154,7 +154,7 @@ def test_criterion_06_logdet_rate_matches_decomposed_oracles():
     h_hat, gamma, mse = 1.3 - 0.4j, 0.7, 0.3
     n0, alpha, bp, p0 = 0.05, 0.2, 1.25, 2.0
     est = EstimationResult(np.array([[h_hat]]), np.array([[mse]]), n0)
-    chan = ChannelRealization(np.zeros((1, 1), complex), np.array([[gamma]]), None)
+    chan = ChannelRealization(np.zeros((1, 1), complex), np.array([[gamma]]))
     sigma2 = gamma**2 * bp * p0 * mse + n0
     want = (1 - alpha) * np.log(1 + abs(h_hat * gamma) ** 2 * bp * p0 / sigma2)
     got = throughput_lower_bound(est, chan, alpha, bp, p0)
@@ -169,7 +169,7 @@ def test_criterion_06_logdet_rate_matches_decomposed_oracles():
         mse = rng.uniform(0.01, 0.9, (size, size))
         bp = rng.uniform(0.5, 1.5, size)
         est = EstimationResult(h_hat, mse, n0)
-        chan = ChannelRealization(np.zeros((size, size), complex), gamma, None)
+        chan = ChannelRealization(np.zeros((size, size), complex), gamma)
         sigma2 = (gamma**2 * mse) @ (bp * p0) + n0
         want = sum(
             (1 - alpha) * np.log(1 + abs(h_hat[i, i] * gamma[i, i]) ** 2

@@ -25,7 +25,6 @@ from lotrain import (
     ChannelRealization,
     Coloring,
     ConsistencyError,
-    DegenerateGeometryError,
     EstimationResult,
     ExperimentConfig,
     NetworkLayout,
@@ -82,7 +81,7 @@ def test_distance_floor_and_degenerate():
     lay = layout_from([[0.0, 0.0]], [[0.25, 0.0]])
     assert generate_channel(lay, 3.5, seed=0).large_scale[0, 0] == 1.0
     co = layout_from([[2.0, 2.0]], [[2.0, 2.0]])
-    with pytest.raises(DegenerateGeometryError):
+    with pytest.raises(ParameterError, match="a user coincides exactly with an RRH"):
         generate_channel(co, 3.5, seed=0)
 
 
@@ -220,7 +219,7 @@ def test_analytic_mse_matches_empirical():
     analytic = None
     for _ in range(trials):
         h = channel_mod.complex_gaussian(rng, (4, 7))
-        ch = ChannelRealization(h, gamma, None)
+        ch = ChannelRealization(h, gamma)
         noise = np.sqrt(n0) * channel_mod.complex_gaussian(rng, (4, book.training_length))
         est = mmse_estimate(ch, book, assoc, n0, noise=noise)
         acc += np.abs(h - est.h_hat) ** 2
@@ -241,9 +240,11 @@ def test_estimation_validation_errors():
     bad = np.zeros((2, book.training_length + 1), complex)
     with pytest.raises(ConsistencyError):
         mmse_estimate(ch, book, assoc, 0.1, noise=bad)
-    unseeded = ChannelRealization(ch.small_scale, ch.large_scale, None)
-    with pytest.raises(ParameterError):
-        mmse_estimate(unseeded, book, assoc, 0.1)
+    # the training noise is the caller's: a channel from an int seed or from
+    # a SeedSequence, the harness's seed type, carries no noise source
+    for seed in (5, np.random.SeedSequence(5)):
+        with pytest.raises(ParameterError, match=r"noise= .* rng="):
+            mmse_estimate(generate_channel(lay, 3.5, seed), book, assoc, 0.1)
     short = generate_layout(2, 2, 20.0, seed=0)
     with pytest.raises(ConsistencyError):
         mmse_estimate(generate_channel(short, 3.5, seed=0), book, assoc, 0.1)
@@ -819,7 +820,7 @@ def test_memo_sees_arrays_changed_in_place(changed, book_kind):
         arrays[key].flags.writeable = False
 
     def build():
-        return (ChannelRealization(arrays["small_scale"], arrays["large_scale"], None),
+        return (ChannelRealization(arrays["small_scale"], arrays["large_scale"]),
                 dataclasses.replace(book, pilots=arrays["pilots"]))
 
     old = build()
@@ -874,7 +875,7 @@ def manual_est(h_hat, mse, n0):
 
 def manual_chan(gamma):
     g = np.asarray(gamma, float)
-    return ChannelRealization(np.zeros_like(g, dtype=complex), g, None)
+    return ChannelRealization(np.zeros_like(g, dtype=complex), g)
 
 
 def test_interference_variance_hand_example():

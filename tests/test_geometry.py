@@ -10,6 +10,7 @@ from lotrain import (
     ChannelRealization,
     Coloring,
     ConflictGraph,
+    ConsistencyError,
     EstimationResult,
     NetworkLayout,
     ParameterError,
@@ -81,6 +82,29 @@ def test_values_hash_and_compare_by_identity():
     for a, b in zip(values(), values()):
         assert a == a and a != b and not a == b, type(a)
         assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+# each constructor that takes index arrays, as a function of one of them,
+# and an integer array of zeros and ones it accepts
+INDEX_ARRAYS = {
+    "Coloring": (lambda a: Coloring(a, 2 if len(a) else 0), [0, 1, 1]),
+    "PilotBook": (lambda a: PilotBook(np.sqrt(2) * dft_rows(2)[[0, 1, 1]][:len(a)], a), [0, 1, 1]),
+    "AssociationMap": (lambda a: AssociationMap(a, a, 2, 2, 1.0), [0, 1]),
+    "ConflictGraph": (lambda a: ConflictGraph(2, a, a[::-1], "custom"), [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_ARRAYS)
+def test_index_arrays_refuse_non_integers(name):
+    # a float array was truncated to the integers below it, and a boolean
+    # one read as zeros and ones; an empty list, which numpy reads as float,
+    # is accepted
+    build, good = INDEX_ARRAYS[name]
+    build(np.array(good))
+    build([])
+    for bad in (np.array(good) + 0.25, np.array(good, float), np.array(good, bool)):
+        with pytest.raises(ConsistencyError, match="must hold integers"):
+            build(bad)
 
 
 @pytest.mark.parametrize("n_rrh,n_user,side", [(0, 5, 10.0), (5, 0, 10.0), (5, 5, 0.0), (5, 5, -1.0)])

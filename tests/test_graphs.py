@@ -11,7 +11,6 @@ import lotrain.geometry as geometry
 from lotrain import (
     AssociationMap,
     ConsistencyError,
-    GraphSizeError,
     NetworkLayout,
     ParameterError,
     build_conflict_graph,
@@ -152,7 +151,7 @@ def test_exact_chromatic_number_examples():
 
 def test_exact_oracle_size_guard():
     big = from_edges(17, [(0, 1)])
-    with pytest.raises(GraphSizeError):
+    with pytest.raises(ParameterError, match="exact search on 17 vertices exceeds the limit 16"):
         exact_chromatic_number(big)
     # 16 vertices is the limit: a five-cycle and eleven isolated vertices
     assert exact_chromatic_number(from_edges(16, [(i, (i + 1) % 5) for i in range(5)])) == 3
