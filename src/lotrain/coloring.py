@@ -6,7 +6,7 @@ step, the uncolored vertex with the most distinctly-colored neighbors; it is
 exact on bipartite graphs and never needs more than max_degree + 1 colors.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,15 +20,15 @@ class Coloring:
     """Proper vertex coloring with contiguous colors 0..num_colors-1."""
 
     colors: np.ndarray
-    num_colors: int
+    num_colors: int = field(init=False)  # the largest color plus one; 0 with no vertices
 
     def __post_init__(self):
         object.__setattr__(self, "colors", _indices(self.colors, "colors"))
-        # min, max and a count rather than np.unique, whose first call
-        # imports numpy.ma, 10 ms or more in every CLI run
+        # min, max and a count rather than np.unique, whose first call imports numpy.ma (10 ms or
+        # more per CLI run); more colors than vertices leave a gap, refused before the count
         c = self.colors
-        if (c.min(initial=0) < 0 or c.max(initial=-1) != self.num_colors - 1
-                or not np.bincount(c).all()):
+        object.__setattr__(self, "num_colors", int(c.max(initial=-1)) + 1)
+        if c.min(initial=0) < 0 or self.num_colors > c.size or not np.bincount(c).all():
             raise ConsistencyError("colors used must be exactly 0..num_colors-1")
 
 
@@ -76,4 +76,4 @@ def dsatur(g: ConflictGraph) -> Coloring:
         raised = nb[row[nb]]
         row[raised] = False
         key[raised] += n + 1
-    return Coloring(colors, int(colors.max()) + 1 if n else 0)
+    return Coloring(colors)

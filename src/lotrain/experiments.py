@@ -6,7 +6,7 @@ is a grid of (K, r) points, a trial kernel and a per-point aggregation:
   scaling   K over k_grid, r tracking rho; DSATUR colors vs the bounds
   density   one point; distribution of per-RRH served-set sizes
   compare   one point; throughput of the configured schemes over SNR
-  sweep-k   K over k_grid at fixed (or rho-matched) radius; throughput
+  sweep-k   K over k_grid at a fixed radius; throughput
   sweep-r   r over r_grid; throughput, flagging infeasible radii
 
 The runner maps independent (config, K, r, trial) items (seeded by (master
@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -32,7 +32,6 @@ from ._parallel import pool_map
 from .association import AssociationMap, refine, sparsify
 from .channel import (
     complex_gaussian,
-    data_power_coefficients,
     generate_channel,
     mmse_estimate,
     snr_db_to_noise_power,
@@ -67,11 +66,11 @@ ETA = 3.5
 class ExperimentConfig:
     """Fully resolved parameters of one experiment run.
 
-    Defaults follow the reference simulation setup: a 100 m square, coherence
-    time 100, load factor rho = 0.5. Trials run at path-loss exponent ETA =
-    3.5 and at unit power, in training and data alike, so snr_db alone sets
-    the noise power. Fields irrelevant to a given experiment may stay
-    None; the runner validates what each experiment needs.
+    Defaults follow the reference simulation setup: a 100 m square and
+    coherence time 100. Trials run at path-loss exponent ETA = 3.5 and at
+    unit power, in training and data alike, so snr_db alone sets the noise
+    power. An experiment reads the fields _STUDIES names for it, and _grid
+    refuses a K or radius field it does not read. Reals are stored as floats.
     """
 
     experiment: str
@@ -97,14 +96,16 @@ class ExperimentConfig:
             _check_int("n_user", self.n_user, 1)
         for k in self.k_grid or ():
             _check_int("k_grid entry", k, 1)
-        _check_real("side", self.side)
+        store = partial(object.__setattr__, self)
+        store("side", _check_real("side", self.side))
         for key in ("threshold", "rho"):
             if getattr(self, key) is not None:
-                _check_real(key, getattr(self, key))
-        for r in self.r_grid or ():
-            _check_real("r_grid entry", r)
+                store(key, _check_real(key, getattr(self, key)))
+        if self.r_grid is not None:
+            store("r_grid", tuple(_check_real("r_grid entry", r) for r in self.r_grid))
         if not self.snr_db:
             raise ParameterError("snr_db grid must be nonempty")
+        store("snr_db", tuple(_check_real("snr_db entry", snr, floor=-math.inf) for snr in self.snr_db))
         # the estimator squares den = gamma^2 E + n0, whose training energy E
         # reaches T (at unit power and gain)
         try:
@@ -116,7 +117,6 @@ class ExperimentConfig:
             raise ParameterError(f"t_coherence must stay below about 1.34e154, got {got}: it is the "
                                  "peak training energy, whose square the estimator must keep finite")
         for snr in self.snr_db:
-            _check_real("snr_db entry", snr, floor=-math.inf)
             try:
                 n0 = snr_db_to_noise_power(snr)
             except OverflowError:
@@ -144,15 +144,14 @@ def _check_int(key: str, value, low: int) -> None:
         raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
-def _check_real(key: str, value, floor: float = 0.0) -> None:
-    """Reject anything but a finite number above floor."""
+def _check_real(key: str, value, floor: float = 0.0) -> float:
+    """Return value as a float, so 10 and 10.0 make one config. Anything but a
+    number above floor that a finite double holds is refused."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value <= floor):
+            or not (floor < value and abs(value) <= sys.float_info.max)):
         bound = f" > {floor}" if math.isfinite(floor) else ""
         raise ParameterError(f"{key} must be a finite number{bound}, got {value!r}")
-
-
-_TUPLE_FIELDS = {"k_grid", "r_grid", "snr_db", "schemes"}
+    return float(value)
 
 
 def load_config(path) -> dict:
@@ -197,13 +196,12 @@ def load_config(path) -> dict:
 
 
 def config_from_mapping(experiment: str, mapping: dict) -> ExperimentConfig:
-    """Build a config for one experiment kind, rejecting unknown keys."""
-    known = {f.name for f in fields(ExperimentConfig)} - {"experiment"}
-    unknown = set(mapping) - known
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    """Build a config for one experiment kind, refusing every key it does not read."""
+    unread = set(mapping) - {*_COMMON, *_study(experiment)[2]}
+    if unread:
+        raise ParameterError(f"config keys {experiment} does not read: {sorted(unread)}")
     payload = dict(mapping)
-    for key in _TUPLE_FIELDS & set(payload):
+    for key in {"k_grid", "r_grid", "snr_db", "schemes"} & set(payload):
         val = payload[key]
         if not isinstance(val, (list, tuple)) or not val:
             raise ParameterError(f"{key} must be a nonempty list")
@@ -300,7 +298,7 @@ def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Gen
     active = (np.arange(n_user) if n_user <= cap
               else np.sort(rng.choice(n_user, size=cap, replace=False))).astype(np.intp)
     # through its module: the kernels' own build_pilot_book is the shared colored book
-    return active, pilots.build_pilot_book(Coloring(np.arange(active.size), active.size))
+    return active, pilots.build_pilot_book(Coloring(np.arange(active.size)))
 
 
 def _global_orthogonal_assoc(n_rrh: int, n_user: int) -> AssociationMap:
@@ -383,13 +381,12 @@ def _throughput_trial(item) -> dict:
             a_s = _global_orthogonal_assoc(cfg.n_rrh, active.size)
         length = book.training_length
         alpha = length / t_coh
-        bp = data_power_coefficients(1.0, alpha, book.n_user)
         lengths[scheme] = length
         for snr in cfg.snr_db:
             n0 = snr_db_to_noise_power(snr)
             est = mmse_estimate(chan_s, book, a_s, n0, noise=np.sqrt(n0) * z0[:, :length])
-            # p0 = 1 stays positional: bench/run.py reads the rate call's fifth argument
-            rate = rates[(scheme, snr)] = throughput_lower_bound(est, chan_s, alpha, bp, 1.0)
+            # beta' = 1 at beta = 1; bench/run.py reads beta' and p0 as the 4th and 5th arguments
+            rate = rates[(scheme, snr)] = throughput_lower_bound(est, chan_s, alpha, 1.0, 1.0)
             if not math.isfinite(rate):  # no NaN may reach a CSV
                 raise ConsistencyError(f"{scheme} at snr_db {snr!r}, K = {n_user}, r = {r!r}: the rate is {rate}")
     return {"rates": rates, "lengths": lengths}
@@ -398,25 +395,19 @@ def _throughput_trial(item) -> dict:
 # ----------------------------------------------------------------- runner
 
 def _grid(cfg: ExperimentConfig) -> list:
-    """The (K, r) points of cfg.experiment in grid order. The radius is an
-    r_grid entry for sweep-r, else the fixed threshold if configured, else
-    (and always for scaling) the density-matched radius for rho at each K."""
-    name = cfg.experiment
-    key = "k_grid" if name in ("scaling", "sweep-k") else "n_user"
-    ks = cfg.k_grid if key == "k_grid" else (cfg.n_user,)
-    if not ks or ks[0] is None:
-        raise ParameterError(f"{name} requires {key}")
-    if name == "sweep-r":
-        if not cfg.r_grid:
-            raise ParameterError("sweep-r requires r_grid")
-        return [(cfg.n_user, float(r)) for r in cfg.r_grid]
-    if cfg.threshold is not None and name != "scaling":
-        return [(k, float(cfg.threshold)) for k in ks]
+    """The (K, r) points of cfg.experiment in grid order: each K of its K field
+    against each radius of its radius field, or the rho-matched radius at each
+    K. A K or radius field that is missing, or set but not its own, is refused."""
+    own = _study(cfg.experiment)[2][:2]
+    for key in ("n_user", "k_grid", "threshold", "r_grid", "rho"):
+        # __post_init__ keeps every number set here positive: only None or an empty grid is false
+        if bool(getattr(cfg, key)) != (key in own):
+            raise ParameterError(f"{cfg.experiment} " + ("requires " if key in own else "does not read ") + key)
+    ks = cfg.k_grid or (cfg.n_user,)
     if cfg.rho is None:
-        raise ParameterError(f"{name} requires " + ("rho (the radius tracks each K)"
-                                                   if name == "scaling" else "threshold or rho"))
+        return [(k, r) for k in ks for r in cfg.r_grid or (cfg.threshold,)]
     if min(ks) < 2:
-        raise ParameterError(f"{key}: a radius matched to rho needs at least 2 users, got {min(ks)}")
+        raise ParameterError(f"{own[0]}: a radius matched to rho needs at least 2 users, got {min(ks)}")
     return [(k, radius_for_rho(k, k / cfg.side**2, cfg.rho)) for k in ks]
 
 
@@ -477,14 +468,23 @@ def _throughput_rows(cfg: ExperimentConfig, k: int, r: float, results: list, row
     return rows
 
 
-# experiment -> (trial kernel, per-point aggregation)
+# experiment -> (trial kernel, per-point aggregation, the keys it reads beyond
+# the _COMMON ones every experiment reads: its K key, its radius key, then rate keys)
+_COMMON = ("n_rrh", "side", "trials", "seed", "workers")
+_RATES = ("t_coherence", "snr_db", "schemes")
 _STUDIES = {
-    "scaling": (_coloring_trial, _scaling_rows),
-    "density": (_density_trial, _density_rows),
-    "compare": (_throughput_trial, _throughput_rows),
-    "sweep-k": (_throughput_trial, _throughput_rows),
-    "sweep-r": (_throughput_trial, _throughput_rows),
+    "scaling": (_coloring_trial, _scaling_rows, ("k_grid", "rho")),
+    "density": (_density_trial, _density_rows, ("n_user", "rho")),
+    "compare": (_throughput_trial, _throughput_rows, ("n_user", "threshold", *_RATES)),
+    "sweep-k": (_throughput_trial, _throughput_rows, ("k_grid", "threshold", *_RATES)),
+    "sweep-r": (_throughput_trial, _throughput_rows, ("n_user", "r_grid", *_RATES)),
 }
+
+
+def _study(name: str) -> tuple:
+    if name not in _STUDIES:
+        raise ParameterError(f"unknown experiment {name!r}; choose from {sorted(_STUDIES)}")
+    return _STUDIES[name]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -494,15 +494,13 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     Only sweep-r records a point whose coloring reaches the coherence time
     as infeasible; every other experiment raises TrainingLengthError.
     """
-    if cfg.experiment not in _STUDIES:
-        raise ParameterError(f"unknown experiment {cfg.experiment!r}; choose from {sorted(_STUDIES)}")
+    kernel, aggregate, _ = _study(cfg.experiment)
     if not _BLAS_PINNED and any(os.environ.get(v) != "1" for v in _BLAS_VARS):
         import logging  # here alone: every CLI start would pay for it
 
         logging.getLogger(__name__).warning(
             "numpy was imported before lotrain with %s not all 1: BLAS may run several threads, and the "
             "CSV bytes can differ from a one-thread run; import lotrain first", ", ".join(_BLAS_VARS))
-    kernel, aggregate = _STUDIES[cfg.experiment]
     points = _grid(cfg)
     items = [(cfg, k, r, t) for k, r in points for t in range(cfg.trials)]
     results = pool_map(kernel, items, cfg.workers)

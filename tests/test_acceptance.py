@@ -56,7 +56,7 @@ def test_criterion_01_minimum_training_length_is_exact():
         g = build_conflict_graph(assoc)
         chi = exact_chromatic_number(g)
         witness = find_coloring(g, chi)
-        book = build_pilot_book(Coloring(witness, chi))
+        book = build_pilot_book(Coloring(witness))
         assert check_local_orthogonality(book, assoc)
         greedy = build_pilot_book(dsatur(g))
         assert check_local_orthogonality(greedy, assoc)

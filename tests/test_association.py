@@ -104,7 +104,7 @@ def test_refine_adds_closest_of_missing_color():
     lay = layout_from([[0.0, 0.0]], [[1.0, 0.0], [3.0, 0.0], [5.0, 0.0]])
     assoc = sparsify(lay, 2.0)
     assert assoc.served_users == ((0,),)
-    col = Coloring(np.array([0, 1, 1]), 2)
+    col = Coloring(np.array([0, 1, 1]))
     ref = refine(assoc, lay, col)
     assert ref.served_users == ((0, 1),)
     assert ref.rrh.tolist() == [0, 0] and ref.user.tolist() == [0, 1]
@@ -113,7 +113,7 @@ def test_refine_adds_closest_of_missing_color():
 def test_refine_tie_breaks_to_lower_index():
     # users 2 and 1 both at Chebyshev distance 5 with the missing color
     lay = layout_from([[0.0, 0.0]], [[1.0, 1.0], [0.0, 5.0], [5.0, 0.0]])
-    col = Coloring(np.array([0, 1, 1]), 2)
+    col = Coloring(np.array([0, 1, 1]))
     ref = refine(sparsify(lay, 2.0), lay, col)
     assert ref.served_users == ((0, 1),)
 
@@ -121,7 +121,7 @@ def test_refine_tie_breaks_to_lower_index():
 def test_refine_no_missing_colors_is_identity():
     lay = layout_from([[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
     assoc = sparsify(lay, 2.0)
-    col = Coloring(np.array([0, 1]), 2)
+    col = Coloring(np.array([0, 1]))
     assert refine(assoc, lay, col).served_users == assoc.served_users
 
 
@@ -158,14 +158,14 @@ def test_refine_rejects_same_colored_pair():
     lay = layout_from([[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
     assoc = sparsify(lay, 2.0)
     with pytest.raises(ConsistencyError):
-        refine(assoc, lay, Coloring(np.array([0, 0]), 1))
+        refine(assoc, lay, Coloring(np.array([0, 0])))
 
 
 def test_refine_rejects_coverage_mismatch():
     lay = layout_from([[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
     assoc = sparsify(lay, 2.0)
     with pytest.raises(ConsistencyError):
-        refine(assoc, lay, Coloring(np.array([0]), 1))
+        refine(assoc, lay, Coloring(np.array([0])))
 
 
 def refine_loop(assoc, layout, coloring):
@@ -232,7 +232,7 @@ def test_refine_matches_the_loop_on_edge_cases():
     lay = layout_from([[0.0, 0.0], [9.0, 9.0]], [[1.0, 0.0], [3.0, 3.0], [0.0, 3.0], [9.0, 8.0]])
     assoc = sparsify(lay, 2.0)
     assert assoc.served_users == ((0,), (3,))
-    col = Coloring(np.array([0, 1, 1, 0]), 2)
+    col = Coloring(np.array([0, 1, 1, 0]))
     assert_refine_matches_loop(assoc, lay, col)
     assert refine(assoc, lay, col).served_users == ((0, 1), (1, 3))
     # an empty color class (2), which a Coloring cannot hold
@@ -243,20 +243,20 @@ def test_refine_matches_the_loop_on_edge_cases():
     far = layout_from([[0.0, 0.0], [50.0, 50.0]], [[1.0, 0.0], [3.0, 3.0], [0.0, 3.0]])
     bare = sparsify(far, 2.0)
     assert bare.served_users == ((0,), ())
-    col3 = Coloring(np.array([0, 1, 1]), 2)
+    col3 = Coloring(np.array([0, 1, 1]))
     assert_refine_matches_loop(bare, far, col3)
     assert refine(bare, far, col3).served_users == ((0, 1), (0, 1))
     # K = 1, served or not
     one = layout_from([[0.0, 0.0], [30.0, 30.0]], [[1.0, 1.0]])
     for r in (2.0, 100.0):
-        assert_refine_matches_loop(sparsify(one, r), one, Coloring(np.array([0]), 1))
-    assert refine(sparsify(one, 2.0), one, Coloring(np.array([0]), 1)).served_users == ((0,), (0,))
+        assert_refine_matches_loop(sparsify(one, r), one, Coloring(np.array([0])))
+    assert refine(sparsify(one, 2.0), one, Coloring(np.array([0]))).served_users == ((0,), (0,))
     # the error names the lowest RRH serving two users of one color
     two = AssociationMap([0, 1, 1, 2, 2], [0, 1, 2, 0, 1], 3, 3, 1.0)
     lay3 = layout_from([[0.0, 0.0]] * 3, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     with pytest.raises(ConsistencyError, match="RRH 1 serves two users"):
-        refine(two, lay3, Coloring(np.array([0, 1, 1]), 2))
-    assert_refine_matches_loop(two, lay3, Coloring(np.array([0, 1, 1]), 2))
+        refine(two, lay3, Coloring(np.array([0, 1, 1])))
+    assert_refine_matches_loop(two, lay3, Coloring(np.array([0, 1, 1])))
 
 
 @pytest.mark.parametrize("diagonal", [False, True])

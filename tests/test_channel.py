@@ -107,7 +107,7 @@ def test_small_scale_unit_variance_and_determinism():
 def single_user_setup(d, n0, beta, p0):
     lay = layout_from([[0.0, 0.0]], [[d, 0.0]])
     assoc = sparsify(lay, d + 1.0)
-    book = scaled(build_pilot_book(Coloring(np.array([0]), 1)), beta * p0)
+    book = scaled(build_pilot_book(Coloring(np.array([0]))), beta * p0)
     ch = generate_channel(lay, 3.5, seed=5)
     est = mmse_estimate(ch, book, assoc, n0, rng=np.random.default_rng(0))
     return ch, est
@@ -129,7 +129,7 @@ def test_out_of_set_entries_are_prior():
     lay = layout_from([[0.0, 0.0]], [[1.0, 0.0], [50.0, 50.0]])
     assoc = sparsify(lay, 5.0)
     assert assoc.served_users == ((0,),)
-    book = build_pilot_book(Coloring(np.array([0, 0]), 1))
+    book = build_pilot_book(Coloring(np.array([0, 0])))
     ch = generate_channel(lay, 3.5, seed=2)
     est = mmse_estimate(ch, book, assoc, 0.1, rng=np.random.default_rng(1))
     assert est.h_hat[0, 1] == 0.0 and est.mse[0, 1] == 1.0
@@ -473,7 +473,7 @@ def test_colored_book_with_shared_color_at_an_rrh_raises():
     k, m = assoc.served_users[0][:2]
     colors = col.colors.copy()
     colors[m] = colors[k]
-    shared = Coloring(colors, col.num_colors)
+    shared = Coloring(colors)
     book = build_pilot_book(shared)
     ch = generate_channel(lay, 3.5, seed=22)
     noise = np.sqrt(0.05) * channel_mod.complex_gaussian(np.random.default_rng(3), (3, col.num_colors))

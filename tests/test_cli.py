@@ -165,6 +165,45 @@ def test_config_that_is_not_utf8_exits_one_naming_the_file(tmp_path):
     assert "Traceback" not in proc.stderr and not out.exists()
 
 
+SCALING_CFG = "n_rrh = 10\nk_grid = [30, 60]\nrho = 0.5\nside = 30.0\ntrials = 3\n"
+
+
+UNREAD_BASE = {
+    "scaling": SCALING_CFG,
+    "density": "n_rrh = 8\nn_user = 20\nside = 30.0\nrho = 0.5\ntrials = 2\n",
+    "compare": COMPARE_CFG,
+    "sweep-r": COMPARE_CFG.replace("threshold = 10.0", "r_grid = [5.0, 9.0]"),
+}
+UNREAD = [
+    # the radius tracks each K through rho, and scaling computes no rate:
+    # these four together once ran and wrote T = 7 into every row
+    ("scaling", 'threshold = 3.0\nsnr_db = [99.0]\nschemes = ["refined"]\nt_coherence = 7'),
+    ("scaling", "threshold = 3.0"),
+    ("scaling", "snr_db = [99.0]"),
+    ("scaling", 'schemes = ["refined"]'),
+    ("scaling", "t_coherence = 7"),
+    ("compare", "rho = 0.5"),
+    ("compare", "k_grid = [8, 16]"),
+    ("compare", "r_grid = [5.0]"),
+    ("sweep-r", "threshold = 10.0"),
+    ("sweep-r", "rho = 0.5"),
+    ("sweep-r", "k_grid = [8]"),
+    ("density", "threshold = 8.0"),
+]
+
+
+@pytest.mark.parametrize("name,extra", UNREAD,
+                         ids=[f"{name}-" + "-".join(line.split()[0] for line in extra.splitlines())
+                              for name, extra in UNREAD])
+def test_a_key_the_experiment_does_not_read_exits_one(tmp_path, name, extra):
+    keys = sorted(line.split()[0] for line in extra.splitlines())
+    out = tmp_path / "x.csv"
+    proc = run_cli(name, "--config", write(tmp_path, UNREAD_BASE[name] + extra + "\n"), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert f"config keys {name} does not read: {keys}" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+
 @pytest.mark.parametrize("name,cfg_text,key", [
     ("scaling", "n_rrh = 10\nk_grid = [1, 20]\nrho = 0.5\nside = 30.0\ntrials = 1\n", "k_grid"),
     ("density", "n_rrh = 8\nn_user = 1\nrho = 0.5\nside = 30.0\ntrials = 1\n", "n_user"),
@@ -217,8 +256,8 @@ def test_unwritable_output_exits_three(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name,cfg_text", [
-    ("scaling", "n_rrh = 10\nk_grid = [30, 60]\nrho = 0.5\nside = 30.0\ntrials = 3\n"),
-    ("density", "n_rrh = 8\nn_user = 20\nside = 30.0\nthreshold = 8.0\ntrials = 5\n"),
+    ("scaling", SCALING_CFG),
+    ("density", "n_rrh = 8\nn_user = 20\nside = 30.0\nrho = 0.5\ntrials = 5\n"),
     ("sweep-k", "n_rrh = 5\nk_grid = [5, 10]\nside = 30.0\nthreshold = 8.0\n"
                 "t_coherence = 20\ntrials = 2\nsnr_db = [10.0]\n"),
     ("sweep-r", "n_rrh = 5\nn_user = 8\nside = 30.0\nr_grid = [5.0, 9.0]\n"
@@ -251,7 +290,7 @@ def test_cli_import_loads_no_process_pool():
 
 
 @pytest.mark.parametrize("name,cfg_text", [
-    ("scaling", "n_rrh = 10\nk_grid = [30, 60]\nrho = 0.5\nside = 30.0\ntrials = 3\n"),
+    ("scaling", SCALING_CFG),
     ("compare", COMPARE_CFG),
 ], ids=["scaling", "compare"])
 def test_cli_run_loads_no_numpy_ma(tmp_path, name, cfg_text):
@@ -337,7 +376,7 @@ def test_a_late_blas_pin_warns_on_stderr(first, pinned, warns):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tests.parent / "src"), env.get("PYTHONPATH")) if p)
     script = (f"import {first}\nimport lotrain\n"
               "lotrain.run_experiment(lotrain.ExperimentConfig('density', n_rrh=3, n_user=5, "
-              "threshold=10.0, trials=1))\n")
+              "rho=0.5, trials=1))\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -76,20 +76,19 @@ def random_graph(rng, n_max=14):
 
 
 def test_contiguity_enforced():
-    Coloring(np.array([0, 1, 0]), 2)
-    Coloring(np.array([], dtype=np.intp), 0)
-    for colors, num_colors in (
-        ([0, 2], 3),  # color 1 unused
-        ([0, 2, 2, 3], 4),  # a gap inside
-        ([0, 1, 3], 3),  # a gap where the top color should be
-        ([-1, 0, 1], 2),  # a negative color, the top one present
-        ([0, 1], 1),  # color out of range
-        ([0, 1, 5], 3),
-        ([], 1),  # nothing colored, yet colors claimed
-        ([], 3),
+    # the count is the largest color plus one
+    assert Coloring(np.array([0, 1, 0])).num_colors == 2
+    assert Coloring(np.array([], dtype=np.intp)).num_colors == 0
+    for colors in (
+        [0, 2],  # color 1 unused
+        [0, 2, 2, 3],  # a gap inside
+        [0, 1, 3],  # a gap just below the top color
+        [-1, 0, 1],  # a negative color
+        [0, 1, 5],
+        [0, 10**12],  # refused before a count that long is allocated
     ):
         with pytest.raises(ConsistencyError):
-            Coloring(np.array(colors, dtype=np.intp), num_colors)
+            Coloring(np.array(colors, dtype=np.intp))
 
 
 def test_dsatur_examples():
@@ -191,10 +190,10 @@ def test_dsatur_cross_checked_against_networkx():
 
 def test_validate_coloring():
     tri = from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert validate_coloring(tri, Coloring(np.array([0, 1, 2]), 3))
-    assert not validate_coloring(tri, Coloring(np.array([0, 0, 1]), 2))
+    assert validate_coloring(tri, Coloring(np.array([0, 1, 2])))
+    assert not validate_coloring(tri, Coloring(np.array([0, 0, 1])))
     with pytest.raises(ConsistencyError):
-        validate_coloring(tri, Coloring(np.array([0, 1]), 2))
+        validate_coloring(tri, Coloring(np.array([0, 1])))
 
 
 def test_dsatur_on_complete_graphs_crosses_every_table_width():

@@ -1,7 +1,8 @@
 """Property tests of the config boundary: every field of ExperimentConfig
 refuses each JSON value outside its domain with a ParameterError that names
-the field, and a retired key is refused whatever its value. The CLI turns
-that error into exit code 1 (see test_cli.py)."""
+the field, each experiment refuses every key it does not read, and a retired
+key is refused whatever its value. The CLI turns that error into exit code 1
+(see test_cli.py)."""
 
 import math
 from dataclasses import fields
@@ -10,8 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotrain import ExperimentConfig, ParameterError, config_from_mapping
-from lotrain.experiments import SCHEMES
+from lotrain import ExperimentConfig, ParameterError, config_from_mapping, run_experiment
+from lotrain.experiments import SCHEMES, _grid
+
+# the keys every experiment reads, and the ones each reads beyond them: its
+# K key, its radius key and, for the throughput experiments, the rate keys
+COMMON = {"n_rrh", "side", "trials", "seed", "workers"}
+RATES = {"t_coherence", "snr_db", "schemes"}
+K_AND_RADIUS = {"n_user", "k_grid", "threshold", "r_grid", "rho"}
+READS = {
+    "scaling": {"k_grid", "rho"},
+    "density": {"n_user", "rho"},
+    "compare": {"n_user", "threshold", *RATES},
+    "sweep-k": {"k_grid", "threshold", *RATES},
+    "sweep-r": {"n_user", "r_grid", *RATES},
+}
+
+
+def reader(key: str) -> str:
+    """An experiment that reads key, so that its value reaches the domain
+    checks; compare for a key none reads."""
+    return next((name for name in sorted(READS) if key in COMMON | READS[name]), "compare")
 
 # JSON values of a shape no numeric field takes
 NOT_A_NUMBER = st.one_of(
@@ -80,7 +100,7 @@ def test_every_field_has_a_bad_value_strategy():
 def test_bad_value_of_any_field_raises_naming_the_key(key, data):
     value = data.draw(BAD[key], label=key)
     with pytest.raises(ParameterError) as exc:
-        config_from_mapping("compare", {"n_rrh": 4, key: value})
+        config_from_mapping(reader(key), {"n_rrh": 4, key: value})
     assert key in str(exc.value)
 
 
@@ -114,9 +134,41 @@ def test_repeated_grid_entry_raises_naming_the_key(key, data):
     twice = data.draw(st.sampled_from(values), label="repeated")
     at = data.draw(st.integers(0, len(values)), label="at")
     with pytest.raises(ParameterError) as exc:
-        config_from_mapping("compare", {"n_rrh": 4, key: [*values[:at], twice, *values[at:]]})
-    assert key in str(exc.value)
+        config_from_mapping(reader(key), {"n_rrh": 4, key: [*values[:at], twice, *values[at:]]})
+    assert "must not list an entry twice" in str(exc.value) and key in str(exc.value)
     # equal numbers are one grid point, whatever their JSON type
-    if key == "snr_db" and float(twice).is_integer():
+    if key in ("r_grid", "snr_db") and float(twice).is_integer():
         with pytest.raises(ParameterError, match=key):
-            config_from_mapping("compare", {"n_rrh": 4, key: [twice, int(twice)]})
+            config_from_mapping(reader(key), {"n_rrh": 4, key: [twice, int(twice)]})
+
+
+# a value inside each field's domain that suits every experiment reading it
+GOOD = {"n_rrh": 4, "n_user": 8, "k_grid": [8, 16], "side": 30.0, "threshold": 10.0,
+        "r_grid": [5.0, 10.0], "rho": 0.5, "t_coherence": 20, "snr_db": [10.0],
+        "schemes": ["proposed"], "trials": 2, "seed": 1, "workers": 1}
+
+
+def test_settable_keys_per_experiment():
+    assert set(GOOD) == {f.name for f in fields(ExperimentConfig)} - {"experiment"}
+    assert [len(COMMON | READS[name]) for name in sorted(READS)] == [10, 7, 7, 10, 10]
+
+
+@pytest.mark.parametrize("name", sorted(READS))
+def test_each_experiment_refuses_every_key_it_does_not_read(name):
+    own = COMMON | READS[name]
+    cfg = config_from_mapping(name, {key: GOOD[key] for key in own})
+    assert _grid(cfg)
+    for key in sorted(set(GOOD) - own):
+        with pytest.raises(ParameterError, match=rf"config keys {name} does not read: \['{key}'\]"):
+            config_from_mapping(name, {**{k: GOOD[k] for k in own}, key: GOOD[key]})
+        # a config built in code skips that check; the runner still refuses
+        # a K or radius field the experiment does not read, before any trial
+        if key in K_AND_RADIUS:
+            built = ExperimentConfig(name, **{k: tuple(v) if isinstance(v, list) else v
+                                              for k, v in GOOD.items() if k in own | {key}})
+            with pytest.raises(ParameterError, match=f"{name} does not read {key}$"):
+                run_experiment(built)
+    # each K and radius field of its own is required
+    for key in sorted(READS[name] & K_AND_RADIUS):
+        with pytest.raises(ParameterError, match=f"{name} requires {key}$"):
+            _grid(config_from_mapping(name, {k: GOOD[k] for k in own - {key}}))

@@ -131,6 +131,8 @@ def test_config_defaults():
     dict(seed="0"),
     dict(side=-1.0),
     dict(side=float("inf")),
+    dict(side=10**400),  # an integer past the double range
+    dict(threshold=-10**400),
     dict(t_coherence=10**300),  # the square of the peak training energy overflows
     dict(t_coherence=2**512),  # the smallest such power of two
     dict(t_coherence=10**400),  # too large for a double
@@ -140,6 +142,7 @@ def test_config_defaults():
     dict(r_grid=(5.0, float("nan"))),
     dict(snr_db=(10.0, float("nan"))),
     dict(snr_db=(float("-inf"),)),
+    dict(snr_db=(-10**400,)),
     dict(snr_db=(True,)),
 ])
 def test_config_validation(kw):
@@ -147,6 +150,26 @@ def test_config_validation(kw):
     base.update(kw)
     with pytest.raises(ParameterError, match=next(iter(kw))):
         ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("name,spelled", [
+    ("compare", dict(side=50, threshold=10, snr_db=[10])),
+    ("sweep-r", dict(side=50, r_grid=[5, 10], snr_db=[10])),
+    ("density", dict(side=50, rho=1)),
+])
+def test_integer_and_float_spellings_are_one_config(tmp_path, name, spelled):
+    # a real written as an integer is the same value: the same trials, CSV bytes and digest
+    base = dict(n_rrh=20, n_user=20, trials=2, seed=4)
+    csvs, digests = [], []
+    for values in (spelled, {k: [float(x) for x in v] if isinstance(v, list) else float(v)
+                             for k, v in spelled.items()}):
+        cfg = config_from_mapping(name, {**base, **values})
+        csvs.append(tmp_path / f"{len(csvs)}.csv")
+        emit_csv(run_experiment(cfg), csvs[-1])
+        digests.append(config_hash(cfg))
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+    assert digests[0] == digests[1]
+    assert ",50.0," in csvs[0].read_text()  # the r0 cell
 
 
 def test_config_hash_is_stable_digest():
@@ -250,10 +273,12 @@ def test_global_orthogonal_association_covers_all_rrhs():
 # ----------------------------------------------------------------- runners
 
 def test_density_mean_matches_uniform_placement_oracle():
-    side, r, k = 40.0, 10.0, 30
-    cfg = ExperimentConfig("density", n_rrh=25, n_user=k, side=side, threshold=r,
+    side, k = 40.0, 30
+    cfg = ExperimentConfig("density", n_rrh=25, n_user=k, side=side, rho=0.5,
                            trials=400, seed=13)
     rows = run_experiment(cfg)
+    r = rows[0].r  # the rho-matched radius, about 9.5, inside the oracle's r <= side/2
+    assert r == pytest.approx(radius_for_rho(k, k / side**2, 0.5), rel=1e-12)
     by_metric = {row.metric: row for row in rows}
     oracle = k * ((2 * r - r**2 / side) / side) ** 2
     got = by_metric["mean_served_users"]
@@ -427,7 +452,7 @@ def test_runner_registry():
 
 DESK_CONFIGS = {
     "scaling": dict(n_rrh=12, k_grid=(30, 60), rho=0.5, side=30.0, trials=4, seed=6),
-    "density": dict(n_rrh=25, n_user=30, side=40.0, threshold=10.0, trials=4, seed=13),
+    "density": dict(n_rrh=25, n_user=30, side=40.0, rho=0.5, trials=4, seed=13),
     "compare": COMPARE_KW,
     "sweep-k": dict(n_rrh=6, k_grid=(6, 12), side=30.0, threshold=8.0, t_coherence=20,
                     trials=3, seed=4, snr_db=(10.0,)),

@@ -54,7 +54,7 @@ def built_values():
         (NetworkLayout(10.0, rrh_xy, user_xy), {"rrh_xy": rrh_xy, "user_xy": user_xy}),
         (AssociationMap(rrh, user, 2, 3, 5.0), {"rrh": rrh, "user": user}),
         (ConflictGraph(2, src, dst, "custom"), {"src": src, "dst": dst}),
-        (Coloring(colors, 2), {"colors": colors}),
+        (Coloring(colors), {"colors": colors}),
         (PilotBook(pilots, colors), {"pilots": pilots, "color_of": colors}),
         (ChannelRealization(small, large), {"small_scale": small, "large_scale": large}),
     ]
@@ -87,7 +87,7 @@ def test_values_hash_and_compare_by_identity():
 # each constructor that takes index arrays, as a function of one of them,
 # and an integer array of zeros and ones it accepts
 INDEX_ARRAYS = {
-    "Coloring": (lambda a: Coloring(a, 2 if len(a) else 0), [0, 1, 1]),
+    "Coloring": (Coloring, [0, 1, 1]),
     "PilotBook": (lambda a: PilotBook(np.sqrt(2) * dft_rows(2)[[0, 1, 1]][:len(a)], a), [0, 1, 1]),
     "AssociationMap": (lambda a: AssociationMap(a, a, 2, 2, 1.0), [0, 1]),
     "ConflictGraph": (lambda a: ConflictGraph(2, a, a[::-1], "custom"), [0, 1]),

@@ -33,7 +33,7 @@ def test_dft_rows_orthonormal():
 
 
 def test_book_energy_and_cross_color():
-    col = Coloring(np.array([0, 1, 2, 1]), 3)
+    col = Coloring(np.array([0, 1, 2, 1]))
     book = build_pilot_book(col)
     assert book.training_length == 3 and book.n_user == 4
     energies = np.sum(np.abs(book.pilots) ** 2, axis=1)
@@ -45,7 +45,7 @@ def test_book_energy_and_cross_color():
 
 
 def test_single_color_book():
-    base = build_pilot_book(Coloring(np.array([0, 0]), 1))
+    base = build_pilot_book(Coloring(np.array([0, 0])))
     book = PilotBook(np.sqrt([2.0, 8.0])[:, None] * base.pilots, base.color_of)
     assert book.training_length == 1
     assert np.sum(np.abs(book.pilots[0]) ** 2) == pytest.approx(2.0, rel=1e-12)
@@ -55,7 +55,7 @@ def test_single_color_book():
 
 
 def test_zero_beta_silences_user():
-    base = build_pilot_book(Coloring(np.array([0, 1]), 2))
+    base = build_pilot_book(Coloring(np.array([0, 1])))
     book = PilotBook(np.array([0.0, 1.0])[:, None] * base.pilots, base.color_of)
     assert np.all(book.pilots[0] == 0)
     # the silent user keeps its color; its color's row is zero, its peer's intact
@@ -78,7 +78,7 @@ def test_energy_property_random_instances():
         num = int(rng.integers(1, k + 1))
         # every color used at least once, remaining users colored at random
         colors = np.concatenate([np.arange(num), rng.integers(0, num, size=k - num)])
-        col = Coloring(rng.permutation(colors), num)
+        col = Coloring(rng.permutation(colors))
         beta = rng.uniform(0.0, 2.0, size=k)
         p0 = float(rng.uniform(0.1, 3.0))
         base = build_pilot_book(col)
@@ -162,7 +162,7 @@ def test_local_orthogonality_detects_conflicts():
     lay = generate_layout(1, 2, 10.0, seed=0)
     assoc = sparsify(lay, 20.0)
     assert assoc.served_users == ((0, 1),)
-    same = build_pilot_book(Coloring(np.array([0, 0]), 1))
+    same = build_pilot_book(Coloring(np.array([0, 0])))
     assert not check_local_orthogonality(same, assoc)
 
 
@@ -189,7 +189,7 @@ def test_tolerance_scales_with_pilot_energy():
 def test_size_mismatch():
     lay = generate_layout(1, 3, 10.0, seed=0)
     assoc = sparsify(lay, 20.0)
-    book = build_pilot_book(Coloring(np.array([0, 1]), 2))
+    book = build_pilot_book(Coloring(np.array([0, 1])))
     with pytest.raises(ConsistencyError):
         check_local_orthogonality(book, assoc)
 
