@@ -69,8 +69,9 @@ class ExperimentConfig:
     Defaults follow the reference simulation setup: a 100 m square and
     coherence time 100. Trials run at path-loss exponent ETA = 3.5 and at
     unit power, in training and data alike, so snr_db alone sets the noise
-    power. An experiment reads the fields _STUDIES names for it, and _grid
-    refuses a K or radius field it does not read. Reals are stored as floats.
+    power. An experiment reads the fields _STUDIES names for it. Constructing
+    a config checks it, built in code or read from a file, so run_experiment
+    refuses none. Grids are stored as tuples and reals as floats.
     """
 
     experiment: str
@@ -89,6 +90,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        own = _study(self.experiment)[2][:2]
+        store = partial(object.__setattr__, self)
+        for key in ("k_grid", "r_grid", "snr_db", "schemes"):
+            if (val := getattr(self, key)) is not None or key in ("snr_db", "schemes"):
+                if not isinstance(val, (list, tuple)) or not val:
+                    raise ParameterError(f"{key} must be a nonempty list")
+                store(key, tuple(val))
         for key, low in (("n_rrh", 1), ("trials", 1), ("seed", 0), ("workers", 1),
                          ("t_coherence", 2)):
             _check_int(key, getattr(self, key), low)
@@ -96,22 +104,19 @@ class ExperimentConfig:
             _check_int("n_user", self.n_user, 1)
         for k in self.k_grid or ():
             _check_int("k_grid entry", k, 1)
-        store = partial(object.__setattr__, self)
         store("side", _check_real("side", self.side))
+        if not sys.float_info.min <= self.side * self.side <= sys.float_info.max / 2:
+            raise ParameterError(f"side must stay between about 1.5e-154 and 9.48e153, got {self.side!r}, "
+                                 "as the channel squares every distance, up to sqrt(2) side")
         for key in ("threshold", "rho"):
             if getattr(self, key) is not None:
                 store(key, _check_real(key, getattr(self, key)))
         if self.r_grid is not None:
             store("r_grid", tuple(_check_real("r_grid entry", r) for r in self.r_grid))
-        if not self.snr_db:
-            raise ParameterError("snr_db grid must be nonempty")
         store("snr_db", tuple(_check_real("snr_db entry", snr, floor=-math.inf) for snr in self.snr_db))
         # the estimator squares den = gamma^2 E + n0, whose training energy E
         # reaches T (at unit power and gain)
-        try:
-            peak = float(self.t_coherence)
-        except OverflowError:
-            peak = math.inf
+        peak = float(self.t_coherence) if self.t_coherence <= sys.float_info.max else math.inf
         if not peak * peak < math.inf:
             got = f"{peak:.3g}" if peak < math.inf else "more than 1.8e308"
             raise ParameterError(f"t_coherence must stay below about 1.34e154, got {got}: it is the "
@@ -136,6 +141,14 @@ class ExperimentConfig:
             raise ParameterError(
                 f"t_coherence must be even for global-orthogonal (half the frame trains), "
                 f"got {self.t_coherence}")
+        for key in ("n_user", "k_grid", "threshold", "r_grid", "rho"):
+            if (getattr(self, key) is None) == (key in own):
+                raise ParameterError(f"{self.experiment} " + ("requires " if key in own else "does not read ") + key)
+        if self.rho is not None:
+            if min(ks := self.k_grid or (self.n_user,)) < 2:
+                raise ParameterError(f"{own[0]}: a radius matched to rho needs at least 2 users, got {min(ks)}")
+            if not all(0 < r < math.inf for _, r in _grid(self)):
+                raise ParameterError(f"side = {self.side!r} and rho = {self.rho!r} give no finite, positive radius")
 
 
 def _check_int(key: str, value, low: int) -> None:
@@ -196,17 +209,12 @@ def load_config(path) -> dict:
 
 
 def config_from_mapping(experiment: str, mapping: dict) -> ExperimentConfig:
-    """Build a config for one experiment kind, refusing every key it does not read."""
+    """Build a config for one experiment kind, refusing every key it does not read:
+    only here is a t_coherence, snr_db or schemes set beside its default seen."""
     unread = set(mapping) - {*_COMMON, *_study(experiment)[2]}
     if unread:
         raise ParameterError(f"config keys {experiment} does not read: {sorted(unread)}")
-    payload = dict(mapping)
-    for key in {"k_grid", "r_grid", "snr_db", "schemes"} & set(payload):
-        val = payload[key]
-        if not isinstance(val, (list, tuple)) or not val:
-            raise ParameterError(f"{key} must be a nonempty list")
-        payload[key] = tuple(val)
-    return ExperimentConfig(experiment=experiment, **payload)
+    return ExperimentConfig(experiment, **mapping)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -397,17 +405,10 @@ def _throughput_trial(item) -> dict:
 def _grid(cfg: ExperimentConfig) -> list:
     """The (K, r) points of cfg.experiment in grid order: each K of its K field
     against each radius of its radius field, or the rho-matched radius at each
-    K. A K or radius field that is missing, or set but not its own, is refused."""
-    own = _study(cfg.experiment)[2][:2]
-    for key in ("n_user", "k_grid", "threshold", "r_grid", "rho"):
-        # __post_init__ keeps every number set here positive: only None or an empty grid is false
-        if bool(getattr(cfg, key)) != (key in own):
-            raise ParameterError(f"{cfg.experiment} " + ("requires " if key in own else "does not read ") + key)
+    K. ExperimentConfig has checked every field and every such radius."""
     ks = cfg.k_grid or (cfg.n_user,)
     if cfg.rho is None:
         return [(k, r) for k in ks for r in cfg.r_grid or (cfg.threshold,)]
-    if min(ks) < 2:
-        raise ParameterError(f"{own[0]}: a radius matched to rho needs at least 2 users, got {min(ks)}")
     return [(k, radius_for_rho(k, k / cfg.side**2, cfg.rho)) for k in ks]
 
 
@@ -453,18 +454,17 @@ def _density_rows(cfg: ExperimentConfig, k: int, r: float, results: list, row) -
 def _throughput_rows(cfg: ExperimentConfig, k: int, r: float, results: list, row) -> list:
     """Rates (in bits) and training lengths of every scheme, or one
     infeasible-training-length row if any trial's coloring reached T."""
-    feasible = [res for res in results if "infeasible" not in res]
-    if len(feasible) < len(results):
-        boundary = max(res["infeasible"] for res in results if "infeasible" in res)
-        return [row("proposed", "infeasible_training_length", float(boundary), None)]
+    infeasible = [res["infeasible"] for res in results if "infeasible" in res]
+    if infeasible:
+        return [row("proposed", "infeasible_training_length", float(max(infeasible)), None)]
     rows = []
     for scheme in cfg.schemes:
         for snr in cfg.snr_db:
-            m, se = _mean_se([res["rates"][(scheme, snr)] for res in feasible])
+            m, se = _mean_se([res["rates"][(scheme, snr)] for res in results])
             rows.append(row(scheme, "throughput_bits_per_use", m * NATS_TO_BITS,
                             se * NATS_TO_BITS, snr))
         rows.append(row(scheme, "training_length",
-                        *_mean_se([res["lengths"][scheme] for res in feasible])))
+                        *_mean_se([res["lengths"][scheme] for res in results])))
     return rows
 
 
@@ -489,12 +489,12 @@ def _study(name: str) -> tuple:
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run cfg.experiment's trials at every grid point and aggregate them
-    into CSV rows, point by point in grid order.
+    into CSV rows, point by point in grid order; cfg was checked when built.
 
     Only sweep-r records a point whose coloring reaches the coherence time
     as infeasible; every other experiment raises TrainingLengthError.
     """
-    kernel, aggregate, _ = _study(cfg.experiment)
+    kernel, aggregate, _ = _STUDIES[cfg.experiment]
     if not _BLAS_PINNED and any(os.environ.get(v) != "1" for v in _BLAS_VARS):
         import logging  # here alone: every CLI start would pay for it
 

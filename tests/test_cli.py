@@ -4,6 +4,7 @@ CSV contracts: 0 success, 1 bad parameters, 2 infeasible training length,
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from lotrain import cli as cli_mod
-from lotrain.experiments import CSV_HEADER
+from lotrain.experiments import CSV_HEADER, _COMMON, _STUDIES
 
 COMPARE_CFG = """\
 n_rrh = 6
@@ -42,6 +43,21 @@ def test_help_exits_zero():
     proc = run_cli("--help")
     assert proc.returncode == 0
     assert "compare" in proc.stdout and "sweep-r" in proc.stdout
+
+
+def test_readme_table_and_subcommands_match_the_experiment_table(capsys):
+    # experiments._STUDIES is the experiment table; README's CLI table and the
+    # cli's subcommands each restate it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    cells = [[re.findall(r"`([^`]+)`", c) for c in line.strip("|").split("|")]
+             for line in section.splitlines() if line.startswith("| ")]
+    assert cells[0][-1] == list(_COMMON)
+    assert {row[0][0]: row[-1] for row in cells[1:]} == {name: list(s[2]) for name, s in _STUDIES.items()}
+    with pytest.raises(SystemExit):
+        cli_mod.main(["--help"])
+    subcommands = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(subcommands) == sorted(_STUDIES)
 
 
 def test_missing_subcommand_is_usage_error():
@@ -215,6 +231,22 @@ def test_rho_matched_radius_for_one_user_exits_one_naming_the_key(tmp_path, name
     assert proc.returncode == 1, proc.stderr
     assert key in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("side,rho,keys", [
+    ("1e200", "0.5", ["side"]),  # side**2 overflowed: an OverflowError traceback
+    ("1e-200", "0.5", ["side"]),  # side**2 was 0: a ZeroDivisionError traceback
+    ("1e-160", "0.5", ["side"]),  # the radius was 0, and the error named threshold
+    ("30.0", "1e308", ["side", "rho"]),  # exited 0, writing r = inf
+    ("2e-154", "0.5", ["side", "rho"]),  # a side in range whose density overflows, so r = 0
+], ids=["side-1e200", "side-1e-200", "side-1e-160", "rho-1e308", "side-2e-154"])
+def test_a_side_or_rho_without_a_finite_positive_radius_exits_one(tmp_path, side, rho, keys):
+    text = SCALING_CFG.replace("side = 30.0", f"side = {side}").replace("rho = 0.5", f"rho = {rho}")
+    out = tmp_path / "x.csv"
+    proc = run_cli("scaling", "--config", write(tmp_path, text), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert all(key in proc.stderr for key in keys), proc.stderr
+    assert "threshold" not in proc.stderr and "Traceback" not in proc.stderr and not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

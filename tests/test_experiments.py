@@ -103,14 +103,14 @@ def test_config_from_mapping_rejects_unknown_and_bad_grids():
 
 
 def test_config_defaults():
-    cfg = ExperimentConfig("compare", n_rrh=4, n_user=8)
+    cfg = ExperimentConfig("compare", n_rrh=4, n_user=8, threshold=10.0)
     assert (cfg.side, cfg.t_coherence) == (100.0, 100)
     assert cfg.snr_db == (20.0,) and cfg.schemes == ("proposed",)
     assert cfg.trials == 100 and cfg.seed == 0 and cfg.workers == 1
     # the retired keys are no fields: trials run at eta = 3.5, beta = 1 and min_distance = 1
     for key in ("eta", "beta", "min_distance"):
         with pytest.raises(TypeError, match=key):
-            ExperimentConfig("compare", n_rrh=4, n_user=8, **{key: 1.0})
+            ExperimentConfig("compare", n_rrh=4, n_user=8, threshold=10.0, **{key: 1.0})
 
 
 @pytest.mark.parametrize("kw", [
@@ -132,6 +132,8 @@ def test_config_defaults():
     dict(side=-1.0),
     dict(side=float("inf")),
     dict(side=10**400),  # an integer past the double range
+    dict(side=1e-160),  # its square is subnormal, and the channel's squared distances underflow
+    dict(side=9.49e153),  # twice its square, the channel's largest squared distance, overflows
     dict(threshold=-10**400),
     dict(t_coherence=10**300),  # the square of the peak training energy overflows
     dict(t_coherence=2**512),  # the smallest such power of two
@@ -173,14 +175,14 @@ def test_integer_and_float_spellings_are_one_config(tmp_path, name, spelled):
 
 
 def test_config_hash_is_stable_digest():
-    a = ExperimentConfig("compare", n_rrh=4, n_user=8, seed=3)
-    b = ExperimentConfig("compare", n_rrh=4, n_user=8, seed=3)
-    c = ExperimentConfig("compare", n_rrh=4, n_user=8, seed=4)
+    a = ExperimentConfig("compare", n_rrh=4, n_user=8, threshold=10.0, seed=3)
+    b = ExperimentConfig("compare", n_rrh=4, n_user=8, threshold=10.0, seed=3)
+    c = ExperimentConfig("compare", n_rrh=4, n_user=8, threshold=10.0, seed=4)
     assert config_hash(a) == config_hash(b) != config_hash(c)
     assert len(config_hash(a)) == 12
     assert set(config_hash(a)) <= set("0123456789abcdef")
     # the worker count affects scheduling only, never the numbers
-    pooled = ExperimentConfig("compare", n_rrh=4, n_user=8, seed=3, workers=4)
+    pooled = ExperimentConfig("compare", n_rrh=4, n_user=8, threshold=10.0, seed=3, workers=4)
     assert config_hash(pooled) == config_hash(a)
 
 
