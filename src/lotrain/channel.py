@@ -186,7 +186,7 @@ class _Plan:
 
     @cached_property
     def logdet(self):
-        return _gram_plan(self.shape, self.flat)
+        return _gram_plan(self.rrh, self.user, self.shape[1])
 
 
 def _plan(chan, book, assoc) -> _Plan:
@@ -355,9 +355,9 @@ def throughput_lower_bound(
     return (1.0 - alpha) * plan.logdet(s)
 
 
-def _gram_plan(shape: tuple, flat: np.ndarray):
-    """log det(I + S^H S) as a function of the values S takes on one
-    sparsity pattern: ascending flat indices into an (n_rrh, n_user) array.
+def _gram_plan(rows: np.ndarray, cols: np.ndarray, n_user: int):
+    """log det(I + S^H S) as a function of the values S takes on one sparsity
+    pattern: the pairs (rows, cols) of an (n_rrh, n_user) array, sorted.
 
     G = I + S^H S has one column per user in a pair, in index order. The
     plan keeps every two pairs p <= q of one RRH and the cell of G's lower
@@ -367,17 +367,16 @@ def _gram_plan(shape: tuple, flat: np.ndarray):
     instead. The log-det sums the logs of the pivots of one Cholesky
     factor, which reads G's lower triangle only.
     """
-    rows, cols = np.divmod(flat, shape[1])
     first = np.flatnonzero(np.diff(rows, prepend=-1))  # pairs come sorted by RRH
-    users = np.flatnonzero(np.bincount(cols, minlength=shape[1]))
+    users = np.flatnonzero(np.bincount(cols, minlength=n_user))
     w = users.size
     # each call refills the same G; a fresh one per call had the heap re-fault megabytes
     gram = np.zeros((w, w), dtype=complex)
-    if flat.size == first.size * w:
+    if cols.size == first.size * w:
         def fill(s):
             np.matmul(s.reshape(first.size, w).conj().T, s.reshape(first.size, w), out=gram)
     else:
-        col_of = np.empty(shape[1], dtype=np.intp)
+        col_of = np.empty(n_user, dtype=np.intp)
         col_of[users] = np.arange(w)
         p, q = _same_rrh_pairs(rows, diagonal=True)  # within an RRH, cols[p] <= cols[q]
         target = col_of[cols[q]] * w + col_of[cols[p]]

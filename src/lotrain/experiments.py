@@ -149,6 +149,11 @@ class ExperimentConfig:
                 raise ParameterError(f"{own[0]}: a radius matched to rho needs at least 2 users, got {min(ks)}")
             if not all(0 < r < math.inf for _, r in _grid(self)):
                 raise ParameterError(f"side = {self.side!r} and rho = {self.rho!r} give no finite, positive radius")
+            for k, r in _grid(self) if self.experiment == "scaling" else ():
+                top = k / norm if (norm := (k / self.side**2) * r**2) else math.inf  # counts stay <= K
+                if not (top < math.inf and (self.trials == 1 or self.trials * top * top < sys.float_info.max)):
+                    raise ParameterError(f"rho = {self.rho!r} puts the normalized color counts at K = {k} up to "
+                                         f"{top:.3g}, whose mean and stderr over {self.trials} trials overflow")
 
 
 def _check_int(key: str, value, low: int) -> None:

@@ -14,10 +14,6 @@ from .errors import ConsistencyError, ParameterError
 # echoes so runs can be replayed.
 RNG_ALGORITHM = "PCG64"
 
-# pairs_within checks its candidate pairs in blocks of about this many, so its
-# temporaries stay a few MB however dense the layout is.
-_PAIR_BLOCK = 1 << 15
-
 
 def _rng(seed) -> np.random.Generator:
     """Generator from an int seed or a SeedSequence."""
@@ -120,12 +116,11 @@ def pairs_within(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np
     window bounds, so no pair within r is missed, and the strict check on both
     coordinates keeps exactly the pairs within r. Only occupied cells are
     located, by search, so memory is O(len(a) + len(b)) however small r is.
-    Candidates are checked in blocks of whole rows of a, about ``_PAIR_BLOCK``
-    at a time.
+    Beyond that, the temporaries grow with the candidates, about 1.5 per
+    returned pair on the shipped configs.
     """
     n = b.shape[0]
-    scale = r + float(np.max(np.abs(a), initial=0.0)) + float(np.max(np.abs(b), initial=0.0))
-    half = r + 1e-9 * scale
+    half = r + 1e-9 * (r + float(np.max(np.abs(a), initial=0.0)) + float(np.max(np.abs(b), initial=0.0)))
     # |y| / half is at most 1e9, so the cell indices are exact in int64
     bcell = np.floor(b[:, 1] / half).astype(np.int64)
     order = np.lexsort((b[:, 0], bcell))
@@ -146,27 +141,16 @@ def pairs_within(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np
     lo = np.searchsorted(bkey, cell_lo * width + x_lo)
     # an empty cell has cell_lo == cell_hi, and its key search lands in the next cell
     counts = np.where(cell_hi > cell_lo, np.searchsorted(bkey, cell_lo * width + x_hi) - lo, 0).ravel()
-    lo, rows = lo.ravel(), counts.reshape(-1, 3).sum(axis=1)
-    seg_ends, ends = np.cumsum(counts), np.cumsum(rows)
-    keys = [np.empty(0, dtype=np.intp)]
-    start = 0
-    while start < a.shape[0]:
-        # whole rows of a, about _PAIR_BLOCK candidates (at least one row) per block
-        done = int(ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
-        c = counts[3 * start:3 * stop]
-        first = seg_ends[3 * start:3 * stop] - c - done  # block position of each segment's first candidate
-        i = np.repeat(np.arange(start, stop), rows[start:stop])
-        j = np.arange(int(ends[stop - 1]) - done) + np.repeat(lo[3 * start:3 * stop] - first, c)
-        # y first: the cells leave about a third of the candidates out of reach in y
-        near = np.abs(ay[i] - by[j]) < r
-        i, j = i[near], j[near]
-        near = np.abs(ax[i] - bx[j]) < r
-        key = i[near] * n + order[j[near]]
-        key.sort()  # rows come in order; this orders each row's b indices
-        keys.append(key)
-        start = stop
-    return np.divmod(np.concatenate(keys), max(n, 1))
+    # every candidate at once, row by row of a: segment s holds b[lo[s]:lo[s] + counts[s]]
+    i = np.repeat(np.arange(a.shape[0]), counts.reshape(-1, 3).sum(axis=1))
+    j = np.arange(i.size) + np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts)
+    # y first: the cells leave about a third of the candidates out of reach in y
+    near = np.abs(ay[i] - by[j]) < r
+    i, j = i[near], j[near]
+    near = np.abs(ax[i] - bx[j]) < r
+    key = i[near] * n + order[j[near]]
+    key.sort()  # rows come in order; this orders each row's b indices
+    return np.divmod(key, max(n, 1))
 
 
 def user_density(layout: NetworkLayout) -> float:

@@ -638,8 +638,8 @@ def test_decoupled_plan_on_phased_and_silent_users(monkeypatch):
     grams = spy(monkeypatch, channel_mod, "_gram_plan")
     by_hand = manual_est(est.h_hat.copy(), est.mse.copy(), 1e-3)
     assert abs(throughput_lower_bound(by_hand, ch, 0.2, bp, 1.0) - rate) <= 1e-12 * rate
-    ((_, flat),) = grams
-    assert flat.size == assoc.rrh.size - np.isin(assoc.user, silent).sum()
+    ((rows, cols, _),) = grams
+    assert rows.size == cols.size == assoc.rrh.size - np.isin(assoc.user, silent).sum()
 
 
 def set_size_instance():
@@ -1092,8 +1092,8 @@ def gram_fills(monkeypatch):
             calls.append("product")
             return np.matmul(*args, **kwargs)
 
-    def plan(shape, flat):
-        logdet = real(shape, flat)
+    def plan(rows, cols, n_user):
+        logdet = real(rows, cols, n_user)
 
         def spied(s):
             calls.clear()  # only the calls of this log-det count
@@ -1181,8 +1181,8 @@ def test_gram_plan_belongs_to_the_estimator_plan(monkeypatch):
     assert planned == []
     for est in ests + ests:
         assert_rate_matches_dense(est, ch, bp, 0.25)
-    ((_, flat),) = planned
-    assert flat is ests[0].plan.flat
+    ((rows, cols, _),) = planned
+    assert rows is ests[0].plan.rrh and cols is ests[0].plan.user
     # new values on the same plan keep its Gram plan
     assert_rate_matches_dense(dataclasses.replace(ests[0], h_hat=2.0 * ests[0].h_hat), ch, bp, 0.25)
     by_hand = manual_est(ests[0].h_hat.copy(), ests[0].mse.copy(), 0.1)

@@ -3,6 +3,7 @@ CSV contracts: 0 success, 1 bad parameters, 2 infeasible training length,
 3 I/O failure."""
 
 import hashlib
+import math
 import os
 import re
 import shutil
@@ -247,6 +248,33 @@ def test_a_side_or_rho_without_a_finite_positive_radius_exits_one(tmp_path, side
     assert proc.returncode == 1, proc.stderr
     assert all(key in proc.stderr for key in keys), proc.stderr
     assert "threshold" not in proc.stderr and "Traceback" not in proc.stderr and not out.exists()
+
+
+TINY_RHO_CFG = "n_rrh = 10\nk_grid = [{k}]\nrho = {rho}\nside = 30.0\ntrials = 3\nseed = 0\n"
+
+
+@pytest.mark.parametrize("k,rho", [("2", "1e-200"), ("30", "1e-310")], ids=["rho-1e-200", "rho-1e-310"])
+def test_a_rho_whose_normalized_counts_overflow_exits_one(tmp_path, monkeypatch, k, rho):
+    # both once exited 0 with inf in the normalized rows (4 and 6 cells), and
+    # failed with a traceback under warnings-as-errors
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    out = tmp_path / "x.csv"
+    proc = run_cli("scaling", "--config", write(tmp_path, TINY_RHO_CFG.format(k=k, rho=rho)), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert f"rho = {float(rho)!r}" in proc.stderr and "Traceback" not in proc.stderr and not out.exists()
+
+
+def test_a_rho_just_inside_the_overflow_bound_writes_finite_rows(tmp_path, monkeypatch):
+    # K = 2 over 3 trials: the counts normalized by rho ln 2 stay below
+    # sqrt(1.8e308 / 3) from rho = 3.73e-154 up; 3.7e-154 is refused
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    out = tmp_path / "x.csv"
+    for rho, code in (("3.7e-154", 1), ("3.8e-154", 0)):
+        proc = run_cli("scaling", "--config", write(tmp_path, TINY_RHO_CFG.format(k=2, rho=rho)), "--out", str(out))
+        assert proc.returncode == code, proc.stderr
+    lines = out.read_text(encoding="utf-8").splitlines()
+    cells = [cell for line in lines[1:] for cell in line.split(",")[11:13]]  # value and stderr
+    assert len(lines) == 10 and all(c == "" or math.isfinite(float(c)) for c in cells), lines
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

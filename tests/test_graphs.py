@@ -240,7 +240,6 @@ def random_layouts():
         side = float(rng.uniform(10, 100))
         yield (generate_layout(n, k, side, seed=int(rng.integers(1 << 31))),
                float(rng.uniform(0.5, side / 2)))
-    # dense enough that the sweep checks its candidates in many blocks
     yield generate_layout(200, 700, 100.0, seed=5), 20.0
 
 
@@ -249,10 +248,7 @@ EDGE_CASES = [boundary_layout(), grid_layout(),
               (NetworkLayout(10.0, np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]])), 0.5)]
 
 
-@pytest.mark.parametrize("block", [None, 1, 7])
-def test_sparsify_and_graphs_match_brute_force(block, monkeypatch):
-    if block is not None:  # the block size must not change any result
-        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+def test_sparsify_and_graphs_match_brute_force():
     for lay, r in [*EDGE_CASES, *random_layouts()]:
         assoc = sparsify(lay, r)
         served = brute_served(lay, r)
@@ -333,15 +329,24 @@ def pair_cases():
     }
 
 
-@pytest.mark.parametrize("block", [None, 1, 7])
+def pairs_in_slices(a, b, r, rows):
+    """pairs_within(a, b, r) from one call on all of a (rows = None), or put
+    together from calls on slices of ``rows`` rows of a. Each slice's cells
+    have their own height, as ``half`` follows the largest coordinate passed."""
+    parts = [(np.empty(0, np.intp),) * 2]
+    for start in range(0, len(a), rows) if rows else [0]:
+        i, j = geometry.pairs_within(a[start:start + (rows or len(a))], b, r)
+        assert i.dtype == j.dtype == np.intp
+        parts.append((start + i, j))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
 @pytest.mark.parametrize("case", sorted(pair_cases()))
-def test_pairs_within_edge_cases_match_brute_force(case, block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+def test_pairs_within_edge_cases_match_brute_force(case, rows):
     a, b, r = pair_cases()[case]
-    i, j = geometry.pairs_within(a, b, r)
+    i, j = pairs_in_slices(a, b, r, rows)
     want_i, want_j = np.nonzero(linf_matrix(a, b) < r)
-    assert i.dtype == j.dtype == np.intp
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
     if case == "r-above-spread":
         assert i.size == len(a) * len(b)
@@ -349,20 +354,32 @@ def test_pairs_within_edge_cases_match_brute_force(case, block, monkeypatch):
         assert i.size == 80  # the pairs 5e-10 apart, not those 2e-9 apart
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_pairs_within_allocates_nothing_per_empty_cell(block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
-    a, b, r = tiny_radius_points()
+def traced_pairs_within(a, b, r):
+    """pairs_within's i and the peak bytes it allocated, by tracemalloc."""
     tracemalloc.start()
     try:
         i, _ = geometry.pairs_within(a, b, r)
-        peak = tracemalloc.get_traced_memory()[1]
+        return i, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_pairs_within_allocates_nothing_per_empty_cell():
+    i, peak = traced_pairs_within(*tiny_radius_points())
     assert i.size == 80
     # one byte per cell would be about 500 MB
     assert peak < 2**20, f"pairs_within peaked at {peak / 2**20:.1f} MB"
+
+
+def test_pairs_within_memory_grows_with_the_pairs_it_returns():
+    # random_layouts()'s dense frame: about 200,000 proximity pairs, checked
+    # in one pass from about 1.5 candidates each. The peak, some 43 bytes a
+    # pair there, must stay under 48 bytes per pair plus 1 KiB per point
+    *_, (lay, r) = random_layouts()
+    for a, b, radius in ((lay.rrh_xy, lay.user_xy, r), (lay.user_xy, lay.user_xy, 2 * r)):
+        i, peak = traced_pairs_within(a, b, radius)
+        bound = 48 * i.size + 1024 * (len(a) + len(b))
+        assert peak < bound, f"pairs_within peaked at {peak} bytes for {i.size} pairs, bound {bound}"
 
 
 # ------------------------------------------ arcs from an edge multiset
