@@ -2,8 +2,11 @@
 #
 # With the radius tied to the density through rho = delta r^2 / ln K, the
 # number of colors DSATUR needs grows like ln K. Normalized by delta r^2 the
-# averages settle under a closed-form ceiling obtained by inverting the
-# Poisson rate function x -> 1 - x + x ln x with bisection.
+# averages sit near 4 f^-1(1/(4 rho)), the limit of the normalized largest
+# served set as N grows with K: a lower bound on the normalized chromatic
+# number in that limit, not a ceiling. The proven ceiling is
+# 16 f^-1(1/(16 rho)). Both invert the Poisson rate function
+# f(x) = 1 - x + x ln x with bisection.
 #
 # Run: python3 demos/03_training_length_scaling.py   (about 1 s)
 
@@ -24,8 +27,8 @@ rho = 0.5
 print(f"rho = {rho}")
 print(f"rate function at 2: {poisson_rate_function(2.0):.6f}")
 print(f"inverse at 1/(4 rho): {poisson_rate_inverse(1.0 / (4 * rho)):.6f}")
-print(f"chromatic ceiling 4 f^-1(1/(4 rho)) = {chromatic_scaling_bound(rho):.4f}")
-print(f"degree ceiling   16 f^-1(1/(16 rho)) = {degree_scaling_bound(rho):.4f}")
+print(f"served-set limit 4 f^-1(1/(4 rho)) = {chromatic_scaling_bound(rho):.4f}")
+print(f"degree ceiling  16 f^-1(1/(16 rho)) = {degree_scaling_bound(rho):.4f}")
 
 # ------------------------------------------------ desk-scale experiment
 cfg = ExperimentConfig("scaling", n_rrh=200, k_grid=(100, 200, 400, 800),
@@ -33,7 +36,7 @@ cfg = ExperimentConfig("scaling", n_rrh=200, k_grid=(100, 200, 400, 800),
 rows = run_experiment(cfg)
 bound = chromatic_scaling_bound(rho)
 
-print(f"\n{'K':>5} {'r':>6} {'colors(G)':>10} {'norm(G)':>8} {'norm(Ginf)':>10} {'ceiling':>8}")
+print(f"\n{'K':>5} {'r':>6} {'colors(G)':>10} {'norm(G)':>8} {'norm(Ginf)':>10} {'limit':>8}")
 for k in cfg.k_grid:
     sub = {(row.scheme, row.metric): row for row in rows if row.k == k}
     r = radius_for_rho(k, k / cfg.side**2, rho)
@@ -45,5 +48,5 @@ for k in cfg.k_grid:
 
 under = all(row.value < bound for row in rows
             if row.metric == "normalized_colors" and row.scheme == "shared-rrh")
-print(f"\nnormalized conflict-graph colors below the ceiling at every K: {under}")
+print(f"\nnormalized conflict-graph colors below the served-set limit at every K: {under}")
 print("(the proximity graph may drift slightly above it: the coloring is greedy)")

@@ -36,8 +36,6 @@ from .coloring import Coloring, dsatur
 from .errors import ConsistencyError, ParameterError, TrainingLengthError
 from .experiments import (
     ExperimentConfig,
-    baseline_global_orthogonal,
-    baseline_random_pilots,
     config_from_mapping,
     config_hash,
     emit_csv,

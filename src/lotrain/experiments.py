@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from . import _BLAS_PINNED, _BLAS_VARS, pilots
+from . import _BLAS_PINNED, _BLAS_VARS
 from ._parallel import pool_map
 from .association import AssociationMap, refine, sparsify
 from .channel import (
@@ -294,30 +294,27 @@ def baseline_random_pilots(length: int, n_user: int, rng: np.random.Generator) -
     return PilotBook(g * (np.sqrt(length) / np.linalg.norm(g, axis=1))[:, None])
 
 
-def baseline_global_orthogonal(t_coherence: int, n_user: int, rng: np.random.Generator):
+def baseline_global_orthogonal(chan, t_coherence: int, rng: np.random.Generator):
     """Classical network-wide orthogonal training.
 
     Half the frame is training, so at most t_coherence/2 users can be active:
-    a uniformly random subset that size (all users when fewer). The scheme
-    is the problem of its active users alone, and its book is the pilot book
-    of the coloring that gives active user j color j. The other users
-    neither train nor send data.
+    a uniformly random subset that size (all users when fewer). The other
+    users neither train nor send data, so the scheme is the problem of its
+    active users alone: their columns of chan, every RRH estimating every one
+    of them (the infinite radius marks the scheme), and the pilot book of the
+    coloring that gives active user j color j.
 
-    Returns (active_indices, PilotBook); the book has one row per active user.
+    Returns (active_indices, channel, association, book).
     """
     if t_coherence < 2 or t_coherence % 2:
         raise ParameterError(f"t_coherence must be even and >= 2, got {t_coherence}")
-    cap = t_coherence // 2
+    n_rrh, n_user, cap = chan.n_rrh, chan.n_user, t_coherence // 2
     active = (np.arange(n_user) if n_user <= cap
               else np.sort(rng.choice(n_user, size=cap, replace=False))).astype(np.intp)
-    # through its module: the kernels' own build_pilot_book is the shared colored book
-    return active, pilots.build_pilot_book(Coloring(np.arange(active.size)))
-
-
-def _global_orthogonal_assoc(n_rrh: int, n_user: int) -> AssociationMap:
-    # every RRH estimates every user; the infinite radius marks the scheme
-    return AssociationMap(np.repeat(np.arange(n_rrh), n_user), np.tile(np.arange(n_user), n_rrh),
-                          n_rrh, n_user, float("inf"))
+    m = active.size
+    assoc = AssociationMap(np.repeat(np.arange(n_rrh), m), np.tile(np.arange(m), n_rrh), n_rrh, m, math.inf)
+    sub = replace(chan, small_scale=chan.small_scale[:, active], large_scale=chan.large_scale[:, active])
+    return active, sub, assoc, build_pilot_book(Coloring(np.arange(m)))
 
 
 # ------------------------------------------------------------ trial kernels
@@ -388,10 +385,7 @@ def _throughput_trial(item) -> dict:
         elif scheme == "random-pilot":
             book = baseline_random_pilots(chi, n_user, rng_s)
         elif scheme == "global-orthogonal":
-            active, book = baseline_global_orthogonal(t_coh, n_user, rng_s)
-            chan_s = replace(chan, small_scale=chan.small_scale[:, active],
-                             large_scale=chan.large_scale[:, active])
-            a_s = _global_orthogonal_assoc(cfg.n_rrh, active.size)
+            _, chan_s, a_s, book = baseline_global_orthogonal(chan, t_coh, rng_s)
         length = book.training_length
         alpha = length / t_coh
         lengths[scheme] = length

@@ -42,15 +42,16 @@ def poisson_rate_inverse(y: float) -> float:
 
 
 def chromatic_scaling_bound(rho: float) -> float:
-    """Asymptotic a.s. bound on colors(G) / (delta r^2): 4 * f^-1(1/(4 rho))."""
+    """4 f^-1(1/(4 rho)), 8.62 at rho = 0.5: the limit of max_i |U_i| / (delta r^2) as ln N / ln K -> 1.
+    Served sets are cliques, so in that limit it bounds the normalized colors from below, not above;
+    degree_scaling_bound is the proven ceiling. Whether the paper's theorem is one- or two-sided is unknown."""
     if not rho > 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     return 4.0 * poisson_rate_inverse(1.0 / (4.0 * rho))
 
 
 def degree_scaling_bound(rho: float) -> float:
-    """Asymptotic a.s. bound on (max_degree(G) + 1) / (delta r^2) via the
-    proximity supergraph: 16 * f^-1(1/(16 rho))."""
+    """Proven ceiling on (max_degree(G) + 1) / (delta r^2), via the proximity supergraph: 16 f^-1(1/(16 rho))."""
     if not rho > 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     return 16.0 * poisson_rate_inverse(1.0 / (16.0 * rho))

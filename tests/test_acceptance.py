@@ -37,6 +37,7 @@ from lotrain import (
     sparsify,
     throughput_lower_bound,
 )
+from lotrain._parallel import pool_map
 from lotrain.experiments import _throughput_trial
 
 
@@ -97,7 +98,7 @@ def test_criterion_03_normalized_color_count_respects_asymptotic_bound():
     graph may exceed the bound by at most 15 percent."""
     t0 = time.monotonic()
     cfg = ExperimentConfig("scaling", n_rrh=1000, k_grid=(200, 500, 1000, 2000),
-                           rho=0.5, side=100.0, trials=100, seed=33)
+                           rho=0.5, side=100.0, trials=100, seed=33, workers=2)
     rows = run_experiment(cfg)
     bound = chromatic_scaling_bound(0.5)
     for k in cfg.k_grid:
@@ -190,10 +191,8 @@ def test_criterion_07_scheme_ordering_under_common_random_numbers():
                            threshold=10.0, snr_db=(20.0, 40.0),
                            schemes=("proposed", "refined", "random-pilot"),
                            trials=trials, seed=77)
-    results = [
-        _throughput_trial((cfg, cfg.n_user, cfg.threshold, t))
-        for t in range(trials)
-    ]
+    # on two workers: a trial's rates do not depend on the worker count (criterion 09)
+    results = pool_map(_throughput_trial, [(cfg, cfg.n_user, cfg.threshold, t) for t in range(trials)], 2)
     for snr in cfg.snr_db:
         series = {s: np.array([res["rates"][(s, snr)] for res in results])
                   for s in cfg.schemes}
@@ -209,7 +208,7 @@ def test_criterion_08_throughput_shapes_over_load_and_radius():
     maximum on a six-point grid."""
     kcfg = ExperimentConfig("sweep-k", n_rrh=300, k_grid=(75, 150, 225, 300),
                             side=100.0, threshold=10.0, trials=150, seed=88,
-                            snr_db=(0.0,))
+                            snr_db=(0.0,), workers=2)
     krows = [row for row in run_experiment(kcfg) if row.metric == "throughput_bits_per_use"]
     krows.sort(key=lambda row: row.k)
     assert [row.k for row in krows] == [75, 150, 225, 300]
@@ -219,7 +218,7 @@ def test_criterion_08_throughput_shapes_over_load_and_radius():
 
     rcfg = ExperimentConfig("sweep-r", n_rrh=300, n_user=300, side=100.0,
                             r_grid=(4.0, 7.0, 10.0, 13.0, 16.0, 19.0),
-                            trials=150, seed=99, snr_db=(50.0,))
+                            trials=150, seed=99, snr_db=(50.0,), workers=2)
     rrows = [row for row in run_experiment(rcfg) if row.metric == "throughput_bits_per_use"]
     assert len(rrows) == 6  # every radius feasible at the reference frame
     values = [row.value for row in sorted(rrows, key=lambda row: row.r)]

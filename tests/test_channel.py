@@ -30,8 +30,6 @@ from lotrain import (
     NetworkLayout,
     ParameterError,
     PilotBook,
-    baseline_global_orthogonal,
-    baseline_random_pilots,
     build_conflict_graph,
     build_pilot_book,
     data_power_coefficients,
@@ -47,13 +45,18 @@ from lotrain import (
     sparsify,
     throughput_lower_bound,
 )
-from lotrain.experiments import SCHEMES, _global_orthogonal_assoc, _throughput_trial
+from lotrain.experiments import SCHEMES, _throughput_trial, baseline_global_orthogonal, baseline_random_pilots
 
 GAMMA_AT_10_ETA_35 = 0.017782794100389228  # 10 ** -1.75
 
 
 def layout_from(rrh, users, side=100.0):
     return NetworkLayout(side, np.asarray(rrh, float), np.asarray(users, float))
+
+
+def one_rrh(n_user):
+    """A one-RRH channel: all a caller needs for global-orthogonal's book."""
+    return ChannelRealization(np.ones((1, n_user), dtype=complex), np.ones((1, n_user)))
 
 
 # ------------------------------------------------------------------ fading
@@ -323,24 +326,18 @@ def test_closed_form_matches_per_rrh_solve(scheme, per_user_beta):
     beta = rng.uniform(0.5, 1.5, k) if per_user_beta else 1.0
     ch = generate_channel(lay, 3.5, seed=9)
     if scheme == "global-orthogonal":
-        active, book = baseline_global_orthogonal(t_coh, k, rng)
+        active, sub, sub_assoc, book = baseline_global_orthogonal(ch, t_coh, rng)
         book = scaled(book, np.broadcast_to(beta, (k,))[active])
         z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
         # the padded oracle's inactive users are silent: zero pilots, zero beta
         assert_matches_per_rrh_solve(ch, *padded_global_orthogonal(book, active, n, k), z0, t_coh)
-        ch, assoc = active_columns(ch, active), _global_orthogonal_assoc(n, active.size)
+        ch, assoc = sub, sub_assoc
     else:
         book = scaled(build_pilot_book(col), beta)
         if scheme == "refined":
             assoc = refine(assoc, lay, col)
         z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
     assert_matches_per_rrh_solve(ch, book, assoc, z0, t_coh)
-
-
-def active_columns(chan, active):
-    """The channel of the active users alone, as the trial kernel cuts it."""
-    return dataclasses.replace(chan, small_scale=chan.small_scale[:, active],
-                               large_scale=chan.large_scale[:, active])
 
 
 def padded_global_orthogonal(book, active, n_rrh, n_user):
@@ -373,9 +370,8 @@ def test_global_orthogonal_matches_the_padded_book(seed):
     n, k, t_coh = 300, 300, 100
     ch = generate_channel(generate_layout(n, k, 100.0, seed=seed), 3.5, seed=seed + 10)
     rng = np.random.default_rng(seed + 20)
-    active, book = baseline_global_orthogonal(t_coh, k, rng)
+    active, sub, assoc, book = baseline_global_orthogonal(ch, t_coh, rng)
     assert active.size == t_coh // 2
-    sub, assoc = active_columns(ch, active), _global_orthogonal_assoc(n, active.size)
     alpha = book.training_length / t_coh
     bp = data_power_coefficients(1.0, alpha, book.n_user)
     z0 = channel_mod.complex_gaussian(rng, (n, book.training_length))
@@ -403,10 +399,11 @@ def test_trial_global_orthogonal_matches_the_padded_book(monkeypatch, seed):
                            t_coherence=100, snr_db=COMPARE_SNR_DB, schemes=("global-orthogonal",),
                            seed=seed)
     rates = _throughput_trial((cfg, 300, 10.0, 0))["rates"]
-    ((_, _, ch),), ((_, _, (active, book)),) = channels, baselines
+    ((_, _, ch),), ((_, _, (active, sub, assoc, book)),) = channels, baselines
     assert len(estimates) == len(COMPARE_SNR_DB) and active.size == 50
-    for snr, ((sub, est_book, _, n0), kw, _) in zip(COMPARE_SNR_DB, estimates):
-        assert est_book is book and np.array_equal(sub.large_scale, ch.large_scale[:, active])
+    assert np.array_equal(sub.large_scale, ch.large_scale[:, active])
+    for snr, ((est_sub, est_book, est_assoc, n0), kw, _) in zip(COMPARE_SNR_DB, estimates):
+        assert est_sub is sub and est_book is book and est_assoc is assoc
         want = padded_rate(ch, book, active, n0, kw["noise"], book.training_length / cfg.t_coherence)
         got = rates[("global-orthogonal", snr)]
         assert abs(got - want) <= 1e-12 * want, (snr, got, want)
@@ -545,14 +542,14 @@ def contract_keeping_book(case):
     if case == "beta-zero":
         return scaled(build_pilot_book(col), 0.0)
     if case == "global-orthogonal":
-        return baseline_global_orthogonal(100, 300, rng)[1]
+        return baseline_global_orthogonal(one_rrh(300), 100, rng)[3]
     if case == "phased-and-silent":
         scale = rng.uniform(0.3, 1.7, 30) * np.exp(2j * np.pi * rng.random(30))
         scale[np.flatnonzero(col.colors == 1)] = 0.0  # every user of one color
         scale[np.flatnonzero(col.colors == 0)[0]] = 0.0  # and the first of another
         return PilotBook(scale[:, None] * build_pilot_book(col).pilots, col.colors)
     if case == "padded-oracle":
-        active, book = baseline_global_orthogonal(100, 300, rng)
+        active, _, _, book = baseline_global_orthogonal(one_rrh(300), 100, rng)
         return padded_global_orthogonal(book, active, 300, 300)[0]
     # criterion 01's shorter DFT books: any colors, some rows unused
     assign = rng.integers(0, 6, size=30)
@@ -580,7 +577,7 @@ def test_global_orthogonal_book_keeps_its_rows_bit_for_bit():
     # built from the coloring that gives active user j color j, the book
     # holds the rows the scheme was defined with
     for t_coh, n_user in ((100, 300), (20, 6), (2, 1)):
-        active, book = baseline_global_orthogonal(t_coh, n_user, np.random.default_rng(5))
+        active, _, _, book = baseline_global_orthogonal(one_rrh(n_user), t_coh, np.random.default_rng(5))
         length = active.size
         assert np.array_equal(book.pilots, np.sqrt(length) * dft_rows(length))
         assert np.array_equal(book.color_of, np.arange(length))
@@ -1050,8 +1047,7 @@ def test_rate_matches_dense_cholesky_on_each_scheme(scheme):
     rng = np.random.default_rng(42)
     ch = generate_channel(lay, 3.5, seed=43)
     if scheme == "global-orthogonal":
-        active, book = baseline_global_orthogonal(t_coh, k, rng)
-        ch, assoc = active_columns(ch, active), _global_orthogonal_assoc(n, active.size)
+        _, ch, assoc, book = baseline_global_orthogonal(ch, t_coh, rng)
     elif scheme == "random-pilot":
         book = baseline_random_pilots(col.num_colors, k, rng=rng)
     else:
@@ -1314,9 +1310,13 @@ def test_trial_builds_one_pilot_book_for_proposed_and_refined(monkeypatch):
     cfg = ExperimentConfig("compare", n_rrh=20, n_user=25, side=80.0, threshold=12.0, trials=3,
                            seed=5, snr_db=(10.0, 30.0), schemes=SCHEMES, t_coherence=60)
     run_experiment(cfg)
-    assert len(built) == cfg.trials
+    # per trial, proposed's and refined's shared book and global-orthogonal's own
+    assert len(built) == 2 * cfg.trials
     built.clear()
-    run_experiment(dataclasses.replace(cfg, schemes=("random-pilot", "global-orthogonal")))
+    run_experiment(dataclasses.replace(cfg, schemes=("global-orthogonal",)))
+    assert [np.array_equal(col.colors, np.arange(25)) for (col,) in built] == [True] * cfg.trials
+    built.clear()
+    run_experiment(dataclasses.replace(cfg, schemes=("random-pilot",)))
     assert built == []
 
 

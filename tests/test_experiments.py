@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 
 import lotrain.experiments as experiments_mod
 from lotrain import (
+    ChannelRealization,
     ConsistencyError,
     ExperimentConfig,
     ParameterError,
     TrainingLengthError,
-    baseline_global_orthogonal,
-    baseline_random_pilots,
     build_conflict_graph,
     chromatic_scaling_bound,
     config_from_mapping,
@@ -31,6 +30,8 @@ from lotrain import (
     degree_scaling_bound,
     dsatur,
     emit_csv,
+    generate_channel,
+    generate_layout,
     load_config,
     radius_for_rho,
     run_experiment,
@@ -41,9 +42,10 @@ from lotrain.experiments import (
     SCHEMES,
     ResultRow,
     _draw,
-    _global_orthogonal_assoc,
     _grid,
     _throughput_trial,
+    baseline_global_orthogonal,
+    baseline_random_pilots,
 )
 
 
@@ -228,8 +230,13 @@ def test_random_pilot_baseline_energy_and_determinism():
         baseline_random_pilots(0, 3, np.random.default_rng(5))
 
 
+def one_rrh(n_user):
+    """A one-RRH channel: all a caller needs for global-orthogonal's book."""
+    return ChannelRealization(np.ones((1, n_user), dtype=complex), np.ones((1, n_user)))
+
+
 def test_global_orthogonal_all_users_active_when_frame_allows():
-    active, book = baseline_global_orthogonal(20, 6, np.random.default_rng(0))
+    active, _, _, book = baseline_global_orthogonal(one_rrh(6), 20, np.random.default_rng(0))
     assert np.array_equal(active, np.arange(6))
     assert book.training_length == 6
     gram = book.pilots @ book.pilots.conj().T
@@ -238,11 +245,11 @@ def test_global_orthogonal_all_users_active_when_frame_allows():
 
 def test_global_orthogonal_selects_half_frame_subset():
     rng = np.random.default_rng(9)
-    active, book = baseline_global_orthogonal(10, 12, rng)
+    active, _, _, book = baseline_global_orthogonal(one_rrh(12), 10, rng)
     assert active.size == 5 and book.training_length == 5 and book.n_user == 5
     assert np.all(np.diff(active) > 0) and active.min() >= 0 and active.max() < 12
     assert np.allclose(book.pilots @ book.pilots.conj().T, 5 * np.eye(5), atol=1e-10)
-    again, _ = baseline_global_orthogonal(10, 12, np.random.default_rng(9))
+    again = baseline_global_orthogonal(one_rrh(12), 10, np.random.default_rng(9))[0]
     assert np.array_equal(active, again)
 
 
@@ -250,7 +257,7 @@ def test_global_orthogonal_book_colors_one_per_active_user():
     # the book holds the active users alone: one color and one row of full
     # energy each, and no zero-energy rows
     for t_coh, n_user in ((20, 6), (10, 12)):
-        active, book = baseline_global_orthogonal(t_coh, n_user, np.random.default_rng(9))
+        active, _, _, book = baseline_global_orthogonal(one_rrh(n_user), t_coh, np.random.default_rng(9))
         assert book.n_user == active.size == min(n_user, t_coh // 2)
         assert np.array_equal(book.color_of, np.arange(active.size))
         assert np.allclose(np.sum(np.abs(book.pilots) ** 2, axis=1), active.size, rtol=1e-12)
@@ -259,11 +266,18 @@ def test_global_orthogonal_book_colors_one_per_active_user():
 def test_global_orthogonal_requires_even_frame():
     for t in (0, 1, 7):
         with pytest.raises(ParameterError):
-            baseline_global_orthogonal(t, 4, np.random.default_rng(0))
+            baseline_global_orthogonal(one_rrh(4), t, np.random.default_rng(0))
 
 
-def test_global_orthogonal_association_covers_all_rrhs():
-    assoc = _global_orthogonal_assoc(3, 2)
+def test_global_orthogonal_problem_is_its_active_users_alone():
+    # 2 of 5 users active on 3 RRHs: their columns of the channel, bit for
+    # bit, and every RRH estimating both of them at infinite radius
+    chan = generate_channel(generate_layout(3, 5, 30.0, seed=1), 3.5, seed=2)
+    active, sub, assoc, book = baseline_global_orthogonal(chan, 4, np.random.default_rng(3))
+    assert active.size == 2 and book.n_user == 2
+    for got, full in ((sub.small_scale, chan.small_scale), (sub.large_scale, chan.large_scale)):
+        want = full[:, active]
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     assert (assoc.n_rrh, assoc.n_user, assoc.threshold) == (3, 2, float("inf"))
     assert assoc.served_users == ((0, 1),) * 3
     assert assoc.rrh.tolist() == [0, 0, 1, 1, 2, 2] and assoc.user.tolist() == [0, 1] * 3
